@@ -25,6 +25,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidConversionError,
     InvalidTraceError,
+    InvariantViolationError,
     NotReducibleError,
     ParseError,
     PreconditionFailedError,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import InvalidConversionError, PreconditionFailedError
+from .errors import InvalidConversionError, InvariantViolationError, PreconditionFailedError
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -207,11 +207,14 @@ def eliminate_valleys(sys: FiniteARS, conv: Conversion) -> Conversion:
         v = valleys[-1]
         elems = conv.elements()
         path = _path_to_normal_form(sys, elems[v], nfs)
-        assert path[-1] == conv.end, "unique normal forms force the same endpoint"
+        if path[-1] != conv.end:
+            raise InvariantViolationError("unique normal forms force the same endpoint")
         new_steps = conv.steps[:v] + tuple((e, FORWARD) for e in path[1:])
         new_conv = Conversion(conv.start, new_steps)
-        assert len(new_conv.valley_indices()) == len(valleys) - 1
+        if len(new_conv.valley_indices()) != len(valleys) - 1:
+            raise InvariantViolationError("a pass must remove exactly one valley")
         conv = new_conv
 
-    assert conv.start == conv.end
+    if conv.start != conv.end:
+        raise InvariantViolationError("valley-free conversion between distinct normal forms")
     return conv

@@ -36,6 +36,11 @@ class PreconditionFailedError(RewritingError):
     """A stated operation hypothesis does not hold for the given input."""
 
 
+class InvariantViolationError(RewritingError):
+    """An internal consistency check failed: the engine produced a state
+    its own construction rules out."""
+
+
 class ParseError(RewritingError):
     """Text input rejected by the series/system grammar."""
 

@@ -16,14 +16,18 @@ witnesses) are stated "below degree p".
 
 from __future__ import annotations
 
+import math
+import operator
 import random
-from dataclasses import dataclass
+from bisect import bisect_left, insort
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .errors import (
     DimensionMismatchError,
     InvalidTraceError,
+    InvariantViolationError,
     NotReducibleError,
     PreconditionFailedError,
     PrecisionUnattainableError,
@@ -96,12 +100,18 @@ class ReductionStep:
 @dataclass(frozen=True)
 class ReductionTrace:
     """A finite reduction chain prefix: replaying the steps from `start`
-    reproduces `end` below `end_precision`."""
+    reproduces `end` below `end_precision`.
+
+    A trace made by the engine also holds the rule set and the cofactor
+    accumulators of its run, which `cofactors` returns without a replay.
+    Traces built by hand or by `dataclasses.replace` hold none."""
 
     start: TruncatedSeries
     steps: tuple[ReductionStep, ...]
     end: TruncatedSeries
     end_precision: int
+    _collected: Optional[tuple[RuleSet, list[dict]]] = field(
+        default=None, init=False, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -134,45 +144,155 @@ def reduce_step(f: TruncatedSeries, rules: RuleSet, M: Monomial,
     return g, ReductionStep(M, i, m, coeff)
 
 
-Chooser = Callable[[list[Monomial], TruncatedSeries], tuple[Monomial, int]]
+_Key = tuple[int, tuple[int, ...]]   # (degree, exponents): sorts in the deglex order
+
+
+class _Reducer:
+    """One reduction run on a mutable copy of a series.
+
+    ``terms`` maps exponent tuples to the nonzero coefficients of degree
+    below ``precision``; when a rule's truncation lowers the precision,
+    the terms at or above the new bound are dropped, as the series
+    constructor would.  ``pending`` holds the ``(degree, exponents)``
+    keys of the reducible terms of degree below ``below``, sorted in the
+    order: the canonical strategy takes ``pending[0]``, and a uniform draw
+    over it is a draw over the sorted candidate list.  ``quotients[i]``
+    accumulates the cofactor of rule i + 1 as the steps run.
+    """
+
+    __slots__ = ("start", "rules", "below", "terms", "precision", "pending", "steps",
+                 "quotients", "_rules", "_dividing")
+
+    def __init__(self, start: TruncatedSeries, rules: RuleSet, below: Optional[int]):
+        if start.n != rules.n:
+            raise DimensionMismatchError(
+                f"series over {start.n} variables, rules over {rules.n}")
+        self.start = start
+        self.rules = rules
+        self.below = math.inf if below is None else below
+        self.terms = {m.exponents: c for m, c in start.items()}
+        self.precision = start.precision
+        # Per rule: LM exponents, deg LM, LC, the other terms with their
+        # degrees, and the body precision.
+        self._rules = []
+        for r in rules.rules:
+            lm = r.leading_monomial
+            tail = [(m.exponents, m.degree, c) for m, c in r.body.items() if m != lm]
+            self._rules.append((lm.exponents, lm.degree, r.leading_coefficient, tail,
+                                r.body.precision))
+        self._dividing: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self.pending = sorted((d, e) for e in self.terms
+                              if (d := sum(e)) < self.below and self.dividing(e))
+        self.steps: list[ReductionStep] = []
+        self.quotients: list[dict[tuple[int, ...], Fraction]] = [{} for _ in rules.rules]
+
+    def dividing(self, e: tuple[int, ...]) -> tuple[int, ...]:
+        """1-based indices of the rules whose leading monomial divides e."""
+        hit = self._dividing.get(e)
+        if hit is None:
+            hit = self._dividing[e] = tuple(
+                i for i, (lm, *_rest) in enumerate(self._rules, 1)
+                if all(a <= b for a, b in zip(lm, e)))
+        return hit
+
+    def _unpend(self, key: _Key) -> None:
+        pending = self.pending
+        k = bisect_left(pending, key)
+        if k < len(pending) and pending[k] == key:
+            del pending[k]
+
+    def step(self, key: _Key, i: int) -> None:
+        """Reduce the stored term at key = (degree, exponents) with rule i,
+        whose leading monomial divides it."""
+        d, M = key
+        lm, lm_degree, lc, tail, body_precision = self._rules[i - 1]
+        m = tuple(b - a for a, b in zip(lm, M))
+        dm = d - lm_degree
+        terms, pending, below = self.terms, self.pending, self.below
+        coeff = terms.pop(M)
+        self._unpend(key)
+        prec = self.precision
+        if body_precision is not None and (prec is None or body_precision + dm < prec):
+            prec = self.precision = body_precision + dm
+            for e in [e for e in terms if sum(e) >= prec]:
+                del terms[e]
+            del pending[bisect_left(pending, (prec,)):]
+        factor = coeff / lc
+        for e, de, c in tail:
+            d2 = de + dm
+            if prec is not None and d2 >= prec:
+                continue
+            e2 = tuple(map(operator.add, e, m))
+            old = terms.get(e2)
+            if old is None:
+                terms[e2] = -factor * c
+                if d2 < below and self.dividing(e2):
+                    insort(pending, (d2, e2))
+                continue
+            new = old - factor * c
+            if new:
+                terms[e2] = new
+            else:
+                del terms[e2]
+                if d2 < below:
+                    self._unpend((d2, e2))
+        q = self.quotients[i - 1]
+        q[m] = q.get(m, 0) + factor   # zero sums drop out when the series is built
+        self.steps.append(ReductionStep(Monomial(M), i, Monomial(m), coeff))
+
+    def series(self) -> TruncatedSeries:
+        return _series(self.start.n, self.terms, self.precision)
+
+    def trace(self, end: TruncatedSeries, end_precision: int) -> ReductionTrace:
+        """The trace of this run, carrying the cofactors it collected."""
+        trace = ReductionTrace(self.start, tuple(self.steps), end, end_precision)
+        object.__setattr__(trace, "_collected", (self.rules, self.quotients))
+        return trace
+
+
+def _series(n: int, terms: dict[tuple[int, ...], Fraction],
+            precision: Optional[int] = None) -> TruncatedSeries:
+    return TruncatedSeries(n, {Monomial(e): c for e, c in terms.items()}, precision)
+
+
+Pick = Callable[[_Reducer], tuple[_Key, int]]
+
+
+def _smallest(r: _Reducer) -> tuple[_Key, int]:
+    key = r.pending[0]
+    return key, r.dividing(key[1])[0]
+
+
+def _uniform(rng: random.Random) -> Pick:
+    def pick(r: _Reducer) -> tuple[_Key, int]:
+        key = rng.choice(r.pending)
+        return key, rng.choice(r.dividing(key[1]))
+    return pick
 
 
 def _normalize_with(f: TruncatedSeries, rules: RuleSet, target_precision: int,
-                    choose: Chooser) -> ReductionTrace:
-    if f.n != rules.n:
-        raise DimensionMismatchError(f"series over {f.n} variables, rules over {rules.n}")
+                    pick: Pick) -> ReductionTrace:
+    r = _Reducer(f, rules, target_precision)
     if target_precision < 0:
         raise ValueError("target precision must be a natural number")
     if f.precision is not None and f.precision < target_precision:
         raise PrecisionUnattainableError(
             f"input precision {f.precision} below target {target_precision}")
 
-    order = rules.order
-    h = f
-    steps: list[ReductionStep] = []
-    while True:
-        candidates = sorted(
-            (m for m in reducible_monomials(h, rules) if m.degree < target_precision),
-            key=order.key)
-        if not candidates:
-            break
-        M, i = choose(candidates, h)
-        h, step = reduce_step(h, rules, M, i)
-        if h.precision is not None and h.precision < target_precision:
+    while r.pending:
+        key, i = pick(r)
+        r.step(key, i)
+        if r.precision is not None and r.precision < target_precision:
             raise PrecisionUnattainableError(
-                f"rule truncation caps precision at {h.precision} < target {target_precision} "
-                f"after reducing {M} with rule {i}")
-        steps.append(step)
+                f"rule truncation caps precision at {r.precision} < target {target_precision} "
+                f"after reducing {Monomial(key[1])} with rule {i}")
 
-    if reducible_monomials(h, rules):
+    end = r.series()
+    if any(r.dividing(e) for e in r.terms):
         # Reducible monomials remain at degree >= target: the normal form
         # is only pinned down below the target, so say exactly that.
-        end = h.truncate(target_precision)
-        end_precision = target_precision
-    else:
-        end = h
-        end_precision = target_precision if h.precision is None else h.precision
-    return ReductionTrace(f, tuple(steps), end, end_precision)
+        return r.trace(end.truncate(target_precision), target_precision)
+    return r.trace(end, target_precision if r.precision is None else r.precision)
 
 
 def normalize(f: TruncatedSeries, rules: RuleSet, target_precision: int) -> ReductionTrace:
@@ -183,24 +303,14 @@ def normalize(f: TruncatedSeries, rules: RuleSet, target_precision: int) -> Redu
     (finitely many monomials under any bound) and leaves every coefficient
     below the last reduced monomial final.
     """
-    def choose(candidates: list[Monomial], _h: TruncatedSeries) -> tuple[Monomial, int]:
-        M = candidates[0]
-        return M, rules.dividing_rules(M)[0]
-
-    return _normalize_with(f, rules, target_precision, choose)
+    return _normalize_with(f, rules, target_precision, _smallest)
 
 
 def normalize_random(f: TruncatedSeries, rules: RuleSet, target_precision: int,
                      seed: int) -> ReductionTrace:
     """Reduce f below the target degree, drawing the reducible monomial
     and the applicable rule uniformly at each step (reproducible per seed)."""
-    rng = random.Random(seed)
-
-    def choose(candidates: list[Monomial], _h: TruncatedSeries) -> tuple[Monomial, int]:
-        M = rng.choice(candidates)
-        return M, rng.choice(rules.dividing_rules(M))
-
-    return _normalize_with(f, rules, target_precision, choose)
+    return _normalize_with(f, rules, target_precision, _uniform(random.Random(seed)))
 
 
 def _replay(trace: ReductionTrace, rules: RuleSet):
@@ -226,8 +336,14 @@ def _replay(trace: ReductionTrace, rules: RuleSet):
 def cofactors(trace: ReductionTrace, rules: RuleSet) -> tuple[TruncatedSeries, ...]:
     """Per-rule quotients q_1..q_r with start = end + sum q_i s_i below the
     trace's end precision.  Each step at M = m * LM(s_i) contributes
-    (coeff/LC(s_i)) * m to q_i."""
+    (coeff/LC(s_i)) * m to q_i.
+
+    A trace the engine made for these rules carries the quotients its run
+    collected; any other trace is replayed and validated step by step."""
     n = rules.n
+    collected = trace._collected
+    if collected is not None and collected[0] == rules:
+        return tuple(_series(n, q) for q in collected[1])
     acc: list[dict[Monomial, Fraction]] = [dict() for _ in range(len(rules))]
     for _h, step, _nxt in _replay(trace, rules):
         rule = rules.rule(step.rule_index)
@@ -283,20 +399,15 @@ def multiple_to_zero_chain(q: TruncatedSeries, i: int, rules: RuleSet,
     if start.precision is not None and start.precision < precision:
         raise PrecisionUnattainableError(
             f"product precision {start.precision} below target {precision}")
-    order = rules.order
-    h = start
-    steps: list[ReductionStep] = []
-    for m in sorted(q.support, key=order.key):
-        M = m.multiply(rule.leading_monomial)
-        coeff = h.coefficient(M)
-        if coeff == 0:
-            continue  # truncated away: the slice lies beyond the precision
-        h, step = reduce_step(h, rules, M, i)
-        steps.append(step)
-    assert h.known_zero(), "known part should telescope to zero"
-    end = h
-    end_precision = precision if end.precision is None else end.precision
-    return ReductionTrace(start, tuple(steps), end, end_precision)
+    r = _Reducer(start, rules, 0)   # the walk picks its own monomials
+    lm = rule.leading_monomial.exponents
+    for m in sorted(q.support, key=rules.order.key):
+        M = tuple(map(operator.add, m.exponents, lm))
+        if M in r.terms:   # else truncated away: the slice lies beyond the precision
+            r.step((sum(M), M), i)
+    if r.terms:
+        raise InvariantViolationError("known part of q * s_i did not telescope to zero")
+    return r.trace(r.series(), precision if r.precision is None else r.precision)
 
 
 def translate(f: TruncatedSeries, g: TruncatedSeries, trace: ReductionTrace,
@@ -321,7 +432,8 @@ def translate(f: TruncatedSeries, g: TruncatedSeries, trace: ReductionTrace,
             g_k, s = reduce_step(g_k, rules, step.monomial, step.rule_index)
             g_steps.append(s)
     p = trace.end_precision
-    assert f_k.subtract(g_k).truncate(p) == trace.end.truncate(p)
+    if f_k.subtract(g_k).truncate(p) != trace.end.truncate(p):
+        raise InvalidTraceError("lifted chains do not reproduce the trace end")
     return (f_k, g_k,
             ReductionTrace(f, tuple(f_steps), f_k, p),
             ReductionTrace(g, tuple(g_steps), g_k, p))
@@ -523,20 +635,16 @@ def attractivity_check(f: TruncatedSeries, rules: RuleSet,
     the distance to the normal form alpha never increases."""
     if reducible_monomials(alpha, rules):
         raise PreconditionFailedError("alpha contains a reducible monomial")
-    rng = random.Random(seed)
-    order = rules.order
-    h = f
-    dists = [delta(h, alpha)[0]]
+    pick = _uniform(random.Random(seed))
+    r = _Reducer(f, rules, None)
+    dists = [delta(f, alpha)[0]]
     taken = 0
     for k in range(1, steps + 1):
-        candidates = sorted(reducible_monomials(h, rules), key=order.key)
-        if not candidates:
+        if not r.pending:
             break
-        M = rng.choice(candidates)
-        i = rng.choice(rules.dividing_rules(M))
-        h, _ = reduce_step(h, rules, M, i)
+        r.step(*pick(r))
         taken = k
-        dists.append(delta(h, alpha)[0])
+        dists.append(delta(r.series(), alpha)[0])
         if dists[-1] > dists[-2]:
             return AttractivityReport(False, taken, tuple(dists), k)
     return AttractivityReport(True, taken, tuple(dists), None)

@@ -1,0 +1,135 @@
+"""Slow reference reductions kept as differential oracles.
+
+These are the straightforward forms of the engine's reducer: every step
+rescans the whole support against every rule, re-sorts the candidates and
+rebuilds the series with `reduce_step`; cofactors come from replaying the
+trace.  They use only the public single-step API, so the incremental
+reducer in `psrewrite.rewrite` can be checked against them.
+"""
+
+import random
+from fractions import Fraction
+
+from psrewrite import (
+    DimensionMismatchError,
+    InvalidTraceError,
+    PrecisionUnattainableError,
+    ReductionTrace,
+    TruncatedSeries,
+    delta,
+    reduce_step,
+    reducible_monomials,
+)
+from psrewrite.rewrite import AttractivityReport
+
+
+def _normalize_with(f, rules, target_precision, choose):
+    if f.n != rules.n:
+        raise DimensionMismatchError(f"series over {f.n} variables, rules over {rules.n}")
+    if target_precision < 0:
+        raise ValueError("target precision must be a natural number")
+    if f.precision is not None and f.precision < target_precision:
+        raise PrecisionUnattainableError(
+            f"input precision {f.precision} below target {target_precision}")
+
+    order = rules.order
+    h = f
+    steps = []
+    while True:
+        candidates = sorted(
+            (m for m in reducible_monomials(h, rules) if m.degree < target_precision),
+            key=order.key)
+        if not candidates:
+            break
+        M, i = choose(candidates)
+        h, step = reduce_step(h, rules, M, i)
+        if h.precision is not None and h.precision < target_precision:
+            raise PrecisionUnattainableError(
+                f"rule truncation caps precision at {h.precision} < target {target_precision} "
+                f"after reducing {M} with rule {i}")
+        steps.append(step)
+
+    if reducible_monomials(h, rules):
+        end = h.truncate(target_precision)
+        end_precision = target_precision
+    else:
+        end = h
+        end_precision = target_precision if h.precision is None else h.precision
+    return ReductionTrace(f, tuple(steps), end, end_precision)
+
+
+def normalize(f, rules, target_precision):
+    def choose(candidates):
+        M = candidates[0]
+        return M, rules.dividing_rules(M)[0]
+
+    return _normalize_with(f, rules, target_precision, choose)
+
+
+def normalize_random(f, rules, target_precision, seed):
+    rng = random.Random(seed)
+
+    def choose(candidates):
+        M = rng.choice(candidates)
+        return M, rng.choice(rules.dividing_rules(M))
+
+    return _normalize_with(f, rules, target_precision, choose)
+
+
+def cofactors(trace, rules):
+    """Replay the trace with `reduce_step`, checking every recorded step,
+    and sum each step's (coeff / LC) * m into its rule's quotient."""
+    acc = [dict() for _ in range(len(rules))]
+    h = trace.start
+    for k, step in enumerate(trace.steps):
+        h, replayed = reduce_step(h, rules, step.monomial, step.rule_index)
+        if replayed != step:
+            raise InvalidTraceError(f"step {k + 1} does not replay")
+        rule = rules.rule(step.rule_index)
+        bucket = acc[step.rule_index - 1]
+        c = bucket.get(step.quotient, Fraction(0)) + step.coeff / rule.leading_coefficient
+        if c == 0:
+            bucket.pop(step.quotient, None)
+        else:
+            bucket[step.quotient] = c
+    p = trace.end_precision
+    if h.truncate(p) != trace.end.truncate(p):
+        raise InvalidTraceError("replayed end differs from recorded end")
+    return tuple(TruncatedSeries(rules.n, terms) for terms in acc)
+
+
+def multiple_to_zero_chain(q, i, rules, precision):
+    start = q.multiply(rules.rule(i).body)
+    if start.precision is not None and start.precision < precision:
+        raise PrecisionUnattainableError(
+            f"product precision {start.precision} below target {precision}")
+    lm = rules.rule(i).leading_monomial
+    h = start
+    steps = []
+    for m in sorted(q.support, key=rules.order.key):
+        M = m.multiply(lm)
+        if h.coefficient(M) == 0:
+            continue
+        h, step = reduce_step(h, rules, M, i)
+        steps.append(step)
+    end_precision = precision if h.precision is None else h.precision
+    return ReductionTrace(start, tuple(steps), h, end_precision)
+
+
+def attractivity_check(f, rules, alpha, steps, seed=0):
+    rng = random.Random(seed)
+    h = f
+    dists = [delta(h, alpha)[0]]
+    taken = 0
+    for k in range(1, steps + 1):
+        candidates = sorted(reducible_monomials(h, rules), key=rules.order.key)
+        if not candidates:
+            break
+        M = rng.choice(candidates)
+        i = rng.choice(rules.dividing_rules(M))
+        h, _ = reduce_step(h, rules, M, i)
+        taken = k
+        dists.append(delta(h, alpha)[0])
+        if dists[-1] > dists[-2]:
+            return AttractivityReport(False, taken, tuple(dists), k)
+    return AttractivityReport(True, taken, tuple(dists), None)

@@ -1,0 +1,120 @@
+"""The incremental reducer against the naive rescan oracle.
+
+Every public reduction entry point must give exactly what the slow
+reference in `naive_reduction` gives: the same steps, end, end precision
+and cofactors, the same seeded random walks, and the same
+PrecisionUnattainableError at the same point with the same message.
+"""
+
+import dataclasses
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+import naive_reduction as naive
+from psrewrite import (
+    DEGLEX,
+    Monomial,
+    PrecisionUnattainableError,
+    RuleSet,
+    TruncatedSeries,
+    attractivity_check,
+    cofactors,
+    multiple_to_zero_chain,
+    normalize,
+    normalize_random,
+)
+
+COEFFS = st.sampled_from([-2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-3, 2)])
+
+
+@st.composite
+def polynomials(draw, n, max_terms, nonzero=False):
+    exps = st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(lambda e: sum(e) <= 3)
+    terms = draw(st.dictionaries(exps.map(tuple), COEFFS,
+                                 min_size=1 if nonzero else 0, max_size=max_terms))
+    return TruncatedSeries(n, {Monomial(e): c for e, c in terms.items()})
+
+
+@st.composite
+def instances(draw):
+    """(f, rules, target): 1-3 variables, 1-3 rules, some rule bodies and
+    inputs truncated, and inputs that contain multiples of the rules so
+    that reduction steps cancel terms."""
+    n = draw(st.integers(1, 3))
+    bodies = []
+    for _ in range(draw(st.integers(1, 3))):
+        body = draw(polynomials(n, 4, nonzero=True))
+        v = body.valuation().bound
+        if draw(st.booleans()):
+            body = body.truncate(draw(st.integers(v + 1, v + 4)))
+        bodies.append(body)
+    rules = RuleSet.from_series(bodies, DEGLEX, n)
+    f = draw(polynomials(n, 4))
+    for body in bodies:
+        if draw(st.booleans()):
+            f = f.add(draw(polynomials(n, 2)).multiply(body))
+    target = draw(st.integers(0, 6))
+    if draw(st.integers(0, 3)) == 0:
+        f = f.truncate(draw(st.integers(max(target - 1, 0), target + 3)))
+    return f, rules, target
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PrecisionUnattainableError as e:
+        return str(e)
+
+
+def assert_same_trace(fast, slow, rules):
+    if isinstance(slow, str):   # the error message of the oracle
+        assert fast == slow
+        return
+    assert fast == slow
+    assert fast.end.precision == slow.end.precision
+    assert fast.end_precision == slow.end_precision
+    expected = naive.cofactors(slow, rules)
+    assert cofactors(fast, rules) == expected
+    # the replay path for a copied trace agrees with the collected one
+    assert cofactors(dataclasses.replace(fast), rules) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances())
+def test_canonical_matches_oracle(instance):
+    f, rules, target = instance
+    assert_same_trace(outcome(normalize, f, rules, target),
+                      outcome(naive.normalize, f, rules, target), rules)
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(), st.integers(0, 2 ** 16))
+def test_seeded_random_matches_oracle(instance, seed):
+    f, rules, target = instance
+    assert_same_trace(outcome(normalize_random, f, rules, target, seed),
+                      outcome(naive.normalize_random, f, rules, target, seed), rules)
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances(), st.integers(0, 2 ** 16), st.integers(0, 12))
+def test_attractivity_walk_matches_oracle(instance, seed, steps):
+    f, rules, target = instance
+    alpha = outcome(naive.normalize, f, rules, target)
+    if isinstance(alpha, str):
+        return
+    assert (attractivity_check(f, rules, alpha.end, steps, seed)
+            == naive.attractivity_check(f, rules, alpha.end, steps, seed))
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances(), st.data())
+def test_multiple_to_zero_chain_matches_oracle(instance, data):
+    _f, rules, target = instance
+    q = data.draw(polynomials(rules.n, 4))
+    if data.draw(st.booleans()):
+        q = q.truncate(data.draw(st.integers(1, 5)))
+    i = data.draw(st.integers(1, len(rules)))
+    fast = outcome(multiple_to_zero_chain, q, i, rules, target)
+    slow = outcome(naive.multiple_to_zero_chain, q, i, rules, target)
+    assert_same_trace(fast, slow, rules)

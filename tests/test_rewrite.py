@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from psrewrite import (
     NotReducibleError,
     PreconditionFailedError,
     PrecisionUnattainableError,
+    ReductionTrace,
     RuleSet,
     TruncatedSeries,
     UnknownAtPrecision,
@@ -36,6 +38,7 @@ from psrewrite import (
 )
 
 from helpers import combination, random_instance
+from psrewrite import rewrite as rewrite_module
 
 N = 2
 X = Monomial((1, 0))
@@ -183,6 +186,68 @@ class TestCofactors:
             qs = cofactors(trace, rules)
             residue = trace.start.subtract(trace.end).subtract(combination(qs, rules))
             assert residue.valuation().guaranteed_at_least(trace.end_precision)
+
+
+class TestCofactorTrustBoundary:
+    """Only a trace the engine made for the same rules skips the replay;
+    every other trace is replayed and validated."""
+
+    @pytest.fixture
+    def replays(self, monkeypatch):
+        calls = []
+        original = rewrite_module._replay
+
+        def counting(trace, rules):
+            calls.append(trace)
+            return original(trace, rules)
+        monkeypatch.setattr(rewrite_module, "_replay", counting)
+        return calls
+
+    def test_engine_trace_is_not_replayed(self, replays):
+        trace = normalize(S("x2"), GEOMETRIC, 5)
+        assert cofactors(trace, GEOMETRIC) == (S("1 + x2 + x2^2 + x2^3"),)
+        assert not replays
+
+    def test_hand_built_trace_is_replayed(self, replays):
+        trace = normalize(S("x2"), GEOMETRIC, 5)
+        copy = ReductionTrace(trace.start, trace.steps, trace.end, trace.end_precision)
+        assert cofactors(copy, GEOMETRIC) == cofactors(trace, GEOMETRIC)
+        assert replays == [copy]
+
+    def test_hand_built_tampered_trace_rejected(self):
+        trace = normalize(S("x2"), GEOMETRIC, 5)
+        first = dataclasses.replace(trace.steps[0], coeff=Fraction(2))
+        bad = ReductionTrace(trace.start, (first,) + trace.steps[1:], trace.end,
+                             trace.end_precision)
+        with pytest.raises(InvalidTraceError):
+            cofactors(bad, GEOMETRIC)
+
+    def test_replaced_trace_with_tampered_step_rejected(self, replays):
+        trace = normalize(S("x2"), GEOMETRIC, 5)
+        last = dataclasses.replace(trace.steps[-1], rule_index=1, coeff=Fraction(3))
+        bad = dataclasses.replace(trace, steps=trace.steps[:-1] + (last,))
+        with pytest.raises(InvalidTraceError):
+            cofactors(bad, GEOMETRIC)
+        assert replays == [bad]
+
+    def test_replaced_trace_with_dropped_step_rejected(self):
+        trace = normalize(S("x2"), GEOMETRIC, 5)
+        with pytest.raises(InvalidTraceError):
+            cofactors(dataclasses.replace(trace, steps=trace.steps[:-1]), GEOMETRIC)
+
+    def test_other_rules_are_replayed(self, replays):
+        trace = normalize(S("x2"), GEOMETRIC, 5)
+        with pytest.raises(InvalidTraceError):
+            cofactors(trace, rules_of("x2 - 2*x2^2"))
+        assert replays == [trace]
+
+    def test_translate_validates_its_trace(self):
+        f, g = S("x2 + x1"), S("x1")
+        trace = normalize(f.subtract(g), GEOMETRIC, 5)
+        first = dataclasses.replace(trace.steps[0], coeff=Fraction(-1))
+        bad = dataclasses.replace(trace, steps=(first,) + trace.steps[1:])
+        with pytest.raises(InvalidTraceError):
+            translate(f, g, bad, GEOMETRIC)
 
 
 class TestStandardRepresentation:
