@@ -35,13 +35,8 @@ from .errors import (
 )
 from .monomials import (
     DEGLEX,
-    EQUAL,
-    GREATER,
-    LESS,
     Monomial,
     MonomialOrder,
-    OrderKind,
-    monomials_below,
     monomials_of_degree,
 )
 from .rewrite import (
@@ -72,10 +67,9 @@ from .rewrite import (
     standard_representation,
     translate,
 )
-from .series import Coefficient, TruncatedSeries, Valuation, delta
+from .series import TruncatedSeries, Valuation, delta
 from .textio import (
     format_conversion,
-    format_monomial,
     format_series,
     format_trace,
     parse_ars_system,

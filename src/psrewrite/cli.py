@@ -11,11 +11,10 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import ars as ars_mod
 from .errors import RewritingError
-from .monomials import DEGLEX, MonomialOrder
 from .rewrite import (
     Member,
     NotMember,
@@ -37,13 +36,10 @@ from .textio import (
     parse_series,
 )
 
-RANDOMIZED_COMMANDS = ("check-sb", "probe")
-
 
 @dataclass
 class SessionConfig:
     n: int = 2
-    order: MonomialOrder = DEGLEX
     precision: int = 4
     seed: Optional[int] = None
     rules_path: Optional[str] = None
@@ -74,11 +70,19 @@ class _Report:
         return "".join(f"{k.replace('_', ' ')}: {v}\n" for k, v in self.rows)
 
 
+def _load(path: str, parse: Callable[[str], object]):
+    """Parse the file at path; an error in its text names the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return parse(fh.read())
+        except RewritingError as exc:
+            raise RewritingError(f"{path}: {exc}") from exc
+
+
 def _load_rules(cfg: SessionConfig) -> RuleSet:
     if cfg.rules_path is None:
         raise RewritingError("this command needs --rules <path>")
-    with open(cfg.rules_path, "r", encoding="utf-8") as fh:
-        return parse_rules(fh.read(), cfg.n, cfg.order)
+    return _load(cfg.rules_path, lambda text: parse_rules(text, cfg.n))
 
 
 def _require_seed(cfg: SessionConfig) -> int:
@@ -103,7 +107,7 @@ def run_command(cfg: SessionConfig, command: str, args: dict) -> tuple[int, str]
             f = parse_series(args["series"], cfg.n)
             trace = normalize(f, rules, cfg.precision)
             rep.add("command", "nf")
-            rep.add("normal_form", format_series(trace.end, cfg.order))
+            rep.add("normal_form", format_series(trace.end))
             rep.add("steps", len(trace))
             rep.add("end_precision", trace.end_precision)
             for k, line in enumerate(format_trace(trace), start=1):
@@ -118,10 +122,10 @@ def run_command(cfg: SessionConfig, command: str, args: dict) -> tuple[int, str]
             trace = normalize(f, rules, cfg.precision)
             qs = cofactors(trace, rules)
             rep.add("command", "cofactors")
-            rep.add("residual", format_series(trace.end, cfg.order))
+            rep.add("residual", format_series(trace.end))
             rep.add("steps", len(trace))
             for i, q in enumerate(qs, start=1):
-                rep.add(f"cofactor_{i}", format_series(q, cfg.order))
+                rep.add(f"cofactor_{i}", format_series(q))
 
         elif command in ("member", "congruent"):
             rules = _load_rules(cfg)
@@ -134,13 +138,13 @@ def run_command(cfg: SessionConfig, command: str, args: dict) -> tuple[int, str]
             if isinstance(verdict, Member):
                 rep.add("verdict", "member")
                 for i, q in enumerate(verdict.cofactors, start=1):
-                    rep.add(f"cofactor_{i}", format_series(q, cfg.order))
+                    rep.add(f"cofactor_{i}", format_series(q))
             elif isinstance(verdict, NotMember):
                 rep.add("verdict", "not_member")
-                rep.add("witness", format_series(verdict.witness, cfg.order))
+                rep.add("witness", format_series(verdict.witness))
             else:
                 rep.add("verdict", "unknown_at_precision")
-                rep.add("residual", format_series(verdict.residual, cfg.order))
+                rep.add("residual", format_series(verdict.residual))
 
         elif command == "delta":
             f = parse_series(args["series"], cfg.n)
@@ -162,10 +166,10 @@ def run_command(cfg: SessionConfig, command: str, args: dict) -> tuple[int, str]
                 rep.add("certificate", "found")
                 rep.add("phase", cert.phase)
                 rep.add("trial", cert.trial)
-                rep.add("combination", format_series(cert.combination, cfg.order))
-                rep.add("normal_form", format_series(cert.normal_form, cfg.order))
+                rep.add("combination", format_series(cert.combination))
+                rep.add("normal_form", format_series(cert.normal_form))
                 for i, q in enumerate(cert.cofactors, start=1):
-                    rep.add(f"cofactor_{i}", format_series(q, cfg.order))
+                    rep.add(f"cofactor_{i}", format_series(q))
 
         elif command == "probe":
             rules = _load_rules(cfg)
@@ -185,8 +189,7 @@ def run_command(cfg: SessionConfig, command: str, args: dict) -> tuple[int, str]
             system_path = args.get("system")
             if system_path is None:
                 raise RewritingError("ars commands need --system <path>")
-            with open(system_path, "r", encoding="utf-8") as fh:
-                sys_ = parse_ars_system(fh.read())
+            sys_ = _load(system_path, parse_ars_system)
             rep.add("command", f"ars {args.get('action')}")
             if args.get("action") == "check":
                 props = ars_mod.check_properties(sys_)
@@ -222,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact rewriting on truncated multivariate power series.")
     p.add_argument("--vars", type=int, default=2, metavar="N",
                    help="number of variables x1..xN (default 2)")
-    p.add_argument("--order", choices=["deglex"], default="deglex")
     p.add_argument("--prec", type=int, default=4, metavar="P",
                    help="working precision: degrees < P are decided (default 4)")
     p.add_argument("--seed", type=int, default=None, metavar="S",
@@ -263,13 +265,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     ns = build_parser().parse_args(argv)
     try:
-        cfg = SessionConfig(n=ns.vars, order=DEGLEX, precision=ns.prec,
+        cfg = SessionConfig(n=ns.vars, precision=ns.prec,
                             seed=ns.seed, rules_path=ns.rules, report=ns.report)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     args = {k: v for k, v in vars(ns).items()
-            if k not in ("vars", "order", "prec", "seed", "rules", "report", "command")}
+            if k not in ("vars", "prec", "seed", "rules", "report", "command")}
     status, text = run_command(cfg, ns.command, args)
     if status == 0:
         sys.stdout.write(text)

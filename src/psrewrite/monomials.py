@@ -12,15 +12,10 @@ leans on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from itertools import combinations
 from typing import Iterator, Optional
 
 from .errors import DimensionMismatchError
-
-LESS = -1
-EQUAL = 0
-GREATER = 1
 
 
 @dataclass(frozen=True)
@@ -89,39 +84,20 @@ def _check_same_n(m1: Monomial, m2: Monomial) -> None:
         )
 
 
-class OrderKind(Enum):
-    DEGLEX = "deglex"
-
-
 @dataclass(frozen=True)
 class MonomialOrder:
     """A total, multiplicative, admissible, degree-compatible order."""
-
-    kind: OrderKind = OrderKind.DEGLEX
 
     def key(self, m: Monomial):
         # Tuple comparison realises deglex: degree first, then the raw
         # exponent vector compared left to right (x1 most significant).
         return (m.degree, m.exponents)
 
-    def compare(self, m1: Monomial, m2: Monomial) -> int:
-        """LESS/EQUAL/GREATER for m1 against m2."""
-        _check_same_n(m1, m2)
-        k1, k2 = self.key(m1), self.key(m2)
-        if k1 < k2:
-            return LESS
-        if k1 > k2:
-            return GREATER
-        return EQUAL
-
-    def less(self, m1: Monomial, m2: Monomial) -> bool:
-        return self.compare(m1, m2) == LESS
-
     def min(self, monomials) -> Monomial:
         return min(monomials, key=self.key)
 
 
-DEGLEX = MonomialOrder(OrderKind.DEGLEX)
+DEGLEX = MonomialOrder()
 
 
 def monomials_of_degree(n: int, d: int) -> Iterator[Monomial]:
@@ -135,19 +111,3 @@ def monomials_of_degree(n: int, d: int) -> Iterator[Monomial]:
             prev = b
         exps.append(d + n - 2 - prev)
         yield Monomial(tuple(exps))
-
-
-def monomials_below(order: MonomialOrder, limit: Monomial) -> list[Monomial]:
-    """The finite set {m : m < limit}, sorted ascending for the order.
-
-    Finiteness is what makes normalisation below a degree bound terminate:
-    a degree-compatible order admits only finitely many monomials under
-    any fixed one.
-    """
-    out = []
-    for d in range(limit.degree + 1):
-        for m in monomials_of_degree(limit.n, d):
-            if order.less(m, limit):
-                out.append(m)
-    out.sort(key=order.key)
-    return out

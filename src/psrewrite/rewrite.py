@@ -313,24 +313,22 @@ def normalize_random(f: TruncatedSeries, rules: RuleSet, target_precision: int,
     return _normalize_with(f, rules, target_precision, _uniform(random.Random(seed)))
 
 
-def _replay(trace: ReductionTrace, rules: RuleSet):
-    """Yield (h_before, step, h_after) while validating every step."""
-    h = trace.start
+def _replay(trace: ReductionTrace, rules: RuleSet) -> _Reducer:
+    """Rerun the steps of the trace on a reducer, validating each one."""
+    r = _Reducer(trace.start, rules, 0)   # the steps pick the monomials
     for k, step in enumerate(trace.steps):
-        rule = rules.rule(step.rule_index)
-        if step.quotient.multiply(rule.leading_monomial) != step.monomial:
+        if step.quotient.multiply(rules.rule(step.rule_index).leading_monomial) != step.monomial:
             raise InvalidTraceError(
                 f"step {k + 1}: quotient * LM(rule {step.rule_index}) != {step.monomial}")
-        actual = h.coefficient(step.monomial)
+        M = step.monomial.exponents
+        actual = r.terms.get(M, Fraction(0))
         if actual != step.coeff or actual == 0:
             raise InvalidTraceError(
                 f"step {k + 1}: recorded coefficient {step.coeff} at {step.monomial}, found {actual}")
-        nxt = h.subtract(rule.body.scale_term(step.coeff / rule.leading_coefficient,
-                                              step.quotient))
-        yield h, step, nxt
-        h = nxt
-    if h.truncate(trace.end_precision) != trace.end.truncate(trace.end_precision):
+        r.step((step.monomial.degree, M), step.rule_index)
+    if r.series().truncate(trace.end_precision) != trace.end.truncate(trace.end_precision):
         raise InvalidTraceError("replayed end differs from recorded end below end precision")
+    return r
 
 
 def cofactors(trace: ReductionTrace, rules: RuleSet) -> tuple[TruncatedSeries, ...]:
@@ -340,20 +338,10 @@ def cofactors(trace: ReductionTrace, rules: RuleSet) -> tuple[TruncatedSeries, .
 
     A trace the engine made for these rules carries the quotients its run
     collected; any other trace is replayed and validated step by step."""
-    n = rules.n
     collected = trace._collected
-    if collected is not None and collected[0] == rules:
-        return tuple(_series(n, q) for q in collected[1])
-    acc: list[dict[Monomial, Fraction]] = [dict() for _ in range(len(rules))]
-    for _h, step, _nxt in _replay(trace, rules):
-        rule = rules.rule(step.rule_index)
-        bucket = acc[step.rule_index - 1]
-        c = bucket.get(step.quotient, Fraction(0)) + step.coeff / rule.leading_coefficient
-        if c == 0:
-            bucket.pop(step.quotient, None)
-        else:
-            bucket[step.quotient] = c
-    return tuple(TruncatedSeries(n, terms) for terms in acc)
+    if collected is None or collected[0] != rules:
+        collected = (rules, _replay(trace, rules).quotients)
+    return tuple(_series(rules.n, q) for q in collected[1])
 
 
 @dataclass(frozen=True)
@@ -417,26 +405,22 @@ def translate(f: TruncatedSeries, g: TruncatedSeries, trace: ReductionTrace,
 
     Each step at monomial M is applied on the side(s) whose support
     contains M and skipped on the other, so f' - g' equals the chain's end
-    below the common precision.
+    below the common precision.  The lifted traces carry their cofactors.
     """
     if trace.start != f.subtract(g):
         raise InvalidTraceError("trace does not start at f - g")
-    f_k, g_k = f, g
-    f_steps: list[ReductionStep] = []
-    g_steps: list[ReductionStep] = []
-    for _h, step, _nxt in _replay(trace, rules):
-        if f_k.coefficient(step.monomial) != 0:
-            f_k, s = reduce_step(f_k, rules, step.monomial, step.rule_index)
-            f_steps.append(s)
-        if g_k.coefficient(step.monomial) != 0:
-            g_k, s = reduce_step(g_k, rules, step.monomial, step.rule_index)
-            g_steps.append(s)
+    _replay(trace, rules)
+    sides = (_Reducer(f, rules, 0), _Reducer(g, rules, 0))
+    for step in trace.steps:
+        M = step.monomial.exponents
+        for r in sides:
+            if M in r.terms:
+                r.step((step.monomial.degree, M), step.rule_index)
     p = trace.end_precision
+    f_k, g_k = (r.series() for r in sides)
     if f_k.subtract(g_k).truncate(p) != trace.end.truncate(p):
         raise InvalidTraceError("lifted chains do not reproduce the trace end")
-    return (f_k, g_k,
-            ReductionTrace(f, tuple(f_steps), f_k, p),
-            ReductionTrace(g, tuple(g_steps), g_k, p))
+    return f_k, g_k, sides[0].trace(f_k, p), sides[1].trace(g_k, p)
 
 
 # -- membership / congruence ------------------------------------------------

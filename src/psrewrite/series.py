@@ -25,8 +25,6 @@ from typing import Iterable, Mapping, Optional
 from .errors import DimensionMismatchError, ZeroOrUnknownLeadingError
 from .monomials import Monomial, MonomialOrder
 
-Coefficient = Fraction
-
 
 @dataclass(frozen=True)
 class Valuation:

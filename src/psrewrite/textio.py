@@ -196,10 +196,6 @@ def format_series(f: TruncatedSeries, order: MonomialOrder = DEGLEX) -> str:
     return out
 
 
-def format_monomial(m: Monomial) -> str:
-    return str(m)
-
-
 def parse_rules(text: str, n: int, order: MonomialOrder = DEGLEX) -> RuleSet:
     """One series per non-blank line; position among non-blank lines fixes
     the 1-based rule index."""
@@ -207,7 +203,10 @@ def parse_rules(text: str, n: int, order: MonomialOrder = DEGLEX) -> RuleSet:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
-        bodies.append(parse_series(raw, n, line=lineno))
+        body = parse_series(raw, n, line=lineno)
+        if body.known_zero():
+            raise ParseError("a rule needs a known nonzero term", lineno, 1)
+        bodies.append(body)
     return RuleSet.from_series(bodies, order, n)
 
 

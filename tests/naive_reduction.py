@@ -3,7 +3,7 @@
 These are the straightforward forms of the engine's reducer: every step
 rescans the whole support against every rule, re-sorts the candidates and
 rebuilds the series with `reduce_step`; cofactors come from replaying the
-trace.  They use only the public single-step API, so the incremental
+trace, and `translate` lifts a chain one `reduce_step` at a time.  They use only the public single-step API, so the incremental
 reducer in `psrewrite.rewrite` can be checked against them.
 """
 
@@ -133,3 +133,27 @@ def attractivity_check(f, rules, alpha, steps, seed=0):
         if dists[-1] > dists[-2]:
             return AttractivityReport(False, taken, tuple(dists), k)
     return AttractivityReport(True, taken, tuple(dists), None)
+
+
+def translate(f, g, trace, rules):
+    """Validate the chain of f - g by replaying it, then apply each step
+    with `reduce_step` on the side(s) whose support holds its monomial."""
+    if trace.start != f.subtract(g):
+        raise InvalidTraceError("trace does not start at f - g")
+    cofactors(trace, rules)
+    f_k, g_k = f, g
+    f_steps = []
+    g_steps = []
+    for step in trace.steps:
+        if f_k.coefficient(step.monomial) != 0:
+            f_k, s = reduce_step(f_k, rules, step.monomial, step.rule_index)
+            f_steps.append(s)
+        if g_k.coefficient(step.monomial) != 0:
+            g_k, s = reduce_step(g_k, rules, step.monomial, step.rule_index)
+            g_steps.append(s)
+    p = trace.end_precision
+    if f_k.subtract(g_k).truncate(p) != trace.end.truncate(p):
+        raise InvalidTraceError("lifted chains do not reproduce the trace end")
+    return (f_k, g_k,
+            ReductionTrace(f, tuple(f_steps), f_k, p),
+            ReductionTrace(g, tuple(g_steps), g_k, p))

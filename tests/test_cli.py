@@ -85,6 +85,20 @@ class TestRunCommand:
         status, text = run_command(kv(rules=geometric_rules), "nf", {"series": "x9"})
         assert status == 1 and "unknown variable" in text
 
+    def test_rule_file_error_names_the_file(self, tmp_path):
+        path = tmp_path / "rules.txt"
+        path.write_text("x1\nx2 + 1/*x1\n")
+        status, text = run_command(kv(rules=str(path)), "nf", {"series": "x1"})
+        assert status == 1
+        assert text == f"error: {path}: line 2, column 8: expected a number\n"
+
+    def test_zero_rule_names_the_file(self, tmp_path):
+        path = tmp_path / "rules.txt"
+        path.write_text("x2 - x2^2\n\n0\n")
+        status, text = run_command(kv(rules=str(path)), "nf", {"series": "x1"})
+        assert status == 1
+        assert text.startswith(f"error: {path}: line 3, column 1: ")
+
     def test_missing_rules(self):
         status, text = run_command(kv(), "nf", {"series": "x1"})
         assert status == 1 and "--rules" in text
@@ -110,6 +124,13 @@ class TestArsCommands:
         status, text = run_command(kv(), "ars",
                                    {"action": "valleys", "system": str(path)})
         assert status == 1 and "--conversion" in text
+
+    def test_system_edge_out_of_range_names_the_file(self, tmp_path):
+        path = tmp_path / "sys.txt"
+        path.write_text("n=2\n0 -> 1\n1 -> 5\n")
+        status, text = run_command(kv(), "ars", {"action": "check", "system": str(path)})
+        assert status == 1
+        assert text == f"error: {path}: line 3, column 1: edge 1 -> 5 outside 0..1\n"
 
     def test_valleys(self, tmp_path):
         path = tmp_path / "sys.txt"

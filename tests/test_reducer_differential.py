@@ -2,8 +2,9 @@
 
 Every public reduction entry point must give exactly what the slow
 reference in `naive_reduction` gives: the same steps, end, end precision
-and cofactors, the same seeded random walks, and the same
-PrecisionUnattainableError at the same point with the same message.
+and cofactors, the same seeded random walks, the same lifts of a chain of
+f - g onto f and g, and the same PrecisionUnattainableError at the same
+point with the same message.
 """
 
 import dataclasses
@@ -23,6 +24,7 @@ from psrewrite import (
     multiple_to_zero_chain,
     normalize,
     normalize_random,
+    translate,
 )
 
 COEFFS = st.sampled_from([-2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-3, 2)])
@@ -118,3 +120,25 @@ def test_multiple_to_zero_chain_matches_oracle(instance, data):
     fast = outcome(multiple_to_zero_chain, q, i, rules, target)
     slow = outcome(naive.multiple_to_zero_chain, q, i, rules, target)
     assert_same_trace(fast, slow, rules)
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(), st.data())
+def test_translate_matches_oracle(instance, data):
+    h, rules, target = instance
+    g = data.draw(polynomials(rules.n, 4))
+    if data.draw(st.booleans()):
+        g = g.truncate(data.draw(st.integers(target, target + 3)))
+    f = h.add(g)
+    seed = data.draw(st.one_of(st.none(), st.integers(0, 2 ** 16)))
+    if seed is None:
+        trace = outcome(normalize, f.subtract(g), rules, target)
+    else:
+        trace = outcome(normalize_random, f.subtract(g), rules, target, seed)
+    if isinstance(trace, str):
+        return
+    fast = translate(f, g, trace, rules)
+    # the lifted ends, then each lifted trace: start, steps, end, end precision
+    assert fast == naive.translate(f, g, trace, rules)
+    for lifted in fast[2:]:
+        assert cofactors(lifted, rules) == naive.cofactors(lifted, rules)

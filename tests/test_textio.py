@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from psrewrite import (
     BACKWARD,
@@ -11,7 +11,6 @@ from psrewrite import (
     ParseError,
     TruncatedSeries,
     format_conversion,
-    format_monomial,
     format_series,
     format_trace,
     normalize,
@@ -94,8 +93,8 @@ class TestFormatSeries:
         assert format_series(parse_series("-x1 + 2", N)) == "2 - x1"
 
     def test_monomial_form(self):
-        assert format_monomial(Monomial((2, 1))) == "x1^2*x2"
-        assert format_monomial(Monomial.one(N)) == "1"
+        assert str(Monomial((2, 1))) == "x1^2*x2"
+        assert str(Monomial.one(N)) == "1"
 
 
 coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -116,6 +115,17 @@ def test_series_parser_is_total(text):
     # arbitrary input either parses or raises ParseError, nothing else
     try:
         parse_series(text, N)
+    except ParseError:
+        pass
+
+
+@given(st.text(alphabet="x12 +-*/^O()0\n", max_size=40))
+@example("x1\n0\n")
+@example("x1\nO(3)\n")
+def test_rule_parser_is_total(text):
+    # arbitrary rule files, zero rules included, parse or raise ParseError
+    try:
+        parse_rules(text, N)
     except ParseError:
         pass
 
@@ -144,9 +154,11 @@ class TestRuleFiles:
         assert rules.rule(2).body == parse_series("x1 - x2", N)
 
     def test_error_carries_line_number(self):
-        with pytest.raises(ParseError) as err:
-            parse_rules("x1\nx9\n", N)
-        assert err.value.line == 2
+        # an unknown variable, a zero rule, and rules with no known term
+        for text in ("x1\nx9\n", "x1\n0\n", "x1\nO(3)\n", "x1\nx1^3 + O(2)\n"):
+            with pytest.raises(ParseError) as err:
+                parse_rules(text, N)
+            assert err.value.line == 2
 
 
 class TestTraceFormat:
