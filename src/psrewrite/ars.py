@@ -2,7 +2,19 @@
 
 Over a finite carrier with the discrete topology, "rewrites arbitrarily
 close to" collapses to plain many-step reduction, so every normal-form
-and confluence property becomes decidable by exhaustive search.  This
+and confluence property is a reachability question.  All of them are
+decided from the strongly connected components (SCCs) of the one-step
+relation, with a bottom SCC being one that no edge leaves:
+
+- normalising: every element reaches a normal form;
+- unique normal forms reached: every element reaches at most one;
+- unique normal form property: every connected component of the
+  symmetric closure holds at most one normal form;
+- normal-form property: that, and every element whose component holds a
+  normal form reaches it;
+- confluent: every element reaches exactly one bottom SCC.
+
+A normal form is a bottom SCC of one element with no self-loop.  This
 module is the testbed for those properties: compute them on a finite
 one-step relation, and run the valley-elimination procedure that turns an
 arbitrary conversion between normal forms into a single-peak one.
@@ -10,6 +22,7 @@ arbitrary conversion between normal forms into a single-peak one.
 
 from __future__ import annotations
 
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -63,9 +76,24 @@ def normal_forms(sys: FiniteARS) -> set[int]:
     return {a for a in range(sys.size) if a not in out}
 
 
-def _components(sys: FiniteARS) -> list[int]:
+def _adjacency(sys: FiniteARS) -> dict[int, list[int]]:
+    """Sorted successor lists of the elements that occur in an edge.
+
+    Every other element is a normal form alone in its component, and
+    changes no flag, so nothing here grows with `sys.size`.
+    """
+    adj: dict[int, list[int]] = {}
+    for a, b in sys.edges:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, [])
+    for succ in adj.values():
+        succ.sort()
+    return adj
+
+
+def _components(adj: dict[int, list[int]]) -> dict[int, int]:
     """Connected components of the symmetric closure (union-find)."""
-    parent = list(range(sys.size))
+    parent = {x: x for x in adj}
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -73,11 +101,12 @@ def _components(sys: FiniteARS) -> list[int]:
             x = parent[x]
         return x
 
-    for a, b in sys.edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return [find(x) for x in range(sys.size)]
+    for a, succ in adj.items():
+        for b in succ:
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
+    return {x: find(x) for x in adj}
 
 
 @dataclass(frozen=True)
@@ -89,35 +118,98 @@ class SystemProperties:
     confluent: bool
 
 
+def _add_capped(acc: set[int], more: set[int]) -> None:
+    """Union into acc, stopping at two: the flags only tell 0, 1 and many."""
+    for x in more:
+        if len(acc) == 2:
+            return
+        acc.add(x)
+
+
+def _properties(adj: dict[int, list[int]]) -> SystemProperties:
+    """The flags from one iterative Tarjan pass over the adjacency map.
+
+    SCCs are closed sinks first, so each one's summary is built from the
+    summaries of the SCCs it has edges into: at most two reachable normal
+    forms and at most two reachable bottom SCCs (SCCs with no edge leaving
+    them).  A normal form is a bottom SCC of one element with no
+    self-loop.
+    """
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    scc_of: dict[int, int] = {}
+    nfs_of: list[set[int]] = []
+    bottoms_of: list[set[int]] = []
+    stack: list[int] = []
+    for root in adj:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(adj[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(adj[w])))
+                    break
+                if w not in scc_of and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] != index[v]:
+                    continue
+                cid = len(nfs_of)
+                members = []
+                while True:
+                    x = stack.pop()
+                    scc_of[x] = cid
+                    members.append(x)
+                    if x == v:
+                        break
+                nfs: set[int] = set()
+                bottoms: set[int] = set()
+                for x in members:
+                    for w in adj[x]:
+                        c = scc_of[w]
+                        if c != cid:
+                            _add_capped(nfs, nfs_of[c])
+                            _add_capped(bottoms, bottoms_of[c])
+                # Every SCC reaches a bottom SCC, so none was inherited
+                # exactly when no edge leaves this one.
+                if not bottoms:
+                    bottoms.add(cid)
+                    if not adj[v]:
+                        nfs.add(v)
+                nfs_of.append(nfs)
+                bottoms_of.append(bottoms)
+
+    comp = _components(adj)
+    nf_count = Counter(comp[x] for x, succ in adj.items() if not succ)
+    unique_nf_property = all(k <= 1 for k in nf_count.values())
+    return SystemProperties(
+        normalising=all(nfs_of),
+        nf_property=unique_nf_property and all(
+            nfs_of[scc_of[x]] or comp[x] not in nf_count for x in adj),
+        unique_nf_property=unique_nf_property,
+        unique_nf_reached=all(len(nfs) <= 1 for nfs in nfs_of),
+        confluent=all(len(bottoms) == 1 for bottoms in bottoms_of),
+    )
+
+
 def check_properties(sys: FiniteARS) -> SystemProperties:
-    """Decide the normal-form and confluence flags exhaustively.
+    """Decide the normal-form and confluence flags in O(edges).
 
     The equivalence used by the nf properties is the one generated by the
     reduction relation, i.e. connected components of the symmetric
     closure; many-step reduction stands in for the topological relation,
     which is exact under the discrete topology.
     """
-    reach = [reachable(sys, a) for a in range(sys.size)]
-    nfs = normal_forms(sys)
-    comp = _components(sys)
-
-    normalising = all(reach[a] & nfs for a in range(sys.size))
-    unique_nf_reached = all(len(reach[a] & nfs) <= 1 for a in range(sys.size))
-
-    unique_nf_property = True
-    for a in nfs:
-        for b in nfs:
-            if a < b and comp[a] == comp[b]:
-                unique_nf_property = False
-    nf_property = all(
-        b in reach[a]
-        for a in range(sys.size) for b in nfs if comp[a] == comp[b])
-    confluent = all(
-        reach[b] & reach[c]
-        for a in range(sys.size)
-        for b in reach[a] for c in reach[a])
-    return SystemProperties(normalising, nf_property, unique_nf_property,
-                            unique_nf_reached, confluent)
+    return _properties(_adjacency(sys))
 
 
 @dataclass(frozen=True)
@@ -161,20 +253,20 @@ def validate_conversion(sys: FiniteARS, conv: Conversion) -> None:
         prev = e
 
 
-def _path_to_normal_form(sys: FiniteARS, a: int, nfs: set[int]) -> list[int]:
+def _path_to_normal_form(adj: dict[int, list[int]], a: int) -> list[int]:
     """A shortest reduction path from a to some normal form (BFS with
     sorted successors, so deterministic)."""
     parent: dict[int, Optional[int]] = {a: None}
-    queue = [a]
+    queue = deque([a])
     while queue:
-        x = queue.pop(0)
-        if x in nfs:
+        x = queue.popleft()
+        if not adj[x]:
             path = [x]
             while parent[x] is not None:
                 x = parent[x]
                 path.append(x)
             return path[::-1]
-        for y in sys.successors(x):
+        for y in adj[x]:
             if y not in parent:
                 parent[y] = x
                 queue.append(y)
@@ -191,13 +283,13 @@ def eliminate_valleys(sys: FiniteARS, conv: Conversion) -> Conversion:
     so each pass removes exactly one valley.  The result has shape
     a <-* c ->* b, and the endpoints then necessarily coincide.
     """
-    props = check_properties(sys)
+    adj = _adjacency(sys)
+    props = _properties(adj)
     if not (props.normalising and props.unique_nf_reached):
         raise PreconditionFailedError(
             "system must be normalising with unique normal forms reached")
     validate_conversion(sys, conv)
-    nfs = normal_forms(sys)
-    if conv.start not in nfs or conv.end not in nfs:
+    if adj.get(conv.start) or adj.get(conv.end):
         raise PreconditionFailedError("conversion endpoints must be normal forms")
 
     while True:
@@ -206,7 +298,7 @@ def eliminate_valleys(sys: FiniteARS, conv: Conversion) -> Conversion:
             break
         v = valleys[-1]
         elems = conv.elements()
-        path = _path_to_normal_form(sys, elems[v], nfs)
+        path = _path_to_normal_form(adj, elems[v])
         if path[-1] != conv.end:
             raise InvariantViolationError("unique normal forms force the same endpoint")
         new_steps = conv.steps[:v] + tuple((e, FORWARD) for e in path[1:])

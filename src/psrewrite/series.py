@@ -55,10 +55,6 @@ class Valuation:
     def is_infinite(self) -> bool:
         return self.bound is None
 
-    @property
-    def is_definite(self) -> bool:
-        return self.bound is not None and not self.lower_bound_only
-
     def guaranteed_at_least(self, d: int) -> bool:
         return self.bound is None or self.bound >= d
 
@@ -108,10 +104,6 @@ class TruncatedSeries:
     @classmethod
     def zero(cls, n: int, precision: Optional[int] = None) -> TruncatedSeries:
         return cls(n, {}, precision)
-
-    @classmethod
-    def constant(cls, n: int, c) -> TruncatedSeries:
-        return cls(n, {Monomial.one(n): Fraction(c)})
 
     @classmethod
     def term(cls, m: Monomial, c, precision: Optional[int] = None) -> TruncatedSeries:

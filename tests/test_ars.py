@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from psrewrite import (
     BACKWARD,
@@ -150,6 +151,84 @@ class TestCheckProperties:
             edges = [e for e in slots if rng.random() < 0.4]
             sys = FiniteARS.build(3, edges)
             assert vars(check_properties(sys)) == naive_props(sys)
+
+
+@st.composite
+def labelled_systems(draw):
+    """A system on k <= 8 elements (random edges plus a cycle through the
+    first few, a self-loop when that cycle has length one), and the same
+    edges with the elements relabelled injectively inside a carrier of
+    `spread` elements."""
+    k = draw(st.integers(1, 8))
+    element = st.integers(0, k - 1)
+    edges = set(draw(st.lists(st.tuples(element, element), max_size=2 * k)))
+    cycle = draw(st.integers(0, k))
+    edges |= {(i, (i + 1) % cycle) for i in range(cycle)}
+    spread = draw(st.sampled_from([k, 10 ** 3, 10 ** 12]))
+    labels = draw(st.lists(st.integers(0, spread - 1), min_size=k, max_size=k, unique=True))
+    relabelled = FiniteARS.build(spread, ((labels[a], labels[b]) for a, b in edges))
+    return FiniteARS.build(k, edges), relabelled
+
+
+class TestCheckPropertiesDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(labelled_systems())
+    def test_matches_naive(self, systems):
+        # Elements outside every edge are isolated normal forms, which
+        # change no flag, so the sparse copy must agree with the oracle
+        # on the compact one.
+        compact, relabelled = systems
+        expected = naive_props(compact)
+        assert vars(check_properties(compact)) == expected
+        assert vars(check_properties(relabelled)) == expected
+
+
+class TestDeepSystems:
+    # Deeper than the interpreter's recursion limit, so a recursive
+    # depth-first search would fail here.
+    N = 10 ** 4
+
+    def test_chain(self):
+        props = check_properties(FiniteARS.build(self.N, ((i, i + 1) for i in range(self.N - 1))))
+        assert all(vars(props).values())
+
+    def test_cycle(self):
+        props = check_properties(FiniteARS.build(self.N, ((i, (i + 1) % self.N) for i in range(self.N))))
+        assert vars(props) == {"normalising": False, "nf_property": True,
+                               "unique_nf_property": True, "unique_nf_reached": True,
+                               "confluent": True}
+
+    def test_valley_far_from_its_normal_form(self):
+        # Down the chain N-1 <- ... <- 0, then 0 -> 1 <- 0 (a valley at 1),
+        # then back up; the valley's reduction walks the whole chain.
+        sys = FiniteARS.build(self.N, ((i, i + 1) for i in range(self.N - 1)))
+        down = tuple((i, BACKWARD) for i in range(self.N - 2, -1, -1))
+        up = tuple((i, FORWARD) for i in range(1, self.N))
+        conv = Conversion(self.N - 1, down + ((1, FORWARD), (0, BACKWARD)) + up)
+        assert conv.valley_indices() == [self.N]
+        assert eliminate_valleys(sys, conv) == Conversion(self.N - 1, down + up)
+
+
+class TestSparseLabels:
+    # Nothing may be allocated per element of a carrier this large.
+    BIG = 10 ** 12
+
+    def test_check_properties(self):
+        sys = sys_of(self.BIG, (self.BIG - 1, 7), (3, 7))
+        assert all(vars(check_properties(sys)).values())
+        props = check_properties(sys_of(self.BIG, (self.BIG - 1, 7), (self.BIG - 1, 3)))
+        assert props.normalising and not props.unique_nf_reached and not props.confluent
+
+    def test_eliminate_valleys(self):
+        sys = sys_of(self.BIG, (self.BIG - 1, 7), (3, 7))
+        conv = Conversion(7, ((self.BIG - 1, BACKWARD), (7, FORWARD), (3, BACKWARD), (7, FORWARD)))
+        assert eliminate_valleys(sys, conv) == Conversion(7, ((self.BIG - 1, BACKWARD), (7, FORWARD)))
+
+    def test_isolated_endpoint_is_a_normal_form(self):
+        sys = sys_of(self.BIG, (self.BIG - 1, 7))
+        assert eliminate_valleys(sys, Conversion(5, ())) == Conversion(5, ())
+        with pytest.raises(PreconditionFailedError):
+            eliminate_valleys(sys, Conversion(self.BIG - 1, ()))
 
 
 class TestNormalFormPropositions:

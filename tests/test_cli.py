@@ -143,6 +143,21 @@ class TestArsCommands:
         assert "conversion=0 <- 1 -> 2 -> 0\n" in text
         assert "valleys=0\n" in text and "endpoints_equal=true\n" in text
 
+    def test_sparse_labels_in_a_huge_carrier(self, tmp_path):
+        # Nothing may be allocated per element of the declared size.
+        path = tmp_path / "sys.txt"
+        path.write_text("n=1000000000000\n999999999999 -> 7\n3 -> 7\n")
+        status, text = run_command(kv(), "ars", {"action": "check", "system": str(path)})
+        assert status == 0
+        assert "size=1000000000000\n" in text and "edges=2\n" in text
+        assert "normalising=true\n" in text and "confluent=true\n" in text
+        status, text = run_command(
+            kv(), "ars",
+            {"action": "valleys", "system": str(path),
+             "conversion": "7 <- 999999999999 -> 7 <- 3 -> 7"})
+        assert status == 0
+        assert "conversion=7 <- 999999999999 -> 7\n" in text and "valleys=0\n" in text
+
 
 class TestMain:
     def test_exit_status_zero_on_success(self, geometric_rules, capsys):
