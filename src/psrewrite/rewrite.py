@@ -237,7 +237,7 @@ class _Reducer:
                 if d2 < below:
                     self._unpend((d2, e2))
         q = self.quotients[i - 1]
-        q[m] = q.get(m, 0) + factor   # zero sums drop out when the series is built
+        q[m] = q.get(m, 0) + factor   # zero sums drop out in _series
         self.steps.append(ReductionStep(Monomial(M), i, Monomial(m), coeff))
 
     def series(self) -> TruncatedSeries:
@@ -252,7 +252,11 @@ class _Reducer:
 
 def _series(n: int, terms: dict[tuple[int, ...], Fraction],
             precision: Optional[int] = None) -> TruncatedSeries:
-    return TruncatedSeries(n, {Monomial(e): c for e, c in terms.items()}, precision)
+    """The series of a reducer's term dict or cofactor accumulator.  Both
+    hold `Fraction`s below the precision; only an accumulator can hold a
+    zero sum, which is dropped here."""
+    return TruncatedSeries._from_clean(
+        n, {Monomial(e): c for e, c in terms.items() if c}, precision)
 
 
 Pick = Callable[[_Reducer], tuple[_Key, int]]

@@ -8,6 +8,13 @@ means the stored polynomial is the whole value.  Coefficients are
 the sharpest sound precision, and stored terms are always pruned of zeros
 and of degrees at or above the bound.
 
+Inputs are validated once, where they enter: the public constructors
+(`TruncatedSeries(...)`, `term`, `zero`) and the `scale_term` scalar check
+the variable count, the precision and every monomial, and reject any
+coefficient that is not a `numbers.Rational` (a float or a string raises
+`TypeError`).  Arithmetic and the rewriting engine build their results
+from terms that already hold these invariants, so they skip the checks.
+
 Leading data follows the local-order convention used for standard bases
 of power series ideals: the leading monomial of f is the *minimum* of its
 support under the admissible order, i.e. the leading monomial for the
@@ -20,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Iterable, Mapping, Optional
 
 from .errors import DimensionMismatchError, ZeroOrUnknownLeadingError
@@ -73,28 +81,36 @@ class TruncatedSeries:
 
     def __init__(self, n: int, terms: Mapping[Monomial, Fraction] | Iterable = (),
                  precision: Optional[int] = None):
-        if n < 1:
-            raise ValueError("need at least one variable")
-        if precision is not None and precision < 0:
-            raise ValueError("precision must be a natural number")
+        _check_shape(n, precision)
         items = terms.items() if isinstance(terms, Mapping) else terms
         clean: dict[Monomial, Fraction] = {}
         for m, c in items:
             if m.n != n:
                 raise DimensionMismatchError(f"monomial over {m.n} variables in a {n}-variable series")
-            if precision is not None and m.degree >= precision:
+            c = _rational(c)
+            if c == 0 or (precision is not None and m.degree >= precision):
                 continue
-            c = Fraction(c)
-            if c == 0:
-                continue
-            acc = clean.get(m, Fraction(0)) + c
-            if acc == 0:
-                clean.pop(m, None)
+            old = clean.get(m)
+            s = c if old is None else old + c
+            if s:
+                clean[m] = s
             else:
-                clean[m] = acc
+                del clean[m]
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "precision", precision)
+
+    @classmethod
+    def _from_clean(cls, n: int, terms: dict[Monomial, Fraction],
+                    precision: Optional[int]) -> TruncatedSeries:
+        """Wrap a dict the caller guarantees is clean: n-variable keys,
+        nonzero `Fraction` values, every degree below the precision.  The
+        dict is stored, not copied, so the caller must not keep it."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "precision", precision)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
@@ -103,11 +119,12 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, n: int, precision: Optional[int] = None) -> TruncatedSeries:
-        return cls(n, {}, precision)
+        _check_shape(n, precision)
+        return cls._from_clean(n, {}, precision)
 
     @classmethod
     def term(cls, m: Monomial, c, precision: Optional[int] = None) -> TruncatedSeries:
-        return cls(m.n, {m: Fraction(c)}, precision)
+        return cls(m.n, {m: c}, precision)
 
     # -- inspection ------------------------------------------------------
 
@@ -157,17 +174,30 @@ class TruncatedSeries:
     def add(self, other: TruncatedSeries) -> TruncatedSeries:
         self._check_compatible(other)
         prec = _min_precision(self.precision, other.precision)
-        acc = dict(self._terms)
+        # An operand whose precision exceeds the result's may hold terms
+        # at or above it; only then is a degree filter needed.
+        if self.precision == prec:
+            acc = dict(self._terms)
+        else:
+            acc = {m: c for m, c in self._terms.items() if m.degree < prec}
+        cut = other.precision != prec
         for m, c in other._terms.items():
-            s = acc.get(m, Fraction(0)) + c
-            if s == 0:
-                acc.pop(m, None)
+            if cut and m.degree >= prec:
+                continue
+            old = acc.get(m)
+            if old is None:
+                acc[m] = c
             else:
-                acc[m] = s
-        return TruncatedSeries(self.n, acc, prec)
+                s = old + c
+                if s:
+                    acc[m] = s
+                else:
+                    del acc[m]
+        return TruncatedSeries._from_clean(self.n, acc, prec)
 
     def negate(self) -> TruncatedSeries:
-        return TruncatedSeries(self.n, {m: -c for m, c in self._terms.items()}, self.precision)
+        return TruncatedSeries._from_clean(
+            self.n, {m: -c for m, c in self._terms.items()}, self.precision)
 
     def subtract(self, other: TruncatedSeries) -> TruncatedSeries:
         return self.add(other.negate())
@@ -175,34 +205,46 @@ class TruncatedSeries:
     def multiply(self, other: TruncatedSeries) -> TruncatedSeries:
         self._check_compatible(other)
         prec = _product_precision(self, other)
+        right = [(m2, m2.degree, c2) for m2, c2 in other._terms.items()]
         acc: dict[Monomial, Fraction] = {}
         for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = m1.multiply(m2)
-                if prec is not None and m.degree >= prec:
+            d1 = m1.degree
+            for m2, d2, c2 in right:
+                if prec is not None and d1 + d2 >= prec:
                     continue
-                s = acc.get(m, Fraction(0)) + c1 * c2
-                if s == 0:
-                    acc.pop(m, None)
+                m = m1.multiply(m2)
+                old = acc.get(m)
+                if old is None:
+                    acc[m] = c1 * c2
                 else:
-                    acc[m] = s
-        return TruncatedSeries(self.n, acc, prec)
+                    s = old + c1 * c2
+                    if s:
+                        acc[m] = s
+                    else:
+                        del acc[m]
+        return TruncatedSeries._from_clean(self.n, acc, prec)
 
     def scale_term(self, c, m: Monomial) -> TruncatedSeries:
         """The series c * m * self; precision shifts by deg(m)."""
         if m.n != self.n:
             raise DimensionMismatchError(f"monomial over {m.n} variables, series over {self.n}")
-        c = Fraction(c)
+        c = _rational(c)
         prec = None if self.precision is None else self.precision + m.degree
         if c == 0:
-            return TruncatedSeries.zero(self.n, prec)
-        return TruncatedSeries(
+            return TruncatedSeries._from_clean(self.n, {}, prec)
+        # m * m1 is injective in m1 and shifts every degree by exactly the
+        # precision shift, so the terms stay distinct and below the bound.
+        return TruncatedSeries._from_clean(
             self.n, {m1.multiply(m): c1 * c for m1, c1 in self._terms.items()}, prec)
 
     def truncate(self, p: int) -> TruncatedSeries:
         """Forget everything at degree >= p (never raises precision)."""
-        prec = p if self.precision is None else min(self.precision, p)
-        return TruncatedSeries(self.n, self._terms, prec)
+        if p < 0:
+            raise ValueError("precision must be a natural number")
+        if self.precision is not None and self.precision <= p:
+            return self
+        return TruncatedSeries._from_clean(
+            self.n, {m: c for m, c in self._terms.items() if m.degree < p}, p)
 
     __add__ = add
     __sub__ = subtract
@@ -228,6 +270,22 @@ class TruncatedSeries:
                 if self.precision is not None else "zero series has no leading term")
         m = order.min(self._terms)
         return m, self._terms[m]
+
+
+def _check_shape(n: int, precision: Optional[int]) -> None:
+    if n < 1:
+        raise ValueError("need at least one variable")
+    if precision is not None and precision < 0:
+        raise ValueError("precision must be a natural number")
+
+
+def _rational(c) -> Fraction:
+    """c as a `Fraction`; anything that is not a rational number raises."""
+    if type(c) is Fraction:
+        return c
+    if not isinstance(c, Rational):
+        raise TypeError(f"coefficient {c!r} is not a rational number")
+    return Fraction(c)
 
 
 def _min_precision(p1: Optional[int], p2: Optional[int]) -> Optional[int]:

@@ -28,6 +28,8 @@ from .rewrite import ReductionTrace, RuleSet
 from .series import TruncatedSeries
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|(x\d+)|([O+\-*/^()]))")
+_SIZE = re.compile(r"\s*n\s*=\s*(\d+)\s*")
+_EDGE = re.compile(r"\s*(\d+)\s*->\s*(\d+)\s*")
 
 
 def _tokenize(text: str, line: int) -> list[tuple[str, str, int]]:
@@ -50,6 +52,16 @@ def _tokenize(text: str, line: int) -> list[tuple[str, str, int]]:
             tokens.append(("punct", m.group(3), col))
         pos = m.end()
     return tokens
+
+
+def _int(digits: str, line: int, column: int) -> int:
+    """The decimal literal as an int.  A literal past Python's limit on
+    int conversion (4,300 digits by default) is a parse error at it."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"number with {len(digits)} digits is too long",
+                         line, column) from None
 
 
 class _Cursor:
@@ -77,7 +89,7 @@ class _Cursor:
             col = self.end_column if tok is None else tok[2]
             raise ParseError("expected a number", self.line, col)
         self.pos += 1
-        return int(tok[1]), tok[2]
+        return _int(tok[1], self.line, tok[2]), tok[2]
 
 
 def _parse_monomial(cur: _Cursor, n: int) -> Monomial:
@@ -86,7 +98,7 @@ def _parse_monomial(cur: _Cursor, n: int) -> Monomial:
         kind, value, col = cur.next()
         if kind != "var":
             raise ParseError(f"expected a variable, found {value!r}", cur.line, col)
-        k = int(value[1:])
+        k = _int(value[1:], cur.line, col + 1)
         if not 1 <= k <= n:
             raise ParseError(f"unknown variable {value} (have x1..x{n})", cur.line, col)
         power = 1
@@ -222,21 +234,21 @@ def format_trace(trace: ReductionTrace) -> list[str]:
 
 def parse_ars_system(text: str) -> FiniteARS:
     """First non-blank line `n=<size>`, then one `a -> b` edge per line."""
-    lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), start=1)
-             if ln.strip()]
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ParseError("empty system", 1, 1)
     lineno, head = lines[0]
-    m = re.fullmatch(r"n\s*=\s*(\d+)", head)
+    m = _SIZE.fullmatch(head)
     if m is None:
         raise ParseError("expected n=<size>", lineno, 1)
-    size = int(m.group(1))
+    size = _int(m.group(1), lineno, m.start(1) + 1)
     edges = []
     for lineno, ln in lines[1:]:
-        m = re.fullmatch(r"(\d+)\s*->\s*(\d+)", ln)
+        m = _EDGE.fullmatch(ln)
         if m is None:
             raise ParseError("expected <a> -> <b>", lineno, 1)
-        a, b = int(m.group(1)), int(m.group(2))
+        a = _int(m.group(1), lineno, m.start(1) + 1)
+        b = _int(m.group(2), lineno, m.start(2) + 1)
         if not (0 <= a < size and 0 <= b < size):
             raise ParseError(f"edge {a} -> {b} outside 0..{size - 1}", lineno, 1)
         edges.append((a, b))
@@ -248,18 +260,26 @@ def parse_conversion(text: str) -> Conversion:
     tokens = text.split()
     if not tokens:
         raise ParseError("empty conversion", 1, 1)
-    if not tokens[0].isdigit():
+    if not tokens[0].isdecimal():
         raise ParseError(f"expected an element, found {tokens[0]!r}", 1, 1)
-    start = int(tokens[0])
+    end = 0   # past the last element; only arrows and spaces lie between elements
+
+    def element(token: str) -> int:
+        nonlocal end
+        column = text.find(token, end)
+        end = column + len(token)
+        return _int(token, 1, column + 1)
+
+    start = element(tokens[0])
     steps = []
     k = 1
     while k < len(tokens):
         arrow = tokens[k]
         if arrow not in ("->", "<-"):
             raise ParseError(f"expected '->' or '<-', found {arrow!r}", 1, 1)
-        if k + 1 >= len(tokens) or not tokens[k + 1].isdigit():
+        if k + 1 >= len(tokens) or not tokens[k + 1].isdecimal():
             raise ParseError("arrow must be followed by an element", 1, 1)
-        steps.append((int(tokens[k + 1]), FORWARD if arrow == "->" else BACKWARD))
+        steps.append((element(tokens[k + 1]), FORWARD if arrow == "->" else BACKWARD))
         k += 2
     return Conversion(start, tuple(steps))
 

@@ -99,6 +99,13 @@ class TestRunCommand:
         assert status == 1
         assert text.startswith(f"error: {path}: line 3, column 1: ")
 
+    @pytest.mark.parametrize("text, column", [
+        ("x1^" + "9" * 5000, 4), ("x" + "9" * 5000, 2), ("1" * 5000 + "*x1", 1)])
+    def test_long_literal_is_a_parse_error(self, text, column):
+        status, out = run_command(kv(n=1), "delta", {"series": text, "series2": "0"})
+        assert status == 1
+        assert out == f"error: line 1, column {column}: number with 5000 digits is too long\n"
+
     def test_missing_rules(self):
         status, text = run_command(kv(), "nf", {"series": "x1"})
         assert status == 1 and "--rules" in text
@@ -131,6 +138,13 @@ class TestArsCommands:
         status, text = run_command(kv(), "ars", {"action": "check", "system": str(path)})
         assert status == 1
         assert text == f"error: {path}: line 3, column 1: edge 1 -> 5 outside 0..1\n"
+
+    def test_long_size_names_the_file(self, tmp_path):
+        path = tmp_path / "sys.txt"
+        path.write_text("n=" + "9" * 5000 + "\n")
+        status, text = run_command(kv(), "ars", {"action": "check", "system": str(path)})
+        assert status == 1
+        assert text == f"error: {path}: line 1, column 3: number with 5000 digits is too long\n"
 
     def test_valleys(self, tmp_path):
         path = tmp_path / "sys.txt"

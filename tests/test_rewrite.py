@@ -172,6 +172,20 @@ class TestCofactors:
         (q1,) = cofactors(trace, GEOMETRIC)
         assert q1 == S("1")
 
+    def test_cancelled_quotient_terms_are_dropped(self):
+        # Reducing y^2 before y brings y^2 back with the opposite sign, so
+        # the quotient collected at y sums to zero and must not be stored.
+        f = GEOMETRIC.rule(1).body
+        trace = next(t for t in (normalize_random(f, GEOMETRIC, 3, seed) for seed in range(20))
+                     if len(t.steps) == 3)
+        assert [(s.quotient, s.coeff) for s in trace.steps] == [(Y, -1), (ONE, 1), (Y, 1)]
+        assert trace.end.is_exactly_zero()
+        replayed = ReductionTrace(trace.start, trace.steps, trace.end, trace.end_precision)
+        for t in (trace, replayed):
+            (q1,) = cofactors(t, GEOMETRIC)
+            assert Y not in q1.support
+            assert q1 == S("1")
+
     def test_invalid_trace_rejected(self):
         trace = normalize(S("x2"), GEOMETRIC, 5)
         bad = type(trace)(S("x2 + x1"), trace.steps, trace.end, trace.end_precision)

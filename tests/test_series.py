@@ -1,7 +1,8 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from psrewrite import (
     DEGLEX,
@@ -39,6 +40,10 @@ monomials = st.tuples(st.integers(0, 4), st.integers(0, 4)).map(Monomial)
 polys = st.dictionaries(monomials, coefficients, max_size=5).map(
     lambda d: TruncatedSeries(N, d))
 precisions = st.integers(0, 7)
+# Built by the validating constructor, exact or truncated.
+series = st.builds(lambda d, p: TruncatedSeries(N, d, p),
+                   st.dictionaries(monomials, coefficients, max_size=5),
+                   st.one_of(st.none(), precisions))
 
 
 class TestAdd:
@@ -190,3 +195,60 @@ class TestInvariants:
         out = f.add(g)
         assert out.precision == p
         assert fx.add(gx).truncate(p) == out
+
+
+def assert_clean(r):
+    """What the constructor guarantees: r equals its re-validated copy,
+    and every stored coefficient is a nonzero Fraction below the bound."""
+    assert r == TruncatedSeries(r.n, dict(r.items()), r.precision)
+    for m, c in r.items():
+        assert type(c) is Fraction and c != 0
+        assert r.precision is None or m.degree < r.precision
+
+
+class TestTrustedPath:
+    """Arithmetic builds its results without the constructor's checks, so
+    each result must already be what the constructor would make of it."""
+
+    @given(series, series, st.one_of(coefficients, st.integers(-3, 3)), monomials,
+           precisions)
+    # An exact operand with terms above a truncated one's precision: add
+    # and multiply lower the precision and must prune, on either side.
+    @example(TruncatedSeries(N, {X: 2, Monomial((3, 0)): 1, Monomial((1, 2)): -1}),
+             TruncatedSeries(N, {Y: 1, ONE: 3}, 2), 2, Y, 1)
+    def test_results_are_clean(self, f, g, c, m, p):
+        for r in (f.add(g), g.add(f), f.subtract(g), g.subtract(f), f.negate(),
+                  f.multiply(g), g.multiply(f), f.scale_term(c, m), f.truncate(p),
+                  f.add(f.negate())):
+            assert_clean(r)
+
+    def test_truncate_rejects_negative_precision(self):
+        with pytest.raises(ValueError):
+            S("x1").truncate(-1)
+        with pytest.raises(ValueError):
+            S("x1 + O(3)").truncate(-1)
+
+    def test_zero_checks_its_shape(self):
+        with pytest.raises(ValueError):
+            TruncatedSeries.zero(0)
+        with pytest.raises(ValueError):
+            TruncatedSeries.zero(N, -1)
+
+
+class TestRationalCoefficients:
+    @pytest.mark.parametrize("c", [0.1, 0.0, "3/7", Decimal("0.5"), 1j, None])
+    def test_non_rationals_are_rejected(self, c):
+        with pytest.raises(TypeError):
+            TruncatedSeries(N, {X: c})
+        with pytest.raises(TypeError):
+            TruncatedSeries(N, {Monomial((4, 0)): c}, 2)   # even if pruned
+        with pytest.raises(TypeError):
+            TruncatedSeries.term(X, c)
+        with pytest.raises(TypeError):
+            S("x1 + O(3)").scale_term(c, Y)
+
+    def test_rationals_are_stored_as_fractions(self):
+        f = TruncatedSeries(N, {X: 3, Y: Fraction(1, 2), ONE: -1})
+        assert_clean(f)
+        assert_clean(TruncatedSeries.term(X, 5))
+        assert_clean(S("x1").scale_term(2, Y))

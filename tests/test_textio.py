@@ -192,3 +192,46 @@ class TestArsFormats:
             parse_conversion("0 => 1")
         with pytest.raises(ParseError):
             parse_conversion("0 ->")
+        with pytest.raises(ParseError):
+            parse_conversion("0 -> \u00b2")   # a digit character, not a decimal one
+
+
+LONG = "9" * 5000   # past Python's 4,300-digit limit on int conversion
+
+
+class TestLongLiterals:
+    """Literals too long for int conversion are parse errors at the literal."""
+
+    @pytest.mark.parametrize("text, column", [
+        (f"x1^{LONG}", 4),          # exponent
+        (f"x{LONG}", 2),            # variable index
+        (f"{'1' * 5000}*x1", 1),    # coefficient
+        (f"x1 + 1/{LONG}", 8),      # denominator
+        (f"x1 + O({LONG})", 8),     # precision
+    ])
+    def test_series(self, text, column):
+        with pytest.raises(ParseError, match="number with 5000 digits is too long") as err:
+            parse_series(text, N)
+        assert (err.value.line, err.value.column) == (1, column)
+
+    def test_rule_file(self):
+        with pytest.raises(ParseError) as err:
+            parse_rules(f"x1\n\nx2 - x2^{LONG}\n", N)
+        assert (err.value.line, err.value.column) == (3, 9)
+
+    @pytest.mark.parametrize("text, line, column", [
+        (f"n={LONG}\n", 1, 3),
+        (f"n = {LONG}\n0 -> 1\n", 1, 5),
+        (f"n=3\n\n  0 -> {LONG}\n", 3, 8),
+        (f"n=3\n{LONG}->0\n", 2, 1),
+    ])
+    def test_system(self, text, line, column):
+        with pytest.raises(ParseError, match="5000 digits") as err:
+            parse_ars_system(text)
+        assert (err.value.line, err.value.column) == (line, column)
+
+    @pytest.mark.parametrize("text, column", [(f"{LONG} -> 0", 1), (f"0 <-  {LONG}", 7)])
+    def test_conversion(self, text, column):
+        with pytest.raises(ParseError, match="5000 digits") as err:
+            parse_conversion(text)
+        assert (err.value.line, err.value.column) == (1, column)
