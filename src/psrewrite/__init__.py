@@ -37,7 +37,6 @@ from .monomials import (
     DEGLEX,
     Monomial,
     MonomialOrder,
-    monomials_of_degree,
 )
 from .rewrite import (
     AttractivityReport,

@@ -91,6 +91,13 @@ def _require_seed(cfg: SessionConfig) -> int:
     return cfg.seed
 
 
+def _count(args: dict, option: str, default: int) -> int:
+    value = args.get(option, default)
+    if value < 1:
+        raise RewritingError(f"--{option} must be >= 1")
+    return value
+
+
 def _bool(b: bool) -> str:
     return "true" if b else "false"
 
@@ -155,10 +162,10 @@ def run_command(cfg: SessionConfig, command: str, args: dict) -> tuple[int, str]
             rep.add("upper_bound_only", _bool(upper))
 
         elif command == "check-sb":
+            trials = _count(args, "trials", 100)
             rules = _load_rules(cfg)
             seed = _require_seed(cfg)
-            cert = falsify_standard_basis(rules, cfg.precision,
-                                          trials=args.get("trials", 100), seed=seed)
+            cert = falsify_standard_basis(rules, cfg.precision, trials=trials, seed=seed)
             rep.add("command", "check-sb")
             if cert is None:
                 rep.add("certificate", "none")
@@ -172,10 +179,11 @@ def run_command(cfg: SessionConfig, command: str, args: dict) -> tuple[int, str]
                     rep.add(f"cofactor_{i}", format_series(q))
 
         elif command == "probe":
+            strategies = _count(args, "strategies", 5)
             rules = _load_rules(cfg)
             seed = _require_seed(cfg)
             f = parse_series(args["series"], cfg.n)
-            seeds = [seed + t for t in range(args.get("strategies", 5))]
+            seeds = [seed + t for t in range(strategies)]
             report = confluence_probe(f, rules, cfg.precision, seeds)
             rep.add("command", "probe")
             rep.add("strategies", len(seeds))

@@ -12,8 +12,7 @@ leans on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import DimensionMismatchError
 
@@ -98,16 +97,3 @@ class MonomialOrder:
 
 
 DEGLEX = MonomialOrder()
-
-
-def monomials_of_degree(n: int, d: int) -> Iterator[Monomial]:
-    """All monomials over n variables of total degree exactly d."""
-    # Stars and bars: positions of n-1 separators among d + n - 1 slots.
-    for bars in combinations(range(d + n - 1), n - 1):
-        exps = []
-        prev = -1
-        for b in bars:
-            exps.append(b - prev - 1)
-            prev = b
-        exps.append(d + n - 2 - prev)
-        yield Monomial(tuple(exps))

@@ -515,8 +515,15 @@ def falsify_standard_basis(rules: RuleSet, precision: int, trials: int,
 
     Runs the deterministic leading-cancellation phase first (for each rule
     pair, multiply both onto the lcm of their leading monomials so the
-    least leading terms cancel), then seeded random combinations.  None
-    means no counterexample was found, which is inconclusive.
+    least leading terms cancel), then seeded random combinations.
+
+    When every rule is exact, a None after the pairwise phase is
+    conclusive: every critical pair reduced to 0 below p = `precision`,
+    which by Buchberger's criterion in Q[[x]]/m^p means the rules are a
+    standard basis below p (the leading ideal of I + m^p is generated by
+    the rules' leading monomials and m^p), so no combination can be a
+    counterexample and the random phase is skipped.  It runs only when
+    some rule is truncated; there a None is inconclusive.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -554,6 +561,8 @@ def falsify_standard_basis(rules: RuleSet, precision: int, trials: int,
             found = check(qs, "pairwise", trial)
             if found is not None:
                 return found
+    if all(rule.body.precision is None for rule in rules.rules):
+        return None
 
     rng = random.Random(seed)
     for t in range(1, trials + 1):

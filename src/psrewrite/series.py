@@ -63,9 +63,6 @@ class Valuation:
     def is_infinite(self) -> bool:
         return self.bound is None
 
-    def guaranteed_at_least(self, d: int) -> bool:
-        return self.bound is None or self.bound >= d
-
     def __str__(self) -> str:
         if self.bound is None:
             return "inf"
@@ -128,10 +125,6 @@ class TruncatedSeries:
 
     # -- inspection ------------------------------------------------------
 
-    @property
-    def is_exact(self) -> bool:
-        return self.precision is None
-
     def coefficient(self, m: Monomial) -> Fraction:
         return self._terms.get(m, Fraction(0))
 
@@ -148,9 +141,6 @@ class TruncatedSeries:
     def known_zero(self) -> bool:
         """True when the stored polynomial part is zero."""
         return not self._terms
-
-    def is_exactly_zero(self) -> bool:
-        return not self._terms and self.precision is None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):

@@ -30,6 +30,10 @@ from .series import TruncatedSeries
 _TOKEN = re.compile(r"\s*(?:(\d+)|(x\d+)|([O+\-*/^()]))")
 _SIZE = re.compile(r"\s*n\s*=\s*(\d+)\s*")
 _EDGE = re.compile(r"\s*(\d+)\s*->\s*(\d+)\s*")
+# The longest start of a line that could begin an edge: a bad line's
+# error column is just past it.
+_EDGE_PREFIX = re.compile(r"\s*(?:\d+\s*(?:->\s*(?:\d+\s*)?)?)?")
+_WORD = re.compile(r"\S+")
 
 
 def _tokenize(text: str, line: int) -> list[tuple[str, str, int]]:
@@ -246,11 +250,12 @@ def parse_ars_system(text: str) -> FiniteARS:
     for lineno, ln in lines[1:]:
         m = _EDGE.fullmatch(ln)
         if m is None:
-            raise ParseError("expected <a> -> <b>", lineno, 1)
+            raise ParseError("expected <a> -> <b>", lineno, _EDGE_PREFIX.match(ln).end() + 1)
         a = _int(m.group(1), lineno, m.start(1) + 1)
         b = _int(m.group(2), lineno, m.start(2) + 1)
         if not (0 <= a < size and 0 <= b < size):
-            raise ParseError(f"edge {a} -> {b} outside 0..{size - 1}", lineno, 1)
+            column = m.start(1) + 1 if a >= size else m.start(2) + 1
+            raise ParseError(f"edge {a} -> {b} outside 0..{size - 1}", lineno, column)
         edges.append((a, b))
     return FiniteARS.build(size, edges)
 
@@ -260,27 +265,28 @@ def parse_conversion(text: str) -> Conversion:
     tokens = text.split()
     if not tokens:
         raise ParseError("empty conversion", 1, 1)
-    if not tokens[0].isdecimal():
-        raise ParseError(f"expected an element, found {tokens[0]!r}", 1, 1)
-    end = 0   # past the last element; only arrows and spaces lie between elements
 
-    def element(token: str) -> int:
-        nonlocal end
-        column = text.find(token, end)
-        end = column + len(token)
-        return _int(token, 1, column + 1)
+    def column(k: int) -> int:
+        """Token k's column, or the one past the text; found only for errors."""
+        starts = [m.start() + 1 for m in _WORD.finditer(text)]
+        return starts[k] if k < len(starts) else len(text) + 1
 
-    start = element(tokens[0])
+    def element(k: int, message: str) -> int:
+        token = tokens[k] if k < len(tokens) else ""
+        if not token.isdecimal():
+            raise ParseError(message, 1, column(k))
+        try:
+            return int(token)
+        except ValueError:   # past the digit limit: the parse error at the token
+            return _int(token, 1, column(k))
+
+    start = element(0, f"expected an element, found {tokens[0]!r}")
     steps = []
-    k = 1
-    while k < len(tokens):
-        arrow = tokens[k]
-        if arrow not in ("->", "<-"):
-            raise ParseError(f"expected '->' or '<-', found {arrow!r}", 1, 1)
-        if k + 1 >= len(tokens) or not tokens[k + 1].isdecimal():
-            raise ParseError("arrow must be followed by an element", 1, 1)
-        steps.append((element(tokens[k + 1]), FORWARD if arrow == "->" else BACKWARD))
-        k += 2
+    for k in range(1, len(tokens), 2):
+        if tokens[k] not in ("->", "<-"):
+            raise ParseError(f"expected '->' or '<-', found {tokens[k]!r}", 1, column(k))
+        steps.append((element(k + 1, "arrow must be followed by an element"),
+                      FORWARD if tokens[k] == "->" else BACKWARD))
     return Conversion(start, tuple(steps))
 
 

@@ -1,6 +1,21 @@
 """Shared generators for seeded random rewriting instances."""
 
-from psrewrite import DEGLEX, RuleSet, TruncatedSeries, random_polynomial
+from itertools import combinations
+
+from psrewrite import DEGLEX, Monomial, RuleSet, TruncatedSeries, random_polynomial
+
+
+def monomials_of_degree(n, d):
+    """All monomials over n variables of total degree exactly d."""
+    # Stars and bars: positions of n-1 separators among d + n - 1 slots.
+    for bars in combinations(range(d + n - 1), n - 1):
+        exps = []
+        prev = -1
+        for b in bars:
+            exps.append(b - prev - 1)
+            prev = b
+        exps.append(d + n - 2 - prev)
+        yield Monomial(tuple(exps))
 
 
 def random_instance(rng, exact_input=True):

@@ -4,7 +4,9 @@ These are the straightforward forms of the engine's reducer: every step
 rescans the whole support against every rule, re-sorts the candidates and
 rebuilds the series with `reduce_step`; cofactors come from replaying the
 trace, and `translate` lifts a chain one `reduce_step` at a time.  They use only the public single-step API, so the incremental
-reducer in `psrewrite.rewrite` can be checked against them.
+reducer in `psrewrite.rewrite` can be checked against them.  The
+standard-basis falsifier here always runs its seeded random phase after
+the critical pairs, whether or not the rules are exact.
 """
 
 import random
@@ -15,8 +17,10 @@ from psrewrite import (
     InvalidTraceError,
     PrecisionUnattainableError,
     ReductionTrace,
+    StandardBasisCounterexample,
     TruncatedSeries,
     delta,
+    random_polynomial,
     reduce_step,
     reducible_monomials,
 )
@@ -157,3 +161,50 @@ def translate(f, g, trace, rules):
     return (f_k, g_k,
             ReductionTrace(f, tuple(f_steps), f_k, p),
             ReductionTrace(g, tuple(g_steps), g_k, p))
+
+
+def falsify_standard_basis(rules, precision, trials, seed, max_cofactor_degree=3):
+    """Every critical pair, then `trials` seeded random combinations; the
+    first whose normal form is nonzero below the precision is returned."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    n = rules.n
+    r = len(rules)
+
+    def check(qs, phase, trial):
+        combo = TruncatedSeries.zero(n)
+        for q, rule in zip(qs, rules.rules):
+            combo = combo.add(q.multiply(rule.body))
+        if combo.truncate(precision).known_zero():
+            return None
+        try:
+            trace = normalize(combo, rules, precision)
+        except PrecisionUnattainableError:
+            return None
+        residual = trace.end.truncate(precision)
+        if residual.known_zero():
+            return None
+        return StandardBasisCounterexample(phase, trial, tuple(qs), combo, residual)
+
+    trial = 0
+    for a in range(r):
+        for b in range(a + 1, r):
+            ra, rb = rules.rule(a + 1), rules.rule(b + 1)
+            lcm = ra.leading_monomial.lcm(rb.leading_monomial)
+            qs = [TruncatedSeries.zero(n) for _ in range(r)]
+            qs[a] = TruncatedSeries.term(ra.leading_monomial.divides(lcm),
+                                         1 / ra.leading_coefficient)
+            qs[b] = TruncatedSeries.term(rb.leading_monomial.divides(lcm),
+                                         -1 / rb.leading_coefficient)
+            trial += 1
+            found = check(qs, "pairwise", trial)
+            if found is not None:
+                return found
+
+    rng = random.Random(seed)
+    for t in range(1, trials + 1):
+        qs = [random_polynomial(rng, n, max_cofactor_degree) for _ in range(r)]
+        found = check(qs, "random", t)
+        if found is not None:
+            return found
+    return None

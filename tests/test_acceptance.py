@@ -85,7 +85,8 @@ def test_criterion_2_cofactor_identity_suite():
     for trace, rules in suite:
         qs = cofactors(trace, rules)
         residue = trace.start.subtract(trace.end).subtract(combination(qs, rules))
-        if not residue.valuation().guaranteed_at_least(trace.end_precision):
+        v = residue.valuation().bound
+        if not (v is None or v >= trace.end_precision):
             failures += 1
     assert failures == 0
     ok(2, f"start - end - sum(q_i s_i) vanishes below end precision on {len(suite)} instances")

@@ -75,6 +75,19 @@ class TestRunCommand:
         status, text = run_command(kv(rules=pair_rules), "check-sb", {"trials": 10})
         assert status == 1 and "seed" in text
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_check_sb_rejects_trials_below_one(self, trials):
+        # checked before the rule file, which here does not exist
+        status, text = run_command(kv(rules="missing.txt", seed=0), "check-sb",
+                                   {"trials": trials})
+        assert (status, text) == (1, "error: --trials must be >= 1\n")
+
+    @pytest.mark.parametrize("strategies", [0, -1])
+    def test_probe_rejects_strategies_below_one(self, strategies):
+        status, text = run_command(kv(rules="missing.txt", seed=0), "probe",
+                                   {"series": "x1", "strategies": strategies})
+        assert (status, text) == (1, "error: --strategies must be >= 1\n")
+
     def test_probe_divergence(self, pair_rules):
         status, text = run_command(kv(prec=5, rules=pair_rules, seed=0), "probe",
                                    {"series": "x1 + x2", "strategies": 8})
@@ -137,7 +150,17 @@ class TestArsCommands:
         path.write_text("n=2\n0 -> 1\n1 -> 5\n")
         status, text = run_command(kv(), "ars", {"action": "check", "system": str(path)})
         assert status == 1
-        assert text == f"error: {path}: line 3, column 1: edge 1 -> 5 outside 0..1\n"
+        assert text == f"error: {path}: line 3, column 6: edge 1 -> 5 outside 0..1\n"
+
+    def test_conversion_error_columns(self, tmp_path):
+        path = tmp_path / "sys.txt"
+        path.write_text("n=3\n0 -> 1\n")
+        for conversion, message in [
+                ("1 -> \u00b2", "line 1, column 6: arrow must be followed by an element"),
+                ("0 => 1", "line 1, column 3: expected '->' or '<-', found '=>'")]:
+            status, text = run_command(kv(), "ars", {"action": "valleys", "system": str(path),
+                                                     "conversion": conversion})
+            assert (status, text) == (1, f"error: {message}\n")
 
     def test_long_size_names_the_file(self, tmp_path):
         path = tmp_path / "sys.txt"

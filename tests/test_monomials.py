@@ -1,9 +1,9 @@
 from hypothesis import given, strategies as st
 
+from helpers import monomials_of_degree
 from psrewrite import (
     DEGLEX,
     Monomial,
-    monomials_of_degree,
 )
 
 LESS, EQUAL, GREATER = -1, 0, 1

@@ -1,0 +1,147 @@
+"""The standard-basis falsifier against Buchberger's criterion below p.
+
+For exact rules F generating I, every critical pair of F reduces to 0
+below p exactly when F is a standard basis below p, i.e. the leading
+monomials of I + m^p below degree p are the multiples of the rules'
+leading monomials (Buchberger's criterion in Q[[x]]/m^p).  The echelon
+oracle here reads those leading monomials off the row-reduced truncated
+multiples x^a * s_i, without the reducer.  On exact rules the falsifier
+stops after the pairs, so its None must match the oracle's verdict; on
+truncated rules it must still give what the always-random falsifier in
+`naive_reduction` gives.
+"""
+
+import random
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import naive_reduction as naive
+from helpers import monomials_of_degree, random_instance
+from psrewrite import (
+    DEGLEX,
+    RuleSet,
+    TruncatedSeries,
+    falsify_standard_basis,
+    format_series,
+    parse_rules,
+    random_polynomial,
+)
+from psrewrite import rewrite
+
+
+def leading_monomials_below(rules, p):
+    """The leading (least) monomials of I + m^p below degree p: the pivots
+    of an echelon basis of the multiples x^a * s_i truncated below p."""
+    rows = {}   # pivot -> a row whose least monomial it is, with coefficient 1 there
+    for rule in rules.rules:
+        for d in range(p - rule.body.valuation().bound):
+            for m in monomials_of_degree(rules.n, d):
+                vec = dict(rule.body.scale_term(1, m).truncate(p).items())
+                while vec:
+                    pivot = min(vec, key=DEGLEX.key)
+                    c = vec[pivot]
+                    if pivot not in rows:
+                        rows[pivot] = {k: x / c for k, x in vec.items()}
+                        break
+                    for k, x in rows[pivot].items():
+                        y = vec.get(k, 0) - c * x
+                        if y:
+                            vec[k] = y
+                        else:
+                            vec.pop(k, None)
+    return rows.keys()
+
+
+def standard_below(rules, p):
+    return all(rules.dividing_rules(m) for m in leading_monomials_below(rules, p))
+
+
+def instance(seed, crowd=False, truncate=False):
+    """(rules, p) from `random_instance`.  With `crowd`, one more rule when
+    there is a monomial m between the first rule's leading degree and p
+    that no leading monomial divides: the first rule plus c*m.  The two
+    share a leading monomial, and their critical pair is an irreducible
+    multiple of m, so the rules are not a standard basis below p.  With
+    `truncate`, each body is truncated, with probability 1/2, a little
+    above its valuation."""
+    rng = random.Random(seed)
+    _f, rules, p = random_instance(rng)
+    bodies = [rule.body for rule in rules.rules]
+    if crowd:
+        lead = rules.rules[0].leading_monomial
+        free = [m for d in range(lead.degree + 1, p) for m in monomials_of_degree(rules.n, d)
+                if not rules.dividing_rules(m)]
+        if free:
+            m = TruncatedSeries.term(rng.choice(free), rng.choice([-2, 1, 3]))
+            bodies.append(bodies[0].add(m))
+    if truncate:
+        bodies = [b.truncate(b.valuation().bound + rng.randint(1, 4))
+                  if rng.random() < 0.5 else b for b in bodies]
+    return RuleSet.from_series(bodies, DEGLEX, rules.n), p
+
+
+NOT_STANDARD = [24, 65]   # seeds whose plain instance is not a standard basis
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6), st.booleans())
+@example(NOT_STANDARD[0], False)
+@example(NOT_STANDARD[1], False)
+def test_exact_verdict_matches_echelon_oracle(seed, crowd):
+    rules, p = instance(seed, crowd)
+    cert = falsify_standard_basis(rules, p, trials=3, seed=seed)
+    assert (cert is None) == standard_below(rules, p)
+    if cert is not None:
+        assert cert.phase == "pairwise"
+
+
+def test_seeded_sweep_holds_both_verdicts():
+    verdicts = []
+    for seed in range(300):
+        rules, p = instance(seed, crowd=seed % 2 == 1)
+        standard = standard_below(rules, p)
+        assert (falsify_standard_basis(rules, p, trials=1, seed=seed) is None) == standard
+        verdicts.append(standard)
+    assert verdicts.count(False) >= 20 and verdicts.count(True) >= 200
+    for seed in NOT_STANDARD:
+        assert not standard_below(*instance(seed))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6), st.booleans(), st.booleans(), st.integers(1, 3))
+def test_matches_always_random_falsifier(seed, crowd, truncate, trials):
+    rules, p = instance(seed, crowd, truncate)
+    assert (falsify_standard_basis(rules, p, trials, seed)
+            == naive.falsify_standard_basis(rules, p, trials, seed))
+
+
+def test_only_the_random_phase_finds_this_truncated_certificate():
+    rules = parse_rules("-x1*x2 + O(4)\n-3*x2 + 4*x1^2 + O(6)\n", 2)
+    cert = falsify_standard_basis(rules, precision=5, trials=1, seed=5106)
+    assert cert is not None
+    assert (cert.phase, cert.trial) == ("random", 1)
+    assert format_series(cert.normal_form) == "20*x1^4 + O(5)"
+    assert cert == naive.falsify_standard_basis(rules, 5, 1, 5106)
+
+
+def test_random_phase_runs_only_for_truncated_rules(monkeypatch):
+    drawn = []
+
+    def counting(rng, n, max_degree, max_terms=4, zero_ok=True):
+        drawn.append(n)
+        return random_polynomial(rng, n, max_degree, max_terms, zero_ok)
+
+    monkeypatch.setattr(rewrite, "random_polynomial", counting)
+    exact = parse_rules("x1 - x1^2\nx2 + x1*x2\n", 2)
+    assert falsify_standard_basis(exact, precision=6, trials=50, seed=1) is None
+    assert drawn == []
+    rules = parse_rules("x1 - x1^2 + O(7)\nx2 + x1*x2\n", 2)
+    assert falsify_standard_basis(rules, precision=6, trials=50, seed=1) is None
+    assert len(drawn) == 2 * 50
+
+
+def test_trials_checked_before_the_pairs():
+    exact = parse_rules("x1\n", 1)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        falsify_standard_basis(exact, precision=3, trials=0, seed=0)

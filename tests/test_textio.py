@@ -29,7 +29,7 @@ class TestParseSeries:
         f = parse_series("x2 - x2^2", N)
         assert f.coefficient(Y) == 1
         assert f.coefficient(Monomial((0, 2))) == -1
-        assert f.is_exact
+        assert f.precision is None
 
     def test_rational_coefficient_and_precision(self):
         f = parse_series("3/2*x1^2*x2 + O(4)", N)
@@ -42,7 +42,7 @@ class TestParseSeries:
 
     def test_zero(self):
         f = parse_series("0", N)
-        assert f.is_exactly_zero()
+        assert f.known_zero() and f.precision is None
 
     def test_leading_minus_and_constants(self):
         f = parse_series("-2 + 1/3*x1", N)
@@ -177,10 +177,17 @@ class TestArsFormats:
         assert sys.size == 3 and sys.edges == frozenset({(0, 1), (1, 2)})
 
     def test_system_errors(self):
-        with pytest.raises(ParseError):
-            parse_ars_system("3\n0 -> 1\n")
-        with pytest.raises(ParseError):
-            parse_ars_system("n=2\n0 -> 5\n")
+        for text, line, column, message in [
+                ("3\n0 -> 1\n", 1, 1, "expected n=<size>"),
+                ("n=2\n0 -> 5\n", 2, 6, "edge 0 -> 5 outside 0..1"),
+                ("n=3\n  9 -> 1\n", 2, 3, "edge 9 -> 1 outside 0..2"),
+                ("n=3\n0 => 1\n", 2, 3, "expected <a> -> <b>"),
+                ("n=3\n  x -> 1\n", 2, 3, "expected <a> -> <b>"),
+                ("n=3\n0 -> 1 2\n", 2, 8, "expected <a> -> <b>"),
+                ("n=3\n0 ->\n", 2, 5, "expected <a> -> <b>")]:
+            with pytest.raises(ParseError, match=message) as err:
+                parse_ars_system(text)
+            assert (err.value.line, err.value.column) == (line, column)
 
     def test_conversion_round_trip(self):
         conv = parse_conversion("0 <- 1 -> 2")
@@ -188,12 +195,15 @@ class TestArsFormats:
         assert format_conversion(conv) == "0 <- 1 -> 2"
 
     def test_conversion_errors(self):
-        with pytest.raises(ParseError):
-            parse_conversion("0 => 1")
-        with pytest.raises(ParseError):
-            parse_conversion("0 ->")
-        with pytest.raises(ParseError):
-            parse_conversion("0 -> \u00b2")   # a digit character, not a decimal one
+        for text, column, message in [
+                ("0 => 1", 3, "expected '->' or '<-', found '=>'"),
+                ("0 ->", 5, "arrow must be followed by an element"),
+                ("1 -> \u00b2", 6, "arrow must be followed by an element"),  # not a decimal
+                ("0 <- 1  -> x", 12, "arrow must be followed by an element"),
+                ("  a -> 1", 3, "expected an element, found 'a'")]:
+            with pytest.raises(ParseError, match=message) as err:
+                parse_conversion(text)
+            assert (err.value.line, err.value.column) == (1, column)
 
 
 LONG = "9" * 5000   # past Python's 4,300-digit limit on int conversion
