@@ -26,6 +26,13 @@ class Monomial:
             raise ValueError(f"negative exponent in {self.exponents}")
 
     @classmethod
+    def _trusted(cls, exponents: tuple[int, ...]) -> Monomial:
+        """Unchecked: for exponents the reducer made, natural by construction."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "exponents", exponents)
+        return m
+
+    @classmethod
     def one(cls, n: int) -> Monomial:
         return cls((0,) * n)
 

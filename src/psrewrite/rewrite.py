@@ -147,6 +147,32 @@ def reduce_step(f: TruncatedSeries, rules: RuleSet, M: Monomial,
 _Key = tuple[int, tuple[int, ...]]   # (degree, exponents): sorts in the deglex order
 
 
+class _Compiled:
+    """Per rule: LM exponents, deg LM, LC, the other terms with their
+    degrees, and the body precision; plus a divisor memo.  Built once per
+    public call and shared by its reducers, never kept on the `RuleSet`."""
+
+    __slots__ = ("rules", "table", "memo")
+
+    def __init__(self, rules: RuleSet):
+        self.rules = rules
+        self.table = []
+        for r in rules.rules:
+            lm = r.leading_monomial
+            tail = [(m.exponents, m.degree, c) for m, c in r.body.items() if m != lm]
+            self.table.append((lm.exponents, lm.degree, r.leading_coefficient, tail,
+                               r.body.precision))
+        self.memo: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def dividing(self, e: tuple[int, ...]) -> tuple[int, ...]:
+        """1-based indices of the rules whose leading monomial divides e."""
+        hit = self.memo.get(e)
+        if hit is None:
+            hit = self.memo[e] = tuple(i for i, rule in enumerate(self.table, 1)
+                                       if all(map(operator.le, rule[0], e)))
+        return hit
+
+
 class _Reducer:
     """One reduction run on a mutable copy of a series.
 
@@ -157,43 +183,28 @@ class _Reducer:
     keys of the reducible terms of degree below ``below``, sorted in the
     order: the canonical strategy takes ``pending[0]``, and a uniform draw
     over it is a draw over the sorted candidate list.  ``quotients[i]``
-    accumulates the cofactor of rule i + 1 as the steps run.
+    accumulates the cofactor of rule i + 1 as the steps run, and
+    ``steps`` the raw ``(M, i, m, coeff)`` records a trace is built from.
     """
 
     __slots__ = ("start", "rules", "below", "terms", "precision", "pending", "steps",
-                 "quotients", "_rules", "_dividing")
+                 "quotients", "_table", "dividing")
 
-    def __init__(self, start: TruncatedSeries, rules: RuleSet, below: Optional[int]):
+    def __init__(self, start: TruncatedSeries, compiled: _Compiled, below: Optional[int]):
+        self.rules = rules = compiled.rules
         if start.n != rules.n:
             raise DimensionMismatchError(
                 f"series over {start.n} variables, rules over {rules.n}")
         self.start = start
-        self.rules = rules
         self.below = math.inf if below is None else below
         self.terms = {m.exponents: c for m, c in start.items()}
         self.precision = start.precision
-        # Per rule: LM exponents, deg LM, LC, the other terms with their
-        # degrees, and the body precision.
-        self._rules = []
-        for r in rules.rules:
-            lm = r.leading_monomial
-            tail = [(m.exponents, m.degree, c) for m, c in r.body.items() if m != lm]
-            self._rules.append((lm.exponents, lm.degree, r.leading_coefficient, tail,
-                                r.body.precision))
-        self._dividing: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._table = compiled.table
+        self.dividing = compiled.dividing
         self.pending = sorted((d, e) for e in self.terms
                               if (d := sum(e)) < self.below and self.dividing(e))
-        self.steps: list[ReductionStep] = []
+        self.steps: list[tuple[tuple[int, ...], int, tuple[int, ...], Fraction]] = []
         self.quotients: list[dict[tuple[int, ...], Fraction]] = [{} for _ in rules.rules]
-
-    def dividing(self, e: tuple[int, ...]) -> tuple[int, ...]:
-        """1-based indices of the rules whose leading monomial divides e."""
-        hit = self._dividing.get(e)
-        if hit is None:
-            hit = self._dividing[e] = tuple(
-                i for i, (lm, *_rest) in enumerate(self._rules, 1)
-                if all(a <= b for a, b in zip(lm, e)))
-        return hit
 
     def _unpend(self, key: _Key) -> None:
         pending = self.pending
@@ -205,8 +216,8 @@ class _Reducer:
         """Reduce the stored term at key = (degree, exponents) with rule i,
         whose leading monomial divides it."""
         d, M = key
-        lm, lm_degree, lc, tail, body_precision = self._rules[i - 1]
-        m = tuple(b - a for a, b in zip(lm, M))
+        lm, lm_degree, lc, tail, body_precision = self._table[i - 1]
+        m = tuple(map(operator.sub, M, lm))
         dm = d - lm_degree
         terms, pending, below = self.terms, self.pending, self.below
         coeff = terms.pop(M)
@@ -238,14 +249,16 @@ class _Reducer:
                     self._unpend((d2, e2))
         q = self.quotients[i - 1]
         q[m] = q.get(m, 0) + factor   # zero sums drop out in _series
-        self.steps.append(ReductionStep(Monomial(M), i, Monomial(m), coeff))
+        self.steps.append((M, i, m, coeff))
 
     def series(self) -> TruncatedSeries:
         return _series(self.start.n, self.terms, self.precision)
 
     def trace(self, end: TruncatedSeries, end_precision: int) -> ReductionTrace:
         """The trace of this run, carrying the cofactors it collected."""
-        trace = ReductionTrace(self.start, tuple(self.steps), end, end_precision)
+        trusted = Monomial._trusted
+        steps = tuple(ReductionStep(trusted(M), i, trusted(m), c) for M, i, m, c in self.steps)
+        trace = ReductionTrace(self.start, steps, end, end_precision)
         object.__setattr__(trace, "_collected", (self.rules, self.quotients))
         return trace
 
@@ -256,7 +269,7 @@ def _series(n: int, terms: dict[tuple[int, ...], Fraction],
     hold `Fraction`s below the precision; only an accumulator can hold a
     zero sum, which is dropped here."""
     return TruncatedSeries._from_clean(
-        n, {Monomial(e): c for e, c in terms.items() if c}, precision)
+        n, {Monomial._trusted(e): c for e, c in terms.items() if c}, precision)
 
 
 Pick = Callable[[_Reducer], tuple[_Key, int]]
@@ -274,9 +287,10 @@ def _uniform(rng: random.Random) -> Pick:
     return pick
 
 
-def _normalize_with(f: TruncatedSeries, rules: RuleSet, target_precision: int,
-                    pick: Pick) -> ReductionTrace:
-    r = _Reducer(f, rules, target_precision)
+def _run(f: TruncatedSeries, compiled: _Compiled, target_precision: int,
+         pick: Pick) -> tuple[_Reducer, TruncatedSeries, int]:
+    """Reduce f below the target; the reducer, end and end precision."""
+    r = _Reducer(f, compiled, target_precision)
     if target_precision < 0:
         raise ValueError("target precision must be a natural number")
     if f.precision is not None and f.precision < target_precision:
@@ -295,8 +309,8 @@ def _normalize_with(f: TruncatedSeries, rules: RuleSet, target_precision: int,
     if any(r.dividing(e) for e in r.terms):
         # Reducible monomials remain at degree >= target: the normal form
         # is only pinned down below the target, so say exactly that.
-        return r.trace(end.truncate(target_precision), target_precision)
-    return r.trace(end, target_precision if r.precision is None else r.precision)
+        return r, end.truncate(target_precision), target_precision
+    return r, end, target_precision if r.precision is None else r.precision
 
 
 def normalize(f: TruncatedSeries, rules: RuleSet, target_precision: int) -> ReductionTrace:
@@ -307,19 +321,23 @@ def normalize(f: TruncatedSeries, rules: RuleSet, target_precision: int) -> Redu
     (finitely many monomials under any bound) and leaves every coefficient
     below the last reduced monomial final.
     """
-    return _normalize_with(f, rules, target_precision, _smallest)
+    r, end, end_precision = _run(f, _Compiled(rules), target_precision, _smallest)
+    return r.trace(end, end_precision)
 
 
 def normalize_random(f: TruncatedSeries, rules: RuleSet, target_precision: int,
                      seed: int) -> ReductionTrace:
     """Reduce f below the target degree, drawing the reducible monomial
     and the applicable rule uniformly at each step (reproducible per seed)."""
-    return _normalize_with(f, rules, target_precision, _uniform(random.Random(seed)))
+    r, end, end_precision = _run(f, _Compiled(rules), target_precision,
+                                 _uniform(random.Random(seed)))
+    return r.trace(end, end_precision)
 
 
-def _replay(trace: ReductionTrace, rules: RuleSet) -> _Reducer:
+def _replay(trace: ReductionTrace, compiled: _Compiled) -> _Reducer:
     """Rerun the steps of the trace on a reducer, validating each one."""
-    r = _Reducer(trace.start, rules, 0)   # the steps pick the monomials
+    rules = compiled.rules
+    r = _Reducer(trace.start, compiled, 0)   # the steps pick the monomials
     for k, step in enumerate(trace.steps):
         if step.quotient.multiply(rules.rule(step.rule_index).leading_monomial) != step.monomial:
             raise InvalidTraceError(
@@ -344,7 +362,7 @@ def cofactors(trace: ReductionTrace, rules: RuleSet) -> tuple[TruncatedSeries, .
     collected; any other trace is replayed and validated step by step."""
     collected = trace._collected
     if collected is None or collected[0] != rules:
-        collected = (rules, _replay(trace, rules).quotients)
+        collected = (rules, _replay(trace, _Compiled(rules)).quotients)
     return tuple(_series(rules.n, q) for q in collected[1])
 
 
@@ -391,7 +409,7 @@ def multiple_to_zero_chain(q: TruncatedSeries, i: int, rules: RuleSet,
     if start.precision is not None and start.precision < precision:
         raise PrecisionUnattainableError(
             f"product precision {start.precision} below target {precision}")
-    r = _Reducer(start, rules, 0)   # the walk picks its own monomials
+    r = _Reducer(start, _Compiled(rules), 0)   # the walk picks its own monomials
     lm = rule.leading_monomial.exponents
     for m in sorted(q.support, key=rules.order.key):
         M = tuple(map(operator.add, m.exponents, lm))
@@ -413,8 +431,9 @@ def translate(f: TruncatedSeries, g: TruncatedSeries, trace: ReductionTrace,
     """
     if trace.start != f.subtract(g):
         raise InvalidTraceError("trace does not start at f - g")
-    _replay(trace, rules)
-    sides = (_Reducer(f, rules, 0), _Reducer(g, rules, 0))
+    compiled = _Compiled(rules)
+    _replay(trace, compiled)
+    sides = (_Reducer(f, compiled, 0), _Reducer(g, compiled, 0))
     for step in trace.steps:
         M = step.monomial.exponents
         for r in sides:
@@ -463,12 +482,12 @@ def congruence_test(f: TruncatedSeries, g: TruncatedSeries, rules: RuleSet,
     NotMember only under the caller's standard-basis assumption, otherwise
     UnknownAtPrecision.
     """
-    trace = normalize(f.subtract(g), rules, precision)
-    if trace.end.truncate(precision).known_zero():
-        return Member(cofactors(trace, rules))
+    r, end, _ = _run(f.subtract(g), _Compiled(rules), precision, _smallest)
+    if end.truncate(precision).known_zero():
+        return Member(tuple(_series(rules.n, q) for q in r.quotients))
     if assume_standard_basis:
-        return NotMember(trace.end)
-    return UnknownAtPrecision(trace.end)
+        return NotMember(end)
+    return UnknownAtPrecision(end)
 
 
 def ideal_membership(f: TruncatedSeries, rules: RuleSet, precision: int,
@@ -529,6 +548,7 @@ def falsify_standard_basis(rules: RuleSet, precision: int, trials: int,
         raise ValueError("trials must be >= 1")
     r = len(rules)
     n = rules.n
+    compiled = _Compiled(rules)
 
     def check(qs: list[TruncatedSeries], phase: str, trial: int
               ) -> Optional[StandardBasisCounterexample]:
@@ -538,10 +558,10 @@ def falsify_standard_basis(rules: RuleSet, precision: int, trials: int,
         if combo.truncate(precision).known_zero():
             return None
         try:
-            trace = normalize(combo, rules, precision)
+            end = _run(combo, compiled, precision, _smallest)[1]
         except PrecisionUnattainableError:
             return None  # rule truncations make this combination untestable
-        residual = trace.end.truncate(precision)
+        residual = end.truncate(precision)
         if residual.known_zero():
             return None
         return StandardBasisCounterexample(phase, trial, tuple(qs), combo, residual)
@@ -602,7 +622,9 @@ def confluence_probe(f: TruncatedSeries, rules: RuleSet, precision: int,
                      strategy_seeds: Sequence[int]) -> ConfluenceProbeReport:
     if not strategy_seeds:
         raise ValueError("strategy_seeds must be nonempty")
-    ends = [normalize_random(f, rules, precision, s).end for s in strategy_seeds]
+    compiled = _Compiled(rules)
+    ends = [_run(f, compiled, precision, _uniform(random.Random(s)))[1]
+            for s in strategy_seeds]
     pairs = []
     for a in range(len(ends)):
         for b in range(a + 1, len(ends)):
@@ -633,7 +655,7 @@ def attractivity_check(f: TruncatedSeries, rules: RuleSet,
     if reducible_monomials(alpha, rules):
         raise PreconditionFailedError("alpha contains a reducible monomial")
     pick = _uniform(random.Random(seed))
-    r = _Reducer(f, rules, None)
+    r = _Reducer(f, _Compiled(rules), None)
     dists = [delta(f, alpha)[0]]
     taken = 0
     for k in range(1, steps + 1):

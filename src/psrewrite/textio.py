@@ -30,8 +30,9 @@ from .series import TruncatedSeries
 _TOKEN = re.compile(r"\s*(?:(\d+)|(x\d+)|([O+\-*/^()]))")
 _SIZE = re.compile(r"\s*n\s*=\s*(\d+)\s*")
 _EDGE = re.compile(r"\s*(\d+)\s*->\s*(\d+)\s*")
-# The longest start of a line that could begin an edge: a bad line's
-# error column is just past it.
+# The longest start of a line that could begin a size or an edge line: a
+# bad line's error column is just past it.
+_SIZE_PREFIX = re.compile(r"\s*(?:n\s*(?:=\s*(?:\d+\s*)?)?)?")
 _EDGE_PREFIX = re.compile(r"\s*(?:\d+\s*(?:->\s*(?:\d+\s*)?)?)?")
 _WORD = re.compile(r"\S+")
 
@@ -244,7 +245,7 @@ def parse_ars_system(text: str) -> FiniteARS:
     lineno, head = lines[0]
     m = _SIZE.fullmatch(head)
     if m is None:
-        raise ParseError("expected n=<size>", lineno, 1)
+        raise ParseError("expected n=<size>", lineno, _SIZE_PREFIX.match(head).end() + 1)
     size = _int(m.group(1), lineno, m.start(1) + 1)
     edges = []
     for lineno, ln in lines[1:]:

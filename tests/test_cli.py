@@ -152,6 +152,12 @@ class TestArsCommands:
         assert status == 1
         assert text == f"error: {path}: line 3, column 6: edge 1 -> 5 outside 0..1\n"
 
+    def test_system_size_error_column_names_the_file(self, tmp_path):
+        path = tmp_path / "sys.txt"
+        path.write_text("  n = 3x\n0 -> 1\n")
+        status, text = run_command(kv(), "ars", {"action": "check", "system": str(path)})
+        assert (status, text) == (1, f"error: {path}: line 1, column 8: expected n=<size>\n")
+
     def test_conversion_error_columns(self, tmp_path):
         path = tmp_path / "sys.txt"
         path.write_text("n=3\n0 -> 1\n")

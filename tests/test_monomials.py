@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, strategies as st
 
 from helpers import monomials_of_degree
@@ -67,6 +68,17 @@ class TestCompare:
     @given(monomials3, monomials3)
     def test_matches_oracle_three_vars(self, m1, m2):
         assert compare(m1, m2) == deglex_oracle(m1, m2)
+
+
+class TestTrustedConstructor:
+    @given(monomials3)
+    def test_equal_and_hashes_like_the_checked_one(self, m):
+        trusted = Monomial._trusted(m.exponents)
+        assert trusted == m and hash(trusted) == hash(m)
+
+    def test_public_constructor_still_checks(self):
+        with pytest.raises(ValueError, match="negative exponent"):
+            Monomial((-1,))
 
 
 class TestDivides:

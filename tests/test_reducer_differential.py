@@ -5,6 +5,9 @@ reference in `naive_reduction` gives: the same steps, end, end precision
 and cofactors, the same seeded random walks, the same lifts of a chain of
 f - g onto f and g, and the same PrecisionUnattainableError at the same
 point with the same message.
+
+The verdict procedures reduce without building a trace; they must give
+what the traced `normalize` and `normalize_random` give.
 """
 
 import dataclasses
@@ -15,12 +18,17 @@ from hypothesis import given, settings, strategies as st
 import naive_reduction as naive
 from psrewrite import (
     DEGLEX,
+    Member,
     Monomial,
+    NotMember,
     PrecisionUnattainableError,
     RuleSet,
     TruncatedSeries,
+    UnknownAtPrecision,
     attractivity_check,
     cofactors,
+    confluence_probe,
+    congruence_test,
     multiple_to_zero_chain,
     normalize,
     normalize_random,
@@ -142,3 +150,35 @@ def test_translate_matches_oracle(instance, data):
     assert fast == naive.translate(f, g, trace, rules)
     for lifted in fast[2:]:
         assert cofactors(lifted, rules) == naive.cofactors(lifted, rules)
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(), st.data())
+def test_congruence_test_matches_traced_normalize(instance, data):
+    h, rules, target = instance
+    g = data.draw(polynomials(rules.n, 4))
+    f = h.add(g)
+    assume_standard_basis = data.draw(st.booleans())
+    verdict = outcome(congruence_test, f, g, rules, target, assume_standard_basis)
+    trace = outcome(normalize, f.subtract(g), rules, target)
+    if isinstance(trace, str):   # the same error with the same message
+        assert verdict == trace
+    elif trace.end.truncate(target).known_zero():
+        assert verdict == Member(cofactors(trace, rules))
+    elif assume_standard_basis:
+        assert verdict == NotMember(trace.end)
+    else:
+        assert verdict == UnknownAtPrecision(trace.end)
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(), st.lists(st.integers(0, 2 ** 16), min_size=1, max_size=4))
+def test_confluence_probe_matches_seeded_normalize(instance, seeds):
+    f, rules, target = instance
+    report = outcome(confluence_probe, f, rules, target, seeds)
+    traces = [outcome(normalize_random, f, rules, target, s) for s in seeds]
+    errors = [t for t in traces if isinstance(t, str)]
+    if errors:   # the first strategy that fails raises for the probe
+        assert report == errors[0]
+    else:
+        assert report.ends == tuple(t.end for t in traces)

@@ -525,6 +525,22 @@ class TestConfluenceProbe:
         assert a == b
 
 
+def test_rule_set_keeps_no_state():
+    """Compiled rule tables and divisor memos live for one call only:
+    nothing is left on the rule set or its rules to hold memory after it."""
+    rules = rules_of("x1 + x2", "x1 - x2", "x2^2 - x1^3 + O(6)")
+
+    def state():
+        return [dict(vars(rules))] + [dict(vars(rule)) for rule in rules]
+
+    before = state()
+    normalize(S("x1 + x2^2"), rules, 4)
+    assert falsify_standard_basis(rules, 4, trials=3, seed=1) is not None
+    confluence_probe(S("x1 + x2^2"), rules, 4, [0, 1, 2])
+    congruence_test(S("x2"), S("x1"), rules, 4)
+    assert state() == before
+
+
 class TestAttractivity:
     def test_geometric_distances_shrink(self):
         report = attractivity_check(S("x2"), GEOMETRIC,

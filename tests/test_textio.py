@@ -179,6 +179,9 @@ class TestArsFormats:
     def test_system_errors(self):
         for text, line, column, message in [
                 ("3\n0 -> 1\n", 1, 1, "expected n=<size>"),
+                ("n=x\n0 -> 1\n", 1, 3, "expected n=<size>"),
+                ("  n = 3x\n", 1, 8, "expected n=<size>"),
+                ("\nn 3\n", 2, 3, "expected n=<size>"),
                 ("n=2\n0 -> 5\n", 2, 6, "edge 0 -> 5 outside 0..1"),
                 ("n=3\n  9 -> 1\n", 2, 3, "edge 9 -> 1 outside 0..2"),
                 ("n=3\n0 => 1\n", 2, 3, "expected <a> -> <b>"),
