@@ -4,14 +4,15 @@ Every command reads series/rule files in the canonical text grammar, runs
 one engine operation and prints a report, either human-readable (plain)
 or machine-readable (kv: one key=value per line, byte-stable for a fixed
 seed).  Randomized commands refuse to run without an explicit --seed.
+Each command is one row of COMMANDS: argparse specs and a row handler.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import ars as ars_mod
 from .errors import RewritingError
@@ -36,6 +37,8 @@ from .textio import (
     parse_series,
 )
 
+Rows = Iterator[tuple[str, object]]  # (key, value) report rows
+
 
 @dataclass
 class SessionConfig:
@@ -52,22 +55,6 @@ class SessionConfig:
             raise ValueError("precision must be >= 1")
         if self.report not in ("plain", "kv"):
             raise ValueError(f"unknown report mode {self.report!r}")
-
-
-class _Report:
-    """Collects (key, value) pairs; renders either mode."""
-
-    def __init__(self, mode: str):
-        self.mode = mode
-        self.rows: list[tuple[str, str]] = []
-
-    def add(self, key: str, value) -> None:
-        self.rows.append((key, str(value)))
-
-    def text(self) -> str:
-        if self.mode == "kv":
-            return "".join(f"{k}={v}\n" for k, v in self.rows)
-        return "".join(f"{k.replace('_', ' ')}: {v}\n" for k, v in self.rows)
 
 
 def _load(path: str, parse: Callable[[str], object]):
@@ -91,8 +78,10 @@ def _require_seed(cfg: SessionConfig) -> int:
     return cfg.seed
 
 
-def _count(args: dict, option: str, default: int) -> int:
-    value = args.get(option, default)
+def _count(args: dict, option: str) -> int:
+    value = args[option]
+    if not isinstance(value, int):
+        raise RewritingError(f"--{option} must be an integer")
     if value < 1:
         raise RewritingError(f"--{option} must be >= 1")
     return value
@@ -102,189 +91,197 @@ def _bool(b: bool) -> str:
     return "true" if b else "false"
 
 
+class _Args(dict):
+    """The arguments `command` declares; reading a missing one is an error."""
+
+    def __missing__(self, dest: str):
+        raise RewritingError(f"{self.command} needs <{dest}>")
+
+
+def _nf(cfg: SessionConfig, args: _Args) -> Rows:
+    rules = _load_rules(cfg)
+    trace = normalize(parse_series(args["series"], cfg.n), rules, cfg.precision)
+    yield "normal_form", format_series(trace.end)
+    yield "steps", len(trace)
+    yield "end_precision", trace.end_precision
+    for k, line in enumerate(format_trace(trace), start=1):
+        yield f"step_{k}", line.split(": ", 1)[1]
+
+
+def _cofactors(cfg: SessionConfig, args: _Args) -> Rows:
+    rules = _load_rules(cfg)
+    trace = normalize(parse_series(args["series"], cfg.n), rules, cfg.precision)
+    yield "residual", format_series(trace.end)
+    yield "steps", len(trace)
+    for i, q in enumerate(cofactors(trace, rules), start=1):
+        yield f"cofactor_{i}", format_series(q)
+
+
+def _verdict(cfg: SessionConfig, args: _Args) -> Rows:
+    """`member` tests the series against 0, `congruent` against series2."""
+    rules = _load_rules(cfg)
+    f = parse_series(args["series"], cfg.n)
+    g = (parse_series(args["series2"], cfg.n) if args.command == "congruent"
+         else TruncatedSeries.zero(cfg.n))
+    verdict = congruence_test(f, g, rules, cfg.precision,
+                              assume_standard_basis=args["assume_sb"])
+    if isinstance(verdict, Member):
+        yield "verdict", "member"
+        for i, q in enumerate(verdict.cofactors, start=1):
+            yield f"cofactor_{i}", format_series(q)
+    elif isinstance(verdict, NotMember):
+        yield "verdict", "not_member"
+        yield "witness", format_series(verdict.witness)
+    else:
+        yield "verdict", "unknown_at_precision"
+        yield "residual", format_series(verdict.residual)
+
+
+def _delta(cfg: SessionConfig, args: _Args) -> Rows:
+    f = parse_series(args["series"], cfg.n)
+    value, upper = delta_metric(f, parse_series(args["series2"], cfg.n))
+    yield "delta", value
+    yield "upper_bound_only", _bool(upper)
+
+
+def _check_sb(cfg: SessionConfig, args: _Args) -> Rows:
+    trials = _count(args, "trials")
+    cert = falsify_standard_basis(_load_rules(cfg), cfg.precision, trials=trials,
+                                  seed=_require_seed(cfg))
+    yield "certificate", "none" if cert is None else "found"
+    if cert is not None:
+        yield "phase", cert.phase
+        yield "trial", cert.trial
+        yield "combination", format_series(cert.combination)
+        yield "normal_form", format_series(cert.normal_form)
+        for i, q in enumerate(cert.cofactors, start=1):
+            yield f"cofactor_{i}", format_series(q)
+
+
+def _probe(cfg: SessionConfig, args: _Args) -> Rows:
+    strategies = _count(args, "strategies")
+    rules = _load_rules(cfg)
+    seed = _require_seed(cfg)
+    seeds = [seed + t for t in range(strategies)]
+    report = confluence_probe(parse_series(args["series"], cfg.n), rules, cfg.precision, seeds)
+    yield "strategies", len(seeds)
+    yield "threshold", report.threshold
+    yield "max_delta", report.max_delta
+    yield "divergent_pairs", len(report.divergence_witnesses())
+    for a, b, d, upper in report.pairwise:
+        yield f"delta_{a}_{b}", f"<={d}" if upper else d
+
+
+def _ars(cfg: SessionConfig, args: _Args) -> Rows:
+    if args["system"] is None:
+        raise RewritingError("ars commands need --system <path>")
+    system = _load(args["system"], parse_ars_system)
+    action = args.get("action")  # a missing action is an unknown one
+    if action == "check":
+        props = ars_mod.check_properties(system)
+        yield "size", system.size
+        yield "edges", len(system.edges)
+        for field in fields(props):
+            yield field.name, _bool(getattr(props, field.name))
+    elif action == "valleys":
+        if args["conversion"] is None:
+            raise RewritingError("ars valleys needs --conversion <text>")
+        out = ars_mod.eliminate_valleys(system, parse_conversion(args["conversion"]))
+        yield "conversion", format_conversion(out)
+        yield "valleys", len(out.valley_indices())
+        yield "endpoints_equal", _bool(out.start == out.end)
+    else:
+        raise RewritingError(f"unknown ars action {action!r}")
+
+
+def _arg(*flags: str, **kwargs) -> tuple[str, tuple[str, ...], dict]:
+    """(dest, flags, kwargs) of `ArgumentParser.add_argument(*flags, **kwargs)`."""
+    return flags[0].lstrip("-").replace("-", "_"), flags, kwargs
+
+
+_SERIES = _arg("series")
+_SERIES2 = _arg("series2")
+_ASSUME_SB = _arg("--assume-sb", action="store_true", default=False,
+                  help="rules are asserted to be a standard basis")
+
+# name -> (help, argument specs, handler yielding the rows after `command`)
+COMMANDS = {
+    "nf": ("normal form and reduction trace", (_SERIES,), _nf),
+    "cofactors": ("division cofactors", (_SERIES,), _cofactors),
+    "member": ("ideal membership of a series", (_SERIES, _ASSUME_SB), _verdict),
+    "congruent": ("congruence of two series modulo the ideal",
+                  (_SERIES, _SERIES2, _ASSUME_SB), _verdict),
+    "delta": ("adic distance between two series", (_SERIES, _SERIES2), _delta),
+    "check-sb": ("search for a standard-basis counterexample",
+                 (_arg("--trials", type=int, default=100),), _check_sb),
+    "probe": ("compare normal forms across random strategies",
+              (_SERIES, _arg("--strategies", type=int, default=5)), _probe),
+    "ars": ("finite abstract rewriting system tools", (
+        _arg("action", choices=["check", "valleys"]),
+        _arg("--system", required=True, metavar="PATH"),
+        _arg("--conversion", help="conversion text for `valleys`, e.g. '0 <- 1 -> 0'"),
+    ), _ars),
+}
+
+
 def run_command(cfg: SessionConfig, command: str, args: dict) -> tuple[int, str]:
     """Dispatch one command; returns (exit status, report text).
 
-    A nonzero status carries the diagnostic as the report text.
+    A nonzero status carries the diagnostic as the report text.  Only declared
+    arguments are read; a missing option takes its default, a missing positional
+    is an error.
     """
-    rep = _Report(cfg.report)
     try:
-        if command == "nf":
-            rules = _load_rules(cfg)
-            f = parse_series(args["series"], cfg.n)
-            trace = normalize(f, rules, cfg.precision)
-            rep.add("command", "nf")
-            rep.add("normal_form", format_series(trace.end))
-            rep.add("steps", len(trace))
-            rep.add("end_precision", trace.end_precision)
-            for k, line in enumerate(format_trace(trace), start=1):
-                if cfg.report == "kv":
-                    rep.add(f"step_{k}", line.split(": ", 1)[1])
-                else:
-                    rep.rows.append((line.split(":")[0], line.split(": ", 1)[1]))
-
-        elif command == "cofactors":
-            rules = _load_rules(cfg)
-            f = parse_series(args["series"], cfg.n)
-            trace = normalize(f, rules, cfg.precision)
-            qs = cofactors(trace, rules)
-            rep.add("command", "cofactors")
-            rep.add("residual", format_series(trace.end))
-            rep.add("steps", len(trace))
-            for i, q in enumerate(qs, start=1):
-                rep.add(f"cofactor_{i}", format_series(q))
-
-        elif command in ("member", "congruent"):
-            rules = _load_rules(cfg)
-            f = parse_series(args["series"], cfg.n)
-            g = (parse_series(args["series2"], cfg.n) if command == "congruent"
-                 else TruncatedSeries.zero(cfg.n))
-            verdict = congruence_test(f, g, rules, cfg.precision,
-                                      assume_standard_basis=args.get("assume_sb", False))
-            rep.add("command", command)
-            if isinstance(verdict, Member):
-                rep.add("verdict", "member")
-                for i, q in enumerate(verdict.cofactors, start=1):
-                    rep.add(f"cofactor_{i}", format_series(q))
-            elif isinstance(verdict, NotMember):
-                rep.add("verdict", "not_member")
-                rep.add("witness", format_series(verdict.witness))
-            else:
-                rep.add("verdict", "unknown_at_precision")
-                rep.add("residual", format_series(verdict.residual))
-
-        elif command == "delta":
-            f = parse_series(args["series"], cfg.n)
-            g = parse_series(args["series2"], cfg.n)
-            value, upper = delta_metric(f, g)
-            rep.add("command", "delta")
-            rep.add("delta", value)
-            rep.add("upper_bound_only", _bool(upper))
-
-        elif command == "check-sb":
-            trials = _count(args, "trials", 100)
-            rules = _load_rules(cfg)
-            seed = _require_seed(cfg)
-            cert = falsify_standard_basis(rules, cfg.precision, trials=trials, seed=seed)
-            rep.add("command", "check-sb")
-            if cert is None:
-                rep.add("certificate", "none")
-            else:
-                rep.add("certificate", "found")
-                rep.add("phase", cert.phase)
-                rep.add("trial", cert.trial)
-                rep.add("combination", format_series(cert.combination))
-                rep.add("normal_form", format_series(cert.normal_form))
-                for i, q in enumerate(cert.cofactors, start=1):
-                    rep.add(f"cofactor_{i}", format_series(q))
-
-        elif command == "probe":
-            strategies = _count(args, "strategies", 5)
-            rules = _load_rules(cfg)
-            seed = _require_seed(cfg)
-            f = parse_series(args["series"], cfg.n)
-            seeds = [seed + t for t in range(strategies)]
-            report = confluence_probe(f, rules, cfg.precision, seeds)
-            rep.add("command", "probe")
-            rep.add("strategies", len(seeds))
-            rep.add("threshold", report.threshold)
-            rep.add("max_delta", report.max_delta)
-            rep.add("divergent_pairs", len(report.divergence_witnesses()))
-            for a, b, d, upper in report.pairwise:
-                rep.add(f"delta_{a}_{b}", f"<={d}" if upper else d)
-
-        elif command == "ars":
-            system_path = args.get("system")
-            if system_path is None:
-                raise RewritingError("ars commands need --system <path>")
-            sys_ = _load(system_path, parse_ars_system)
-            rep.add("command", f"ars {args.get('action')}")
-            if args.get("action") == "check":
-                props = ars_mod.check_properties(sys_)
-                rep.add("size", sys_.size)
-                rep.add("edges", len(sys_.edges))
-                rep.add("normalising", _bool(props.normalising))
-                rep.add("nf_property", _bool(props.nf_property))
-                rep.add("unique_nf_property", _bool(props.unique_nf_property))
-                rep.add("unique_nf_reached", _bool(props.unique_nf_reached))
-                rep.add("confluent", _bool(props.confluent))
-            elif args.get("action") == "valleys":
-                if args.get("conversion") is None:
-                    raise RewritingError("ars valleys needs --conversion <text>")
-                conv = parse_conversion(args["conversion"])
-                out = ars_mod.eliminate_valleys(sys_, conv)
-                rep.add("conversion", format_conversion(out))
-                rep.add("valleys", len(out.valley_indices()))
-                rep.add("endpoints_equal", _bool(out.start == out.end))
-            else:
-                raise RewritingError(f"unknown ars action {args.get('action')!r}")
-
-        else:
+        if command not in COMMANDS:
             raise RewritingError(f"unknown command {command!r}")
-
+        _help, specs, handler = COMMANDS[command]
+        values = _Args()
+        values.command = command
+        for dest, flags, kwargs in specs:
+            if dest in args or flags[0].startswith("-"):
+                values[dest] = args.get(dest, kwargs.get("default"))
+        name = f"ars {args.get('action')}" if command == "ars" else command
+        rows = [("command", name), *handler(cfg, values)]
     except (RewritingError, OSError, ValueError) as exc:
         return 1, f"error: {exc}\n"
-    return 0, rep.text()
+    if cfg.report == "kv":
+        return 0, "".join(f"{k}={v}\n" for k, v in rows)
+    return 0, "".join(f"{k.replace('_', ' ')}: {v}\n" for k, v in rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="psrewrite",
         description="Exact rewriting on truncated multivariate power series.")
-    p.add_argument("--vars", type=int, default=2, metavar="N",
+    # Each dest is a SessionConfig field.
+    p.add_argument("--vars", dest="n", type=int, default=2, metavar="N",
                    help="number of variables x1..xN (default 2)")
-    p.add_argument("--prec", type=int, default=4, metavar="P",
+    p.add_argument("--prec", dest="precision", type=int, default=4, metavar="P",
                    help="working precision: degrees < P are decided (default 4)")
     p.add_argument("--seed", type=int, default=None, metavar="S",
                    help="seed for randomized commands (required by them)")
-    p.add_argument("--rules", metavar="PATH", default=None,
+    p.add_argument("--rules", dest="rules_path", metavar="PATH", default=None,
                    help="rule file, one series per line; line order = rule index")
     p.add_argument("--report", choices=["plain", "kv"], default="plain")
 
     sub = p.add_subparsers(dest="command", required=True)
-    sp = sub.add_parser("nf", help="normal form and reduction trace")
-    sp.add_argument("series")
-    sp = sub.add_parser("cofactors", help="division cofactors")
-    sp.add_argument("series")
-    sp = sub.add_parser("member", help="ideal membership of a series")
-    sp.add_argument("series")
-    sp.add_argument("--assume-sb", action="store_true",
-                    help="rules are asserted to be a standard basis")
-    sp = sub.add_parser("congruent", help="congruence of two series modulo the ideal")
-    sp.add_argument("series")
-    sp.add_argument("series2")
-    sp.add_argument("--assume-sb", action="store_true")
-    sp = sub.add_parser("delta", help="adic distance between two series")
-    sp.add_argument("series")
-    sp.add_argument("series2")
-    sp = sub.add_parser("check-sb", help="search for a standard-basis counterexample")
-    sp.add_argument("--trials", type=int, default=100)
-    sp = sub.add_parser("probe", help="compare normal forms across random strategies")
-    sp.add_argument("series")
-    sp.add_argument("--strategies", type=int, default=5)
-    sp = sub.add_parser("ars", help="finite abstract rewriting system tools")
-    sp.add_argument("action", choices=["check", "valleys"])
-    sp.add_argument("--system", required=True, metavar="PATH")
-    sp.add_argument("--conversion", default=None,
-                    help="conversion text for `valleys`, e.g. '0 <- 1 -> 0'")
+    for name, (help_, specs, _handler) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_)
+        for _dest, flags, kwargs in specs:
+            sp.add_argument(*flags, **kwargs)
     return p
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     ns = build_parser().parse_args(argv)
     try:
-        cfg = SessionConfig(n=ns.vars, precision=ns.prec,
-                            seed=ns.seed, rules_path=ns.rules, report=ns.report)
+        cfg = SessionConfig(**{f.name: getattr(ns, f.name) for f in fields(SessionConfig)})
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    args = {k: v for k, v in vars(ns).items()
-            if k not in ("vars", "prec", "seed", "rules", "report", "command")}
+    args = {dest: getattr(ns, dest) for dest, _flags, _kwargs in COMMANDS[ns.command][1]}
     status, text = run_command(cfg, ns.command, args)
-    if status == 0:
-        sys.stdout.write(text)
-    else:
-        sys.stderr.write(text)
+    (sys.stdout if status == 0 else sys.stderr).write(text)
     return status
 
 

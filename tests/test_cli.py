@@ -1,6 +1,8 @@
+import shlex
+
 import pytest
 
-from psrewrite.cli import SessionConfig, main, run_command
+from psrewrite.cli import COMMANDS, SessionConfig, main, run_command
 
 
 @pytest.fixture
@@ -128,6 +130,57 @@ class TestRunCommand:
         assert status == 1
 
 
+FULL_ARGS = {"series": "x1", "series2": "x2", "action": "check"}
+
+
+def positionals(command):
+    return [dest for dest, flags, _kwargs in COMMANDS[command][1]
+            if not flags[0].startswith("-")]
+
+
+class TestArgumentChecks:
+    """A missing or mistyped argument is one `error:` line, never a Python error."""
+
+    @pytest.fixture
+    def cfg(self, geometric_rules):
+        return kv(rules=geometric_rules, seed=0)
+
+    @pytest.mark.parametrize("command, dropped", [
+        (command, dest) for command in COMMANDS for dest in positionals(command)])
+    def test_missing_positional(self, cfg, tmp_path, command, dropped):
+        path = tmp_path / "sys.txt"
+        path.write_text("n=2\n0 -> 1\n")
+        args = dict(FULL_ARGS, system=str(path))
+        del args[dropped]
+        status, text = run_command(cfg, command, args)
+        assert status == 1
+        assert text.startswith("error: ") and text.count("error:") == 1
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert dropped in text
+        if command != "ars":  # a missing action is reported as an unknown one
+            assert text == f"error: {command} needs <{dropped}>\n"
+
+    @pytest.mark.parametrize("value", ["3", 1.5, None])
+    @pytest.mark.parametrize("command, option", [("check-sb", "trials"),
+                                                 ("probe", "strategies")])
+    def test_count_must_be_an_integer(self, cfg, command, option, value):
+        status, text = run_command(cfg, command, {"series": "x1", option: value})
+        assert (status, text) == (1, f"error: --{option} must be an integer\n")
+
+    def test_undeclared_keys_are_ignored(self, cfg):
+        with_extra = run_command(cfg, "member", {"series": "x2", "series2": None,
+                                                 "trials": "x"})
+        assert with_extra == run_command(cfg, "member", {"series": "x2"})
+        assert with_extra[0] == 0
+
+    @pytest.mark.parametrize("command, option, default", [("check-sb", "trials", 100),
+                                                          ("probe", "strategies", 5)])
+    def test_a_missing_count_takes_its_declared_default(self, cfg, command, option, default):
+        args = {"series": "x2"}
+        assert run_command(cfg, command, args) == run_command(
+            cfg, command, dict(args, **{option: default}))
+
+
 class TestArsCommands:
     def test_check(self, tmp_path):
         path = tmp_path / "sys.txt"
@@ -231,3 +284,99 @@ class TestMain:
         first = capsys.readouterr().out
         assert main(argv) == 0
         assert capsys.readouterr().out == first
+
+
+def rows(text):
+    """Golden rows as kv text and as the plain rendering of the same rows."""
+    pairs = [line.strip().split("=", 1) for line in text.strip().splitlines()]
+    return ("".join(f"{k}={v}\n" for k, v in pairs),
+            "".join(f"{k.replace('_', ' ')}: {v}\n" for k, v in pairs))
+
+
+GOLDENS = [
+    ("--prec 5 --rules {geo} nf x2", """
+        command=nf
+        normal_form=O(5)
+        steps=4
+        end_precision=5
+        step_1=M=x2 rule=1 m=1 c=1
+        step_2=M=x2^2 rule=1 m=x2 c=1
+        step_3=M=x2^3 rule=1 m=x2^2 c=1
+        step_4=M=x2^4 rule=1 m=x2^3 c=1"""),
+    ("--prec 5 --rules {geo} cofactors x2+x1", """
+        command=cofactors
+        residual=x1 + O(5)
+        steps=4
+        cofactor_1=1 + x2 + x2^2 + x2^3"""),
+    ("--prec 6 --rules {geo} member x2 --assume-sb", """
+        command=member
+        verdict=member
+        cofactor_1=1 + x2 + x2^2 + x2^3 + x2^4"""),
+    ("--prec 6 --rules {geo} member 1 --assume-sb", """
+        command=member
+        verdict=not_member
+        witness=1"""),
+    ("--prec 5 --rules {geo} congruent 1 0", """
+        command=congruent
+        verdict=unknown_at_precision
+        residual=1"""),
+    ("delta x1 0", """
+        command=delta
+        delta=1/2
+        upper_bound_only=false"""),
+    ("--seed 42 --rules {pair} check-sb --trials 25", """
+        command=check-sb
+        certificate=found
+        phase=pairwise
+        trial=1
+        combination=2*x1
+        normal_form=2*x1 + O(4)
+        cofactor_1=1
+        cofactor_2=1"""),
+    ("--seed 42 --rules {geo} check-sb", """
+        command=check-sb
+        certificate=none"""),
+    ("--prec 5 --seed 0 --rules {pair} probe x1+x2 --strategies 3", """
+        command=probe
+        strategies=3
+        threshold=1/32
+        max_delta=1/2
+        divergent_pairs=2
+        delta_0_1=1/2
+        delta_0_2=1/2
+        delta_1_2=0"""),
+    ("ars check --system {sys}", """
+        command=ars check
+        size=4
+        edges=5
+        normalising=true
+        nf_property=true
+        unique_nf_property=true
+        unique_nf_reached=true
+        confluent=true"""),
+    ("ars valleys --system {sys} --conversion '0 <- 1 -> 2 <- 3 -> 0'", """
+        command=ars valleys
+        conversion=0 <- 1 -> 2 -> 0
+        valleys=0
+        endpoints_equal=true"""),
+]
+
+
+class TestGoldens:
+    @pytest.fixture
+    def files(self, tmp_path):
+        texts = {"geo": "x2 - x2^2\n", "pair": "x1 + x2\nx1 - x2\n",
+                 "sys": "n=4\n1 -> 0\n1 -> 2\n3 -> 2\n3 -> 0\n2 -> 0\n"}
+        for name, text in texts.items():
+            (tmp_path / f"{name}.txt").write_text(text)
+        return {name: str(tmp_path / f"{name}.txt") for name in texts}
+
+    @pytest.mark.parametrize("mode", ["kv", "plain"])
+    @pytest.mark.parametrize("command, golden", GOLDENS, ids=[c for c, _g in GOLDENS])
+    def test_whole_report(self, files, capsys, command, golden, mode):
+        argv = ["--report", mode] + shlex.split(command.format(**files))
+        assert main(argv) == 0
+        out = capsys.readouterr()
+        kv_text, plain_text = rows(golden)
+        assert out.out == (kv_text if mode == "kv" else plain_text)
+        assert out.err == ""
