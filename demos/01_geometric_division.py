@@ -8,10 +8,10 @@ computing y/(y - y^2) = 1/(1 - y) by division.
 """
 
 from psrewrite import (
-    DEGLEX,
     RuleSet,
     TruncatedSeries,
     cofactors,
+    deglex_key,
     delta,
     format_series,
     format_trace,
@@ -23,7 +23,7 @@ from psrewrite import (
 
 n = 2
 f = parse_series("x2", n)
-rules = RuleSet.from_series([parse_series("x2 - x2^2", n)], DEGLEX)
+rules = RuleSet.from_series([parse_series("x2 - x2^2", n)])
 
 print("input      :", format_series(f))
 print("rule 1     :", format_series(rules.rule(1).body))
@@ -51,5 +51,5 @@ zero = TruncatedSeries.zero(n)
 for k in range(6):
     value, _ = delta(h, zero)
     print(f"  after {k} steps: h = {format_series(h):<18} delta(h, 0) = {value}")
-    M = min(reducible_monomials(h, rules), key=DEGLEX.key)
+    M = min(reducible_monomials(h, rules), key=deglex_key)
     h, _ = reduce_step(h, rules, M, rules.dividing_rules(M)[0])

@@ -11,7 +11,6 @@ into one chain on f and one on g with the same step monomials.
 """
 
 from psrewrite import (
-    DEGLEX,
     Member,
     NotMember,
     RuleSet,
@@ -26,7 +25,7 @@ from psrewrite import (
 )
 
 n = 2
-rules = RuleSet.from_series([parse_series("x2 - x2^2", n)], DEGLEX)
+rules = RuleSet.from_series([parse_series("x2 - x2^2", n)])
 zero = TruncatedSeries.zero(n)
 
 

@@ -14,7 +14,6 @@ to any normal form (the attractivity check).
 """
 
 from psrewrite import (
-    DEGLEX,
     RuleSet,
     TruncatedSeries,
     attractivity_check,
@@ -26,8 +25,8 @@ from psrewrite import (
 
 n = 2
 pair = RuleSet.from_series([parse_series("x1 + x2", n),
-                            parse_series("x1 - x2", n)], DEGLEX)
-single = RuleSet.from_series([parse_series("x2 - x2^2", n)], DEGLEX)
+                            parse_series("x1 - x2", n)])
+single = RuleSet.from_series([parse_series("x2 - x2^2", n)])
 
 print("=== falsifier ===")
 cert = falsify_standard_basis(pair, precision=4, trials=100, seed=0)

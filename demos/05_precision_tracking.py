@@ -13,7 +13,6 @@ the bound is only known as an upper bound, and it says so.
 """
 
 from psrewrite import (
-    DEGLEX,
     PrecisionUnattainableError,
     RuleSet,
     TruncatedSeries,
@@ -32,14 +31,14 @@ print("g          =", format_series(g))
 print("f + g      =", format_series(f.add(g)), "   (min of the bounds)")
 print("f * g      =", format_series(f.multiply(g)),
       "   (bound 3 = min(3 + val g, 2 + val f) = min(3+0, 2+1))")
-print("f shifted  =", format_series(f.scale_term(2, parse_series("x2", n).leading(DEGLEX)[0])),
+print("f shifted  =", format_series(f.scale_term(2, parse_series("x2", n).leading()[0])),
       "(bound rises with the shift degree)")
 print()
 
 exact = parse_series("x2 - x2^2", n)
 blurred = exact.truncate(2)
 print("a rule known only below degree 2:", format_series(blurred))
-rules = RuleSet.from_series([blurred], DEGLEX)
+rules = RuleSet.from_series([blurred])
 try:
     normalize(parse_series("x2", n), rules, 3)
 except PrecisionUnattainableError as exc:

@@ -1,10 +1,10 @@
 """Exact rewriting on truncated multivariate formal power series.
 
 The engine divides series by a finite rule set with respect to the
-opposite of an admissible degree-compatible monomial order, tracking
-big-O precision through every operation: normal forms, cofactor
-certificates, ideal membership and congruence verdicts, standard-basis
-falsification and confluence probes.  A companion module decides
+opposite of the deglex monomial order (fixed, admissible and
+degree-compatible), tracking big-O precision through every operation:
+normal forms, cofactor certificates, ideal membership and congruence
+verdicts, standard-basis falsification and confluence probes.  A companion module decides
 normal-form and confluence properties of finite abstract rewriting
 systems exhaustively.
 """
@@ -18,7 +18,6 @@ from .ars import (
     check_properties,
     eliminate_valleys,
     normal_forms,
-    reachable,
     validate_conversion,
 )
 from .errors import (
@@ -33,11 +32,7 @@ from .errors import (
     RewritingError,
     ZeroOrUnknownLeadingError,
 )
-from .monomials import (
-    DEGLEX,
-    Monomial,
-    MonomialOrder,
-)
+from .monomials import Monomial, deglex_key
 from .rewrite import (
     AttractivityReport,
     ConfluenceProbeReport,
@@ -56,7 +51,6 @@ from .rewrite import (
     confluence_probe,
     congruence_test,
     falsify_standard_basis,
-    ideal_membership,
     multiple_to_zero_chain,
     normalize,
     normalize_random,

@@ -48,27 +48,9 @@ class FiniteARS:
     def build(cls, size: int, edges: Iterable[tuple[int, int]]) -> FiniteARS:
         return cls(size, frozenset(edges))
 
-    def successors(self, a: int) -> list[int]:
-        self._check(a)
-        return sorted(b for (x, b) in self.edges if x == a)
-
     def _check(self, a: int) -> None:
         if not 0 <= a < self.size:
             raise ValueError(f"element {a} outside 0..{self.size - 1}")
-
-
-def reachable(sys: FiniteARS, a: int) -> set[int]:
-    """Everything reachable from a in zero or more steps."""
-    sys._check(a)
-    seen = {a}
-    stack = [a]
-    while stack:
-        x = stack.pop()
-        for y in sys.successors(x):
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen
 
 
 def normal_forms(sys: FiniteARS) -> set[int]:

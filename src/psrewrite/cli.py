@@ -49,6 +49,10 @@ class SessionConfig:
     report: str = "plain"  # or "kv"
 
     def __post_init__(self):
+        for name in ("n", "precision"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.n < 1:
             raise ValueError("need at least one variable")
         if self.precision < 1:

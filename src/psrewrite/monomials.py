@@ -1,12 +1,13 @@
-"""Exponent-vector monomials and admissible degree-compatible orders.
+"""Exponent-vector monomials and the engine's one monomial order.
 
 A monomial over variables x1..xn is a vector of natural exponents; the
-empty monomial 1 is the all-zeros vector.  The only order currently
-shipped is deglex: total degree first, ties broken lexicographically with
-x1 the most significant variable (larger exponent at the first difference
-wins).  Deglex is admissible (1 <= m for every m) and compatible with the
-degree, which is what every termination argument in the rewriting engine
-leans on.
+empty monomial 1 is the all-zeros vector.  The order is fixed to deglex:
+total degree first, ties broken lexicographically with x1 the most
+significant variable (larger exponent at the first difference wins).
+Deglex is admissible (1 <= m for every m) and compatible with the degree,
+which is what every termination argument in the rewriting engine leans
+on; the reducer's pending list sorts by the same ``(degree, exponents)``
+key that `deglex_key` returns.
 """
 
 from __future__ import annotations
@@ -35,15 +36,6 @@ class Monomial:
     @classmethod
     def one(cls, n: int) -> Monomial:
         return cls((0,) * n)
-
-    @classmethod
-    def variable(cls, index: int, n: int, power: int = 1) -> Monomial:
-        """Monomial x_index^power over n variables; index is 1-based."""
-        if not 1 <= index <= n:
-            raise ValueError(f"variable index {index} out of range 1..{n}")
-        exps = [0] * n
-        exps[index - 1] = power
-        return cls(tuple(exps))
 
     @property
     def n(self) -> int:
@@ -90,17 +82,7 @@ def _check_same_n(m1: Monomial, m2: Monomial) -> None:
         )
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
-    """A total, multiplicative, admissible, degree-compatible order."""
-
-    def key(self, m: Monomial):
-        # Tuple comparison realises deglex: degree first, then the raw
-        # exponent vector compared left to right (x1 most significant).
-        return (m.degree, m.exponents)
-
-    def min(self, monomials) -> Monomial:
-        return min(monomials, key=self.key)
-
-
-DEGLEX = MonomialOrder()
+def deglex_key(m: Monomial) -> tuple[int, tuple[int, ...]]:
+    """Sort key of the deglex order: tuple comparison puts the degree
+    first, then the raw exponent vector left to right (x1 most significant)."""
+    return (m.degree, m.exponents)

@@ -32,7 +32,7 @@ from .errors import (
     PreconditionFailedError,
     PrecisionUnattainableError,
 )
-from .monomials import Monomial, MonomialOrder
+from .monomials import Monomial, deglex_key
 from .series import TruncatedSeries, delta
 
 
@@ -45,8 +45,8 @@ class RewriteRule:
     leading_coefficient: Fraction
 
     @classmethod
-    def from_series(cls, body: TruncatedSeries, order: MonomialOrder) -> RewriteRule:
-        lm, lc = body.leading(order)  # raises on empty known support
+    def from_series(cls, body: TruncatedSeries) -> RewriteRule:
+        lm, lc = body.leading()  # raises on empty known support
         return cls(body, lm, lc)
 
 
@@ -56,11 +56,10 @@ class RuleSet:
     indices that tie-breaking and traces refer to."""
 
     rules: tuple[RewriteRule, ...]
-    order: MonomialOrder
     n: int
 
     @classmethod
-    def from_series(cls, bodies: Sequence[TruncatedSeries], order: MonomialOrder,
+    def from_series(cls, bodies: Sequence[TruncatedSeries],
                     n: Optional[int] = None) -> RuleSet:
         if n is None:
             if not bodies:
@@ -69,7 +68,7 @@ class RuleSet:
         for b in bodies:
             if b.n != n:
                 raise DimensionMismatchError(f"rule over {b.n} variables in a {n}-variable system")
-        return cls(tuple(RewriteRule.from_series(b, order) for b in bodies), order, n)
+        return cls(tuple(RewriteRule.from_series(b) for b in bodies), n)
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -144,7 +143,7 @@ def reduce_step(f: TruncatedSeries, rules: RuleSet, M: Monomial,
     return g, ReductionStep(M, i, m, coeff)
 
 
-_Key = tuple[int, tuple[int, ...]]   # (degree, exponents): sorts in the deglex order
+_Key = tuple[int, tuple[int, ...]]   # (degree, exponents): `deglex_key` of a monomial
 
 
 class _Compiled:
@@ -384,18 +383,14 @@ def standard_representation(f: TruncatedSeries, rules: RuleSet,
     """Divide f by the rules; when the residual vanishes below the
     precision, return the cofactors together with the cancellation check.
     None when a nonzero residual survives."""
-    lm_f, _ = f.leading(rules.order)
+    lm_f, _ = f.leading()
     trace = normalize(f, rules, precision)
     if not trace.end.truncate(precision).known_zero():
         return None
     qs = cofactors(trace, rules)
-    order = rules.order
-    summand_lms = []
-    for q, rule in zip(qs, rules.rules):
-        if q.known_zero():
-            continue
-        summand_lms.append(q.multiply(rule.body).leading(order)[0])
-    min_lm = order.min(summand_lms) if summand_lms else None
+    summand_lms = [q.multiply(rule.body).leading()[0]
+                   for q, rule in zip(qs, rules.rules) if not q.known_zero()]
+    min_lm = min(summand_lms, key=deglex_key, default=None)
     return StandardRepresentation(qs, lm_f, min_lm, min_lm == lm_f, trace)
 
 
@@ -411,7 +406,7 @@ def multiple_to_zero_chain(q: TruncatedSeries, i: int, rules: RuleSet,
             f"product precision {start.precision} below target {precision}")
     r = _Reducer(start, _Compiled(rules), 0)   # the walk picks its own monomials
     lm = rule.leading_monomial.exponents
-    for m in sorted(q.support, key=rules.order.key):
+    for m in sorted(q.support, key=deglex_key):
         M = tuple(map(operator.add, m.exponents, lm))
         if M in r.terms:   # else truncated away: the slice lies beyond the precision
             r.step((sum(M), M), i)
@@ -490,12 +485,6 @@ def congruence_test(f: TruncatedSeries, g: TruncatedSeries, rules: RuleSet,
     return UnknownAtPrecision(end)
 
 
-def ideal_membership(f: TruncatedSeries, rules: RuleSet, precision: int,
-                     assume_standard_basis: bool = False) -> MembershipVerdict:
-    return congruence_test(f, TruncatedSeries.zero(f.n), rules, precision,
-                           assume_standard_basis)
-
-
 # -- standard-basis falsification -------------------------------------------
 
 def random_polynomial(rng: random.Random, n: int, max_degree: int,
@@ -544,6 +533,8 @@ def falsify_standard_basis(rules: RuleSet, precision: int, trials: int,
     counterexample and the random phase is skipped.  It runs only when
     some rule is truncated; there a None is inconclusive.
     """
+    if not isinstance(trials, int) or isinstance(trials, bool):
+        raise TypeError(f"trials must be an int, got {trials!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     r = len(rules)

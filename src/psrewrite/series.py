@@ -17,8 +17,8 @@ from terms that already hold these invariants, so they skip the checks.
 
 Leading data follows the local-order convention used for standard bases
 of power series ideals: the leading monomial of f is the *minimum* of its
-support under the admissible order, i.e. the leading monomial for the
-opposite order.  The metric ``delta(f, g) = 2^(-val(f - g))`` is the
+support under the deglex order (see `monomials`), i.e. the leading
+monomial for the opposite order.  The metric ``delta(f, g) = 2^(-val(f - g))`` is the
 (x1..xn)-adic ultrametric, with val the smallest total degree in the
 support and val(0) = infinity.
 """
@@ -31,7 +31,7 @@ from numbers import Rational
 from typing import Iterable, Mapping, Optional
 
 from .errors import DimensionMismatchError, ZeroOrUnknownLeadingError
-from .monomials import Monomial, MonomialOrder
+from .monomials import Monomial, deglex_key
 
 
 @dataclass(frozen=True)
@@ -62,13 +62,6 @@ class Valuation:
     @property
     def is_infinite(self) -> bool:
         return self.bound is None
-
-    def __str__(self) -> str:
-        if self.bound is None:
-            return "inf"
-        if self.lower_bound_only:
-            return f">={self.bound}"
-        return str(self.bound)
 
 
 class TruncatedSeries:
@@ -135,8 +128,9 @@ class TruncatedSeries:
     def support(self) -> frozenset[Monomial]:
         return frozenset(self._terms)
 
-    def sorted_terms(self, order: MonomialOrder) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self._terms.items(), key=lambda t: order.key(t[0]))
+    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+        """The stored terms, ascending in the deglex order."""
+        return sorted(self._terms.items(), key=lambda t: deglex_key(t[0]))
 
     def known_zero(self) -> bool:
         """True when the stored polynomial part is zero."""
@@ -250,15 +244,15 @@ class TruncatedSeries:
             return Valuation.infinite()
         return Valuation.at_least(self.precision)
 
-    def leading(self, order: MonomialOrder) -> tuple[Monomial, Fraction]:
-        """Minimum of the support under the admissible order, with its
+    def leading(self) -> tuple[Monomial, Fraction]:
+        """Minimum of the support under the deglex order, with its
         coefficient.  Stored terms all lie below the precision bound, so a
         nonempty known part determines the minimum; an empty one does not."""
         if not self._terms:
             raise ZeroOrUnknownLeadingError(
                 "known support is empty; leading term undetermined"
                 if self.precision is not None else "zero series has no leading term")
-        m = order.min(self._terms)
+        m = min(self._terms, key=deglex_key)
         return m, self._terms[m]
 
 

@@ -23,7 +23,7 @@ from typing import Optional
 
 from .ars import BACKWARD, FORWARD, Conversion, FiniteARS
 from .errors import ParseError
-from .monomials import DEGLEX, Monomial, MonomialOrder
+from .monomials import Monomial
 from .rewrite import ReductionTrace, RuleSet
 from .series import TruncatedSeries
 
@@ -191,11 +191,11 @@ def parse_series(text: str, n: int, line: int = 1) -> TruncatedSeries:
     return TruncatedSeries(n, terms, precision)
 
 
-def format_series(f: TruncatedSeries, order: MonomialOrder = DEGLEX) -> str:
+def format_series(f: TruncatedSeries) -> str:
     if f.known_zero():
         return "0" if f.precision is None else f"O({f.precision})"
     parts = []
-    for k, (m, c) in enumerate(f.sorted_terms(order)):
+    for k, (m, c) in enumerate(f.sorted_terms()):
         mag = -c if c < 0 else c
         if m.is_one():
             body = str(mag)
@@ -213,7 +213,7 @@ def format_series(f: TruncatedSeries, order: MonomialOrder = DEGLEX) -> str:
     return out
 
 
-def parse_rules(text: str, n: int, order: MonomialOrder = DEGLEX) -> RuleSet:
+def parse_rules(text: str, n: int) -> RuleSet:
     """One series per non-blank line; position among non-blank lines fixes
     the 1-based rule index."""
     bodies = []
@@ -224,7 +224,7 @@ def parse_rules(text: str, n: int, order: MonomialOrder = DEGLEX) -> RuleSet:
         if body.known_zero():
             raise ParseError("a rule needs a known nonzero term", lineno, 1)
         bodies.append(body)
-    return RuleSet.from_series(bodies, order, n)
+    return RuleSet.from_series(bodies, n)
 
 
 def format_trace(trace: ReductionTrace) -> list[str]:

@@ -2,7 +2,7 @@
 
 from itertools import combinations
 
-from psrewrite import DEGLEX, Monomial, RuleSet, TruncatedSeries, random_polynomial
+from psrewrite import Monomial, RuleSet, TruncatedSeries, random_polynomial
 
 
 def monomials_of_degree(n, d):
@@ -32,7 +32,7 @@ def random_instance(rng, exact_input=True):
     f = random_polynomial(rng, n, max_degree=4)
     if not exact_input and rng.random() < 0.5:
         f = f.truncate(rng.randint(p, 8))
-    return f, RuleSet.from_series(bodies, DEGLEX, n), p
+    return f, RuleSet.from_series(bodies, n), p
 
 
 def combination(qs, rules):

@@ -19,6 +19,7 @@ from psrewrite import (
     ReductionTrace,
     StandardBasisCounterexample,
     TruncatedSeries,
+    deglex_key,
     delta,
     random_polynomial,
     reduce_step,
@@ -36,13 +37,12 @@ def _normalize_with(f, rules, target_precision, choose):
         raise PrecisionUnattainableError(
             f"input precision {f.precision} below target {target_precision}")
 
-    order = rules.order
     h = f
     steps = []
     while True:
         candidates = sorted(
             (m for m in reducible_monomials(h, rules) if m.degree < target_precision),
-            key=order.key)
+            key=deglex_key)
         if not candidates:
             break
         M, i = choose(candidates)
@@ -110,7 +110,7 @@ def multiple_to_zero_chain(q, i, rules, precision):
     lm = rules.rule(i).leading_monomial
     h = start
     steps = []
-    for m in sorted(q.support, key=rules.order.key):
+    for m in sorted(q.support, key=deglex_key):
         M = m.multiply(lm)
         if h.coefficient(M) == 0:
             continue
@@ -126,7 +126,7 @@ def attractivity_check(f, rules, alpha, steps, seed=0):
     dists = [delta(h, alpha)[0]]
     taken = 0
     for k in range(1, steps + 1):
-        candidates = sorted(reducible_monomials(h, rules), key=rules.order.key)
+        candidates = sorted(reducible_monomials(h, rules), key=deglex_key)
         if not candidates:
             break
         M = rng.choice(candidates)

@@ -13,7 +13,6 @@ from psrewrite import (
     check_properties,
     eliminate_valleys,
     normal_forms,
-    reachable,
     validate_conversion,
 )
 
@@ -90,26 +89,6 @@ def all_conversions(sys, max_len):
 
     for start in sorted(nfs):
         yield from walk(start, [])
-
-
-class TestReachable:
-    def test_chain(self):
-        assert reachable(sys_of(3, (0, 1), (1, 2)), 0) == {0, 1, 2}
-
-    def test_reflexive(self):
-        assert reachable(sys_of(1), 0) == {0}
-
-    def test_from_a_leaf(self):
-        assert reachable(sys_of(3, (0, 1), (0, 2)), 1) == {1}
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            reachable(sys_of(2), 5)
-
-    def test_matches_naive(self):
-        for sys in all_systems(3):
-            for a in range(3):
-                assert reachable(sys, a) == naive_reach(sys, a)
 
 
 class TestNormalForms:
@@ -249,11 +228,11 @@ class TestNormalFormPropositions:
             nfs = normal_forms(sys)
             for a in range(sys.size):
                 if a in nfs:
-                    assert reachable(sys, a) == {a}
+                    assert naive_reach(sys, a) == {a}
             anti_reflexive = all(a != b for a, b in sys.edges)
             if anti_reflexive:
                 for a in range(sys.size):
-                    if reachable(sys, a) == {a}:
+                    if naive_reach(sys, a) == {a}:
                         assert a in nfs
 
 
@@ -266,6 +245,11 @@ class TestConversions:
         sys = sys_of(3, (1, 0))
         with pytest.raises(InvalidConversionError):
             validate_conversion(sys, Conversion(0, ((1, BACKWARD), (2, FORWARD))))
+
+    @pytest.mark.parametrize("conv", [Conversion(5, ()), Conversion(0, ((5, FORWARD),))])
+    def test_validate_rejects_element_out_of_range(self, conv):
+        with pytest.raises(ValueError, match="element 5 outside 0..1"):
+            validate_conversion(sys_of(2, (0, 1)), conv)
 
     def test_valley_detection(self):
         conv = Conversion(0, ((1, BACKWARD), (2, FORWARD), (3, BACKWARD), (0, FORWARD)))

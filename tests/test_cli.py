@@ -167,6 +167,12 @@ class TestArgumentChecks:
         status, text = run_command(cfg, command, {"series": "x1", option: value})
         assert (status, text) == (1, f"error: --{option} must be an integer\n")
 
+    @pytest.mark.parametrize("field, value", [("n", "2"), ("n", 2.0), ("precision", 1.5),
+                                              ("precision", True)])
+    def test_session_config_rejects_a_non_int(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an int"):
+            SessionConfig(**{field: value})
+
     def test_undeclared_keys_are_ignored(self, cfg):
         with_extra = run_command(cfg, "member", {"series": "x2", "series2": None,
                                                  "trials": "x"})

@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 
 import naive_reduction as naive
 from psrewrite import (
-    DEGLEX,
     Member,
     Monomial,
     NotMember,
@@ -59,7 +58,7 @@ def instances(draw):
         if draw(st.booleans()):
             body = body.truncate(draw(st.integers(v + 1, v + 4)))
         bodies.append(body)
-    rules = RuleSet.from_series(bodies, DEGLEX, n)
+    rules = RuleSet.from_series(bodies, n)
     f = draw(polynomials(n, 4))
     for body in bodies:
         if draw(st.booleans()):

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from psrewrite import (
-    DEGLEX,
     InvalidTraceError,
     Member,
     Monomial,
@@ -22,9 +21,9 @@ from psrewrite import (
     cofactors,
     confluence_probe,
     congruence_test,
+    deglex_key,
     delta,
     falsify_standard_basis,
-    ideal_membership,
     multiple_to_zero_chain,
     normalize,
     normalize_random,
@@ -50,7 +49,7 @@ def S(text, n=N):
 
 
 def rules_of(*texts, n=N):
-    return RuleSet.from_series([parse_series(t, n) for t in texts], DEGLEX, n)
+    return RuleSet.from_series([parse_series(t, n) for t in texts], n)
 
 
 GEOMETRIC = rules_of("x2 - x2^2")          # y -> y^2
@@ -93,7 +92,7 @@ class TestReduceStep:
         f = S("1 + x1 + x2 + x1*x2 + x2^2")
         g, _ = reduce_step(f, rules, Y, 1)
         for m in f.support | g.support:
-            if DEGLEX.key(m) < DEGLEX.key(Y):
+            if deglex_key(m) < deglex_key(Y):
                 assert f.coefficient(m) == g.coefficient(m)
         assert g.coefficient(Y) == 0
 
@@ -132,7 +131,7 @@ class TestNormalize:
 
     def test_rule_truncation_caps_precision(self):
         truncated_rule = RuleSet.from_series(
-            [TruncatedSeries(N, {Y: 1}, 2)], DEGLEX, N)
+            [TruncatedSeries(N, {Y: 1}, 2)], N)
         with pytest.raises(PrecisionUnattainableError):
             normalize(S("x2"), truncated_rule, 3)
 
@@ -147,7 +146,7 @@ class TestNormalize:
         for _ in range(60):
             f, rules, p = random_instance(rng)
             ms = [s.monomial for s in normalize(f, rules, p).steps]
-            assert all(DEGLEX.key(a) < DEGLEX.key(b) for a, b in zip(ms, ms[1:]))
+            assert all(deglex_key(a) < deglex_key(b) for a, b in zip(ms, ms[1:]))
 
 
 class TestCofactors:
@@ -309,7 +308,7 @@ class TestMultipleToZeroChain:
         assert trace.end.known_zero() and trace.end_precision == 5
         assert all(s.rule_index == 1 for s in trace.steps)
         quotients = [s.quotient for s in trace.steps]
-        assert quotients == sorted(quotients, key=DEGLEX.key)
+        assert quotients == sorted(quotients, key=deglex_key)
 
     def test_unattainable(self):
         q = S("1 + x2 + O(2)")
@@ -385,7 +384,8 @@ class TestCongruence:
         assert isinstance(congruence_test(one, zero, GEOMETRIC, 5), UnknownAtPrecision)
 
     def test_not_member_witness(self):
-        verdict = ideal_membership(S("1"), GEOMETRIC, 5, assume_standard_basis=True)
+        verdict = congruence_test(S("1"), TruncatedSeries.zero(N), GEOMETRIC, 5,
+                                  assume_standard_basis=True)
         assert isinstance(verdict, NotMember)
         assert verdict.witness == S("1")
 
@@ -396,7 +396,7 @@ class TestCongruence:
             _f, rules, p = random_instance(rng)
             qs = [random_polynomial(rng, rules.n, 2) for _ in rules.rules]
             f = combination(qs, rules)
-            verdict = ideal_membership(f, rules, p)
+            verdict = congruence_test(f, TruncatedSeries.zero(rules.n), rules, p)
             if not isinstance(verdict, Member):
                 continue
             diff = f.subtract(combination(verdict.cofactors, rules))
@@ -412,7 +412,7 @@ class TestCongruence:
         def reduce_vec(vec, basis):
             vec = dict(vec)
             while vec:
-                pivot = min(vec, key=DEGLEX.key)
+                pivot = min(vec, key=deglex_key)
                 if pivot not in basis:
                     return vec, pivot
                 c = vec[pivot]
@@ -445,7 +445,7 @@ class TestCongruence:
             if k % 2:
                 f = combination([random_polynomial(rng, rules.n, 2)
                                  for _ in rules.rules], rules)
-            verdict = ideal_membership(f, rules, p)
+            verdict = congruence_test(f, TruncatedSeries.zero(rules.n), rules, p)
             spanned = in_span(f, rules, p)
             if isinstance(verdict, Member):
                 assert spanned
@@ -467,8 +467,9 @@ class TestCongruence:
             f = random_polynomial(rng, 1, max_degree=6)
             if s.known_zero() or f.known_zero():
                 continue
-            rules = RuleSet.from_series([s], DEGLEX, 1)
-            verdict = ideal_membership(f, rules, 9, assume_standard_basis=True)
+            rules = RuleSet.from_series([s], 1)
+            verdict = congruence_test(f, TruncatedSeries.zero(1), rules, 9,
+                                      assume_standard_basis=True)
             should_be_member = f.valuation().bound >= s.valuation().bound
             assert isinstance(verdict, Member) == should_be_member
             done += 1
@@ -487,13 +488,22 @@ class TestFalsifyStandardBasis:
         assert falsify_standard_basis(GEOMETRIC, precision=5, trials=200, seed=3) is None
 
     def test_empty_rule_set(self):
-        rules = RuleSet.from_series([], DEGLEX, n=N)
+        rules = RuleSet.from_series([], n=N)
         assert falsify_standard_basis(rules, precision=4, trials=5, seed=0) is None
 
     def test_reproducible(self):
         a = falsify_standard_basis(PAIR, precision=4, trials=50, seed=9)
         b = falsify_standard_basis(PAIR, precision=4, trials=50, seed=9)
         assert a == b
+
+    # Exact rules skip the random phase and truncated ones run it: a bad
+    # count must fail the same way on both, before either phase.
+    @pytest.mark.parametrize("rules, precision", [
+        (GEOMETRIC, 5), (rules_of("x1 + x2 + O(3)", "x1 - x2"), 4)])
+    @pytest.mark.parametrize("trials", [1.5, "3", True])
+    def test_non_int_trials_rejected(self, rules, precision, trials):
+        with pytest.raises(TypeError, match="^trials must be an int"):
+            falsify_standard_basis(rules, precision, trials=trials, seed=1)
 
 
 class TestConfluenceProbe:
@@ -564,7 +574,7 @@ class TestAttractivity:
         while done < 60:
             f, rules, p = random_instance(rng)
             alpha = normalize(f, rules, p).end
-            candidates = sorted(reducible_monomials(f, rules), key=DEGLEX.key)
+            candidates = sorted(reducible_monomials(f, rules), key=deglex_key)
             if not candidates:
                 continue
             M = rng.choice(candidates)

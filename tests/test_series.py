@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from psrewrite import (
-    DEGLEX,
     DimensionMismatchError,
     Monomial,
     TruncatedSeries,
@@ -137,17 +136,17 @@ class TestValuation:
 
 class TestLeading:
     def test_minimum_of_support(self):
-        assert S("x2 - x2^2").leading(DEGLEX) == (Y, 1)
+        assert S("x2 - x2^2").leading() == (Y, 1)
 
     def test_degree_tie(self):
         # x1 beats x2 in the order, so the minimum of {x1, x2} is x2
-        assert S("x1 + x2").leading(DEGLEX) == (Y, 1)
+        assert S("x1 + x2").leading() == (Y, 1)
 
     def test_empty_known_support(self):
         with pytest.raises(ZeroOrUnknownLeadingError):
-            TruncatedSeries.zero(N, 5).leading(DEGLEX)
+            TruncatedSeries.zero(N, 5).leading()
         with pytest.raises(ZeroOrUnknownLeadingError):
-            TruncatedSeries.zero(N).leading(DEGLEX)
+            TruncatedSeries.zero(N).leading()
 
 
 class TestDelta:
@@ -175,7 +174,7 @@ class TestDelta:
         # deg(LM(f-g)) equals the valuation for a degree-compatible order
         if f == g:
             return
-        lm, _ = f.subtract(g).leading(DEGLEX)
+        lm, _ = f.subtract(g).leading()
         assert delta(f, g) == (Fraction(1, 2 ** lm.degree), False)
 
 
