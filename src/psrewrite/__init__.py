@@ -60,7 +60,7 @@ from .rewrite import (
     standard_representation,
     translate,
 )
-from .series import TruncatedSeries, Valuation, delta
+from .series import TruncatedSeries, delta
 from .textio import (
     format_conversion,
     format_series,

@@ -10,8 +10,9 @@ Each command is one row of COMMANDS: argparse specs and a row handler.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import ars as ars_mod
@@ -40,7 +41,7 @@ from .textio import (
 Rows = Iterator[tuple[str, object]]  # (key, value) report rows
 
 
-@dataclass
+@dataclass(frozen=True)  # checked once, in __post_init__
 class SessionConfig:
     n: int = 2
     precision: int = 4
@@ -49,10 +50,14 @@ class SessionConfig:
     report: str = "plain"  # or "kv"
 
     def __post_init__(self):
-        for name in ("n", "precision"):
+        for name in ("n", "precision", "seed"):
             value = getattr(self, name)
+            if name == "seed" and value is None:
+                continue
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an int, got {value!r}")
+        if self.rules_path is not None and not isinstance(self.rules_path, (str, os.PathLike)):
+            raise ValueError(f"rules_path must be a str or os.PathLike, got {self.rules_path!r}")
         if self.n < 1:
             raise ValueError("need at least one variable")
         if self.precision < 1:
@@ -84,8 +89,6 @@ def _require_seed(cfg: SessionConfig) -> int:
 
 def _count(args: dict, option: str) -> int:
     value = args[option]
-    if not isinstance(value, int):
-        raise RewritingError(f"--{option} must be an integer")
     if value < 1:
         raise RewritingError(f"--{option} must be >= 1")
     return value
@@ -203,6 +206,21 @@ def _arg(*flags: str, **kwargs) -> tuple[str, tuple[str, ...], dict]:
     return flags[0].lstrip("-").replace("-", "_"), flags, kwargs
 
 
+_KINDS = {str: "a string", int: "an integer", bool: "true or false"}
+
+
+def _checked(dest: str, flags: tuple[str, ...], kwargs: dict, value):
+    """value, if it has the type its spec gives argparse; an option left
+    out (None where the default is None) passes."""
+    option = flags[0].startswith("-")
+    if option and value is None and kwargs.get("default") is None:
+        return value
+    kind = bool if kwargs.get("action") == "store_true" else kwargs.get("type", str)
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise RewritingError(f"{flags[0] if option else f'<{dest}>'} must be {_KINDS[kind]}")
+    return value
+
+
 _SERIES = _arg("series")
 _SERIES2 = _arg("series2")
 _ASSUME_SB = _arg("--assume-sb", action="store_true", default=False,
@@ -233,7 +251,7 @@ def run_command(cfg: SessionConfig, command: str, args: dict) -> tuple[int, str]
 
     A nonzero status carries the diagnostic as the report text.  Only declared
     arguments are read; a missing option takes its default, a missing positional
-    is an error.
+    is an error, and so is a value of another type than argparse would give.
     """
     try:
         if command not in COMMANDS:
@@ -243,7 +261,7 @@ def run_command(cfg: SessionConfig, command: str, args: dict) -> tuple[int, str]
         values.command = command
         for dest, flags, kwargs in specs:
             if dest in args or flags[0].startswith("-"):
-                values[dest] = args.get(dest, kwargs.get("default"))
+                values[dest] = _checked(dest, flags, kwargs, args.get(dest, kwargs.get("default")))
         name = f"ars {args.get('action')}" if command == "ars" else command
         rows = [("command", name), *handler(cfg, values)]
     except (RewritingError, OSError, ValueError) as exc:
@@ -257,16 +275,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="psrewrite",
         description="Exact rewriting on truncated multivariate power series.")
-    # Each dest is a SessionConfig field.
-    p.add_argument("--vars", dest="n", type=int, default=2, metavar="N",
-                   help="number of variables x1..xN (default 2)")
-    p.add_argument("--prec", dest="precision", type=int, default=4, metavar="P",
-                   help="working precision: degrees < P are decided (default 4)")
-    p.add_argument("--seed", type=int, default=None, metavar="S",
+    # Each dest is a SessionConfig field, and takes its default from there.
+    p.set_defaults(**asdict(SessionConfig()))
+    p.add_argument("--vars", dest="n", type=int, metavar="N",
+                   help="number of variables x1..xN (default %(default)s)")
+    p.add_argument("--prec", dest="precision", type=int, metavar="P",
+                   help="working precision: degrees < P are decided (default %(default)s)")
+    p.add_argument("--seed", type=int, metavar="S",
                    help="seed for randomized commands (required by them)")
-    p.add_argument("--rules", dest="rules_path", metavar="PATH", default=None,
+    p.add_argument("--rules", dest="rules_path", metavar="PATH",
                    help="rule file, one series per line; line order = rule index")
-    p.add_argument("--report", choices=["plain", "kv"], default="plain")
+    p.add_argument("--report", choices=["plain", "kv"])
 
     sub = p.add_subparsers(dest="command", required=True)
     for name, (help_, specs, _handler) in COMMANDS.items():

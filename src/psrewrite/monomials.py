@@ -52,8 +52,6 @@ class Monomial:
         _check_same_n(self, other)
         return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
 
-    __mul__ = multiply
-
     def divides(self, other: Monomial) -> Optional[Monomial]:
         """Quotient other/self when self divides other, else None."""
         _check_same_n(self, other)

@@ -73,9 +73,6 @@ class RuleSet:
     def __len__(self) -> int:
         return len(self.rules)
 
-    def __iter__(self):
-        return iter(self.rules)
-
     def rule(self, i: int) -> RewriteRule:
         """Rule number i, 1-based."""
         if not 1 <= i <= len(self.rules):

@@ -9,59 +9,34 @@ the sharpest sound precision, and stored terms are always pruned of zeros
 and of degrees at or above the bound.
 
 Inputs are validated once, where they enter: the public constructors
-(`TruncatedSeries(...)`, `term`, `zero`) and the `scale_term` scalar check
-the variable count, the precision and every monomial, and reject any
-coefficient that is not a `numbers.Rational` (a float or a string raises
-`TypeError`).  Arithmetic and the rewriting engine build their results
-from terms that already hold these invariants, so they skip the checks.
+(`TruncatedSeries(n, terms, precision)`, `term`, `zero`) and the
+`scale_term` scalar check the variable count, the precision and every
+monomial, and reject any coefficient that is not a `numbers.Rational` (a
+float or a string raises `TypeError`).  `terms` is a mapping from monomial
+to coefficient, so no monomial comes twice; the constructor drops zero
+coefficients and prunes degrees at or above the precision.  Arithmetic and
+the rewriting engine build their results from terms that already hold
+these invariants, so they skip the checks.
 
 Leading data follows the local-order convention used for standard bases
 of power series ideals: the leading monomial of f is the *minimum* of its
 support under the deglex order (see `monomials`), i.e. the leading
-monomial for the opposite order.  The metric ``delta(f, g) = 2^(-val(f - g))`` is the
-(x1..xn)-adic ultrametric, with val the smallest total degree in the
-support and val(0) = infinity.
+monomial for the opposite order.  The metric ``delta(f, g) = 2^(-val(f - g))``
+is the (x1..xn)-adic ultrametric, with val the smallest total degree in
+the support and val(0) = infinity.  `valuation()` returns that degree as
+an int, or None for the exact zero; when the known part is empty at a
+finite precision it returns the precision, which is only a lower bound, and
+`delta` flags its value as an upper bound then.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .errors import DimensionMismatchError, ZeroOrUnknownLeadingError
 from .monomials import Monomial, deglex_key
-
-
-@dataclass(frozen=True)
-class Valuation:
-    """Smallest total degree in the support, as far as the data shows.
-
-    ``bound`` is the degree and ``lower_bound_only`` tells whether it is
-    exact: a definite value (the known part is nonzero), a lower bound
-    ("at least p", the known part vanishes at finite precision p), or
-    infinite (``bound is None``, the value is exactly zero).
-    """
-
-    bound: Optional[int]
-    lower_bound_only: bool = False
-
-    @classmethod
-    def definite(cls, v: int) -> Valuation:
-        return cls(v, False)
-
-    @classmethod
-    def at_least(cls, p: int) -> Valuation:
-        return cls(p, True)
-
-    @classmethod
-    def infinite(cls) -> Valuation:
-        return cls(None, False)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.bound is None
 
 
 class TruncatedSeries:
@@ -69,23 +44,18 @@ class TruncatedSeries:
 
     __slots__ = ("n", "_terms", "precision")
 
-    def __init__(self, n: int, terms: Mapping[Monomial, Fraction] | Iterable = (),
+    def __init__(self, n: int, terms: Mapping[Monomial, Fraction],
                  precision: Optional[int] = None):
         _check_shape(n, precision)
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        if not isinstance(terms, Mapping):
+            raise TypeError(f"terms must map monomials to coefficients, got {type(terms).__name__}")
         clean: dict[Monomial, Fraction] = {}
-        for m, c in items:
+        for m, c in terms.items():
             if m.n != n:
                 raise DimensionMismatchError(f"monomial over {m.n} variables in a {n}-variable series")
             c = _rational(c)
-            if c == 0 or (precision is not None and m.degree >= precision):
-                continue
-            old = clean.get(m)
-            s = c if old is None else old + c
-            if s:
-                clean[m] = s
-            else:
-                del clean[m]
+            if c != 0 and (precision is None or m.degree < precision):
+                clean[m] = c
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "precision", precision)
@@ -113,8 +83,8 @@ class TruncatedSeries:
         return cls._from_clean(n, {}, precision)
 
     @classmethod
-    def term(cls, m: Monomial, c, precision: Optional[int] = None) -> TruncatedSeries:
-        return cls(m.n, {m: c}, precision)
+    def term(cls, m: Monomial, c) -> TruncatedSeries:
+        return cls(m.n, {m: c})
 
     # -- inspection ------------------------------------------------------
 
@@ -230,19 +200,15 @@ class TruncatedSeries:
         return TruncatedSeries._from_clean(
             self.n, {m: c for m, c in self._terms.items() if m.degree < p}, p)
 
-    __add__ = add
-    __sub__ = subtract
-    __mul__ = multiply
-    __neg__ = negate
-
     # -- leading data and valuation ---------------------------------------
 
-    def valuation(self) -> Valuation:
+    def valuation(self) -> Optional[int]:
+        """Least total degree of the known part.  An empty known part gives
+        the precision, a lower bound only, and the exact zero gives None
+        (val(0) is infinite)."""
         if self._terms:
-            return Valuation.definite(min(m.degree for m in self._terms))
-        if self.precision is None:
-            return Valuation.infinite()
-        return Valuation.at_least(self.precision)
+            return min(m.degree for m in self._terms)
+        return self.precision
 
     def leading(self) -> tuple[Monomial, Fraction]:
         """Minimum of the support under the deglex order, with its
@@ -288,9 +254,7 @@ def _product_precision(f: TruncatedSeries, g: TruncatedSeries) -> Optional[int]:
         if p is None:
             return None
         v = other.valuation()
-        if v.bound is None:
-            return None
-        return p + v.bound
+        return None if v is None else p + v
 
     return _min_precision(side(f.precision, g), side(g.precision, f))
 
@@ -303,7 +267,8 @@ def delta(f: TruncatedSeries, g: TruncatedSeries) -> tuple[Fraction, bool]:
     bound is all the data shows, so the true distance is only known to be
     at most 2^(-p).
     """
-    v = f.subtract(g).valuation()
-    if v.is_infinite:
+    d = f.subtract(g)
+    v = d.valuation()
+    if v is None:
         return Fraction(0), False
-    return Fraction(1, 2 ** v.bound), v.lower_bound_only
+    return Fraction(1, 2 ** v), d.known_zero()

@@ -182,11 +182,7 @@ def parse_series(text: str, n: int, line: int = 1) -> TruncatedSeries:
             raise ParseError(f"expected a term, found {tok[1]!r}", cur.line, tok[2])
         if monomial is None:
             monomial = Monomial.one(n)
-        acc = terms.get(monomial, Fraction(0)) + coeff
-        if acc == 0:
-            terms.pop(monomial, None)
-        else:
-            terms[monomial] = acc
+        terms[monomial] = terms.get(monomial, 0) + coeff
 
     return TruncatedSeries(n, terms, precision)
 

@@ -85,7 +85,7 @@ def test_criterion_2_cofactor_identity_suite():
     for trace, rules in suite:
         qs = cofactors(trace, rules)
         residue = trace.start.subtract(trace.end).subtract(combination(qs, rules))
-        v = residue.valuation().bound
+        v = residue.valuation()
         if not (v is None or v >= trace.end_precision):
             failures += 1
     assert failures == 0

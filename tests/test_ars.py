@@ -65,6 +65,37 @@ def naive_props(sys):
     }
 
 
+def naive_path_to_normal_form(sys, a):
+    """Breadth-first search from a over sorted successors, as in the
+    library: the first normal form dequeued ends the path."""
+    parent = {a: None}
+    queue = [a]
+    for x in queue:
+        succ = sorted(y for x2, y in sys.edges if x2 == x)
+        if not succ:
+            path = [x]
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]])
+            return path[::-1]
+        for y in succ:
+            if y not in parent:
+                parent[y] = x
+                queue.append(y)
+    raise AssertionError(f"no normal form reachable from {a}")
+
+
+def naive_eliminate_valleys(sys, conv):
+    """The classic multi-pass procedure: while a valley is left, replace
+    everything after the right-most one by a reduction of the valley
+    element to its normal form."""
+    while conv.valley_indices():
+        v = conv.valley_indices()[-1]
+        path = naive_path_to_normal_form(sys, conv.elements()[v])
+        assert path[-1] == conv.end
+        conv = Conversion(conv.start, conv.steps[:v] + tuple((e, FORWARD) for e in path[1:]))
+    return conv
+
+
 def all_systems(size):
     slots = [(a, b) for a in range(size) for b in range(size)]
     for mask in range(2 ** len(slots)):
@@ -256,6 +287,40 @@ class TestConversions:
         assert conv.valley_indices() == [2]
 
 
+@st.composite
+def basin_conversions(draw):
+    """A normalising system with unique normal forms reached, and a
+    conversion between normal forms on it.
+
+    Each basin's first element is its only normal form.  Every other
+    element has an edge to an earlier element of its basin, so it reaches
+    that normal form; extra edges inside the basin add peaks and cycles.
+    The conversion is a random zig-zag from a normal form, closed by a
+    shortest reduction of its last element."""
+    k = draw(st.integers(1, 9))
+    basin = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))
+    edges = set()
+    for b in set(basin):
+        members = [i for i in range(k) if basin[i] == b]
+        for pos in range(1, len(members)):
+            edges.add((members[pos], draw(st.sampled_from(members[:pos]))))
+        if len(members) > 1:
+            edges |= set(draw(st.lists(st.tuples(st.sampled_from(members[1:]),
+                                                 st.sampled_from(members)), max_size=k)))
+    sys = FiniteARS.build(k, edges)
+    hops = {a: sorted([(y, FORWARD) for x, y in edges if x == a]
+                      + [(x, BACKWARD) for x, y in edges if y == a]) for a in range(k)}
+    start = at = draw(st.sampled_from(sorted({basin.index(b) for b in basin})))
+    steps = []
+    for _ in range(draw(st.integers(0, 12))):
+        if not hops[at]:
+            break
+        at, d = draw(st.sampled_from(hops[at]))
+        steps.append((at, d))
+    steps += [(e, FORWARD) for e in naive_path_to_normal_form(sys, at)[1:]]
+    return sys, Conversion(start, tuple(steps))
+
+
 class TestEliminateValleys:
     # elements: 0 = the shared normal form, 1 and 3 = peaks, 2 = the valley
     SYS = sys_of(4, (1, 0), (1, 2), (3, 2), (3, 0), (2, 0))
@@ -288,9 +353,17 @@ class TestEliminateValleys:
                 continue
             for conv in all_conversions(sys, max_len=4):
                 out = eliminate_valleys(sys, conv)
+                assert out == naive_eliminate_valleys(sys, conv)
                 assert out.valley_indices() == []
                 assert out.start == conv.start and out.end == conv.end
                 assert out.start == out.end
                 validate_conversion(sys, out)
                 checked += 1
         assert checked == 1551
+
+    @settings(max_examples=300, deadline=None)
+    @given(basin_conversions())
+    def test_one_pass_matches_the_multi_pass_procedure(self, case):
+        sys, conv = case
+        validate_conversion(sys, conv)
+        assert eliminate_valleys(sys, conv) == naive_eliminate_valleys(sys, conv)

@@ -160,7 +160,7 @@ class TestArgumentChecks:
         if command != "ars":  # a missing action is reported as an unknown one
             assert text == f"error: {command} needs <{dropped}>\n"
 
-    @pytest.mark.parametrize("value", ["3", 1.5, None])
+    @pytest.mark.parametrize("value", ["3", 1.5, None, True])
     @pytest.mark.parametrize("command, option", [("check-sb", "trials"),
                                                  ("probe", "strategies")])
     def test_count_must_be_an_integer(self, cfg, command, option, value):
@@ -168,10 +168,64 @@ class TestArgumentChecks:
         assert (status, text) == (1, f"error: --{option} must be an integer\n")
 
     @pytest.mark.parametrize("field, value", [("n", "2"), ("n", 2.0), ("precision", 1.5),
-                                              ("precision", True)])
+                                              ("precision", True), ("seed", "x"),
+                                              ("seed", 1.5), ("seed", False)])
     def test_session_config_rejects_a_non_int(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be an int"):
             SessionConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [3, 1.5, b"rules.txt"])
+    def test_session_config_rejects_a_non_path(self, value):
+        with pytest.raises(ValueError, match="^rules_path must be a str or os.PathLike"):
+            SessionConfig(rules_path=value)
+
+    def test_session_config_cannot_be_changed_past_its_checks(self):
+        from dataclasses import FrozenInstanceError
+        cfg = SessionConfig()
+        with pytest.raises(FrozenInstanceError):
+            cfg.rules_path = 3
+
+    def test_rules_path_may_be_path_like(self, geometric_rules):
+        from pathlib import Path
+        as_path = SessionConfig(rules_path=Path(geometric_rules), report="kv")
+        assert run_command(as_path, "nf", {"series": "x2"}) == run_command(
+            kv(rules=geometric_rules), "nf", {"series": "x2"})
+
+    def test_a_file_descriptor_is_not_a_path(self, tmp_path):
+        # An int would reach open() as a descriptor, and the command would
+        # read the caller's file and close it.
+        log = tmp_path / "log.txt"
+        with open(log, "w", encoding="utf-8") as fh:
+            fd = fh.fileno()
+            with pytest.raises(ValueError, match="^rules_path must be"):
+                SessionConfig(rules_path=fd)
+            status, text = run_command(kv(), "ars", {"action": "check", "system": fd})
+            assert (status, text) == (1, "error: --system must be a string\n")
+            fh.write("still open\n")
+        assert log.read_text(encoding="utf-8") == "still open\n"
+
+    @pytest.mark.parametrize("command, dest", [("nf", "series"), ("congruent", "series2"),
+                                               ("delta", "series"), ("delta", "series2")])
+    @pytest.mark.parametrize("value", [None, 7, b"x1"])
+    def test_series_must_be_text(self, cfg, command, dest, value):
+        args = dict(FULL_ARGS, **{dest: value})
+        status, text = run_command(cfg, command, args)
+        assert (status, text) == (1, f"error: <{dest}> must be a string\n")
+
+    @pytest.mark.parametrize("dest, flag", [("action", "<action>"), ("system", "--system"),
+                                            ("conversion", "--conversion")])
+    def test_ars_arguments_must_be_text(self, cfg, tmp_path, dest, flag):
+        path = tmp_path / "sys.txt"
+        path.write_text("n=2\n0 -> 1\n")
+        args = {"action": "valleys", "system": str(path), "conversion": "1", dest: 0}
+        status, text = run_command(cfg, "ars", args)
+        assert (status, text) == (1, f"error: {flag} must be a string\n")
+
+    @pytest.mark.parametrize("value", ["no", 0, None])
+    @pytest.mark.parametrize("command", ["member", "congruent"])
+    def test_assume_sb_must_be_a_bool(self, cfg, command, value):
+        status, text = run_command(cfg, command, dict(FULL_ARGS, assume_sb=value))
+        assert (status, text) == (1, "error: --assume-sb must be true or false\n")
 
     def test_undeclared_keys_are_ignored(self, cfg):
         with_extra = run_command(cfg, "member", {"series": "x2", "series2": None,

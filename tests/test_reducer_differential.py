@@ -54,7 +54,7 @@ def instances(draw):
     bodies = []
     for _ in range(draw(st.integers(1, 3))):
         body = draw(polynomials(n, 4, nonzero=True))
-        v = body.valuation().bound
+        v = body.valuation()
         if draw(st.booleans()):
             body = body.truncate(draw(st.integers(v + 1, v + 4)))
         bodies.append(body)

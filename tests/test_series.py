@@ -123,15 +123,16 @@ class TestScaleTerm:
 
 class TestValuation:
     def test_definite(self):
-        v = S("x1^2 + x2^3").valuation()
-        assert v.bound == 2 and not v.lower_bound_only
+        f = S("x1^2 + x2^3")
+        assert f.valuation() == 2 and not f.known_zero()
 
     def test_unknown_tail(self):
-        v = TruncatedSeries.zero(N, 4).valuation()
-        assert v.lower_bound_only and v.bound == 4
+        # An empty known part at precision 4: "at least 4", a lower bound.
+        f = TruncatedSeries.zero(N, 4)
+        assert f.valuation() == 4 and f.known_zero()
 
     def test_exact_zero(self):
-        assert TruncatedSeries.zero(N).valuation().is_infinite
+        assert TruncatedSeries.zero(N).valuation() is None
 
 
 class TestLeading:
@@ -232,6 +233,10 @@ class TestTrustedPath:
             TruncatedSeries.zero(0)
         with pytest.raises(ValueError):
             TruncatedSeries.zero(N, -1)
+
+    def test_terms_must_be_a_mapping(self):
+        with pytest.raises(TypeError):
+            TruncatedSeries(N, [(X, 1), (X, -1)])
 
 
 class TestRationalCoefficients:

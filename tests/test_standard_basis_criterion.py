@@ -35,7 +35,7 @@ def leading_monomials_below(rules, p):
     of an echelon basis of the multiples x^a * s_i truncated below p."""
     rows = {}   # pivot -> a row whose least monomial it is, with coefficient 1 there
     for rule in rules.rules:
-        for d in range(p - rule.body.valuation().bound):
+        for d in range(p - rule.body.valuation()):
             for m in monomials_of_degree(rules.n, d):
                 vec = dict(rule.body.scale_term(1, m).truncate(p).items())
                 while vec:
@@ -76,7 +76,7 @@ def instance(seed, crowd=False, truncate=False):
             m = TruncatedSeries.term(rng.choice(free), rng.choice([-2, 1, 3]))
             bodies.append(bodies[0].add(m))
     if truncate:
-        bodies = [b.truncate(b.valuation().bound + rng.randint(1, 4))
+        bodies = [b.truncate(b.valuation() + rng.randint(1, 4))
                   if rng.random() < 0.5 else b for b in bodies]
     return RuleSet.from_series(bodies, rules.n), p
 
