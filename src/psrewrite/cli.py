@@ -98,6 +98,14 @@ def _bool(b: bool) -> str:
     return "true" if b else "false"
 
 
+def _distance(d) -> str:
+    """str(d), or `2^-v` for a distance 2^-v past Python's int-to-str limit."""
+    try:
+        return str(d)
+    except ValueError:
+        return f"2^-{d.denominator.bit_length() - 1}"
+
+
 class _Args(dict):
     """The arguments `command` declares; reading a missing one is an error."""
 
@@ -147,7 +155,7 @@ def _verdict(cfg: SessionConfig, args: _Args) -> Rows:
 def _delta(cfg: SessionConfig, args: _Args) -> Rows:
     f = parse_series(args["series"], cfg.n)
     value, upper = delta_metric(f, parse_series(args["series2"], cfg.n))
-    yield "delta", value
+    yield "delta", _distance(value)
     yield "upper_bound_only", _bool(upper)
 
 
@@ -172,11 +180,11 @@ def _probe(cfg: SessionConfig, args: _Args) -> Rows:
     seeds = [seed + t for t in range(strategies)]
     report = confluence_probe(parse_series(args["series"], cfg.n), rules, cfg.precision, seeds)
     yield "strategies", len(seeds)
-    yield "threshold", report.threshold
-    yield "max_delta", report.max_delta
+    yield "threshold", _distance(report.threshold)
+    yield "max_delta", _distance(report.max_delta)
     yield "divergent_pairs", len(report.divergence_witnesses())
     for a, b, d, upper in report.pairwise:
-        yield f"delta_{a}_{b}", f"<={d}" if upper else d
+        yield f"delta_{a}_{b}", f"<={_distance(d)}" if upper else _distance(d)
 
 
 def _ars(cfg: SessionConfig, args: _Args) -> Rows:

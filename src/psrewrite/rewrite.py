@@ -143,10 +143,16 @@ def reduce_step(f: TruncatedSeries, rules: RuleSet, M: Monomial,
 _Key = tuple[int, tuple[int, ...]]   # (degree, exponents): `deglex_key` of a monomial
 
 
+def _narrow(c: Fraction) -> int | Fraction:
+    """c as an int when integral: int arithmetic skips `Fraction`'s gcds."""
+    return c.numerator if c.denominator == 1 else c
+
+
 class _Compiled:
     """Per rule: LM exponents, deg LM, LC, the other terms with their
-    degrees, and the body precision; plus a divisor memo.  Built once per
-    public call and shared by its reducers, never kept on the `RuleSet`."""
+    degrees, and the body precision; plus a divisor memo.  The LC and the
+    tail coefficients are ints where integral (see `_narrow`).  Built once
+    per public call and shared by its reducers, never kept on the `RuleSet`."""
 
     __slots__ = ("rules", "table", "memo")
 
@@ -155,8 +161,8 @@ class _Compiled:
         self.table = []
         for r in rules.rules:
             lm = r.leading_monomial
-            tail = [(m.exponents, m.degree, c) for m, c in r.body.items() if m != lm]
-            self.table.append((lm.exponents, lm.degree, r.leading_coefficient, tail,
+            tail = [(m.exponents, m.degree, _narrow(c)) for m, c in r.body.items() if m != lm]
+            self.table.append((lm.exponents, lm.degree, _narrow(r.leading_coefficient), tail,
                                r.body.precision))
         self.memo: dict[tuple[int, ...], tuple[int, ...]] = {}
 
@@ -181,6 +187,10 @@ class _Reducer:
     over it is a draw over the sorted candidate list.  ``quotients[i]``
     accumulates the cofactor of rule i + 1 as the steps run, and
     ``steps`` the raw ``(M, i, m, coeff)`` records a trace is built from.
+
+    The coefficients in ``terms``, ``steps`` and ``quotients`` are ints
+    while the arithmetic keeps them integral, else `Fraction`s.  `trace` and
+    `_series` convert only the ints back: every value leaving is a `Fraction`.
     """
 
     __slots__ = ("start", "rules", "below", "terms", "precision", "pending", "steps",
@@ -193,14 +203,14 @@ class _Reducer:
                 f"series over {start.n} variables, rules over {rules.n}")
         self.start = start
         self.below = math.inf if below is None else below
-        self.terms = {m.exponents: c for m, c in start.items()}
+        self.terms = {m.exponents: _narrow(c) for m, c in start.items()}
         self.precision = start.precision
         self._table = compiled.table
         self.dividing = compiled.dividing
         self.pending = sorted((d, e) for e in self.terms
                               if (d := sum(e)) < self.below and self.dividing(e))
-        self.steps: list[tuple[tuple[int, ...], int, tuple[int, ...], Fraction]] = []
-        self.quotients: list[dict[tuple[int, ...], Fraction]] = [{} for _ in rules.rules]
+        self.steps: list[tuple[tuple[int, ...], int, tuple[int, ...], int | Fraction]] = []
+        self.quotients: list[dict[tuple[int, ...], int | Fraction]] = [{} for _ in rules.rules]
 
     def _unpend(self, key: _Key) -> None:
         pending = self.pending
@@ -224,7 +234,10 @@ class _Reducer:
             for e in [e for e in terms if sum(e) >= prec]:
                 del terms[e]
             del pending[bisect_left(pending, (prec,)):]
-        factor = coeff / lc
+        if type(coeff) is int and type(lc) is int:   # never `/` on two ints: a float
+            factor = coeff // lc if coeff % lc == 0 else Fraction(coeff, lc)
+        else:
+            factor = coeff / lc
         for e, de, c in tail:
             d2 = de + dm
             if prec is not None and d2 >= prec:
@@ -253,19 +266,22 @@ class _Reducer:
     def trace(self, end: TruncatedSeries, end_precision: int) -> ReductionTrace:
         """The trace of this run, carrying the cofactors it collected."""
         trusted = Monomial._trusted
-        steps = tuple(ReductionStep(trusted(M), i, trusted(m), c) for M, i, m, c in self.steps)
+        steps = tuple(ReductionStep(trusted(M), i, trusted(m),
+                                    Fraction(c) if type(c) is int else c)
+                      for M, i, m, c in self.steps)
         trace = ReductionTrace(self.start, steps, end, end_precision)
         object.__setattr__(trace, "_collected", (self.rules, self.quotients))
         return trace
 
 
-def _series(n: int, terms: dict[tuple[int, ...], Fraction],
+def _series(n: int, terms: dict[tuple[int, ...], int | Fraction],
             precision: Optional[int] = None) -> TruncatedSeries:
-    """The series of a reducer's term dict or cofactor accumulator.  Both
-    hold `Fraction`s below the precision; only an accumulator can hold a
-    zero sum, which is dropped here."""
+    """The series, with `Fraction`s, of a reducer's term dict or cofactor
+    accumulator (ints or `Fraction`s below the precision); only an
+    accumulator can hold a zero sum, which is dropped here."""
     return TruncatedSeries._from_clean(
-        n, {Monomial._trusted(e): c for e, c in terms.items() if c}, precision)
+        n, {Monomial._trusted(e): Fraction(c) if type(c) is int else c
+            for e, c in terms.items() if c}, precision)
 
 
 Pick = Callable[[_Reducer], tuple[_Key, int]]

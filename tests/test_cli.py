@@ -384,6 +384,18 @@ GOLDENS = [
         command=delta
         delta=1/2
         upper_bound_only=false"""),
+    # past Python's int-to-str digit limit a distance prints as 2^-v
+    ("delta x1^20000 0", """
+        command=delta
+        delta=2^-20000
+        upper_bound_only=false"""),
+    ("--prec 20000 --seed 1 --rules {geo} probe 'x1 + O(20000)' --strategies 2", """
+        command=probe
+        strategies=2
+        threshold=2^-20000
+        max_delta=2^-20000
+        divergent_pairs=0
+        delta_1_2=<=2^-20000"""),
     ("--seed 42 --rules {pair} check-sb --trials 25", """
         command=check-sb
         certificate=found

@@ -8,11 +8,17 @@ point with the same message.
 
 The verdict procedures reduce without building a trace; they must give
 what the traced `normalize` and `normalize_random` give.
+
+Inside, the reducer keeps integral coefficients as ints.  An int that
+leaked out would pass every `==` here and still change `repr` and
+`type`, so every coefficient that leaves it is checked to be a
+`Fraction`.
 """
 
 import dataclasses
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import naive_reduction as naive
@@ -28,11 +34,15 @@ from psrewrite import (
     cofactors,
     confluence_probe,
     congruence_test,
+    falsify_standard_basis,
     multiple_to_zero_chain,
     normalize,
     normalize_random,
+    parse_rules,
+    parse_series,
     translate,
 )
+from psrewrite.rewrite import _Compiled, _Reducer
 
 COEFFS = st.sampled_from([-2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-3, 2)])
 
@@ -76,6 +86,18 @@ def outcome(fn, *args):
         return str(e)
 
 
+def assert_fractions(*series, coeffs=()):
+    """Every coefficient of the series, and every one of coeffs, is a
+    `Fraction`, not an int of the same value."""
+    types = {type(c) for f in series for _m, c in f.items()} | {type(c) for c in coeffs}
+    assert types <= {Fraction}, types
+
+
+def assert_trace_fractions(trace, rules):
+    assert_fractions(trace.end, *cofactors(trace, rules),
+                     coeffs=[step.coeff for step in trace.steps])
+
+
 def assert_same_trace(fast, slow, rules):
     if isinstance(slow, str):   # the error message of the oracle
         assert fast == slow
@@ -87,6 +109,8 @@ def assert_same_trace(fast, slow, rules):
     assert cofactors(fast, rules) == expected
     # the replay path for a copied trace agrees with the collected one
     assert cofactors(dataclasses.replace(fast), rules) == expected
+    assert_trace_fractions(fast, rules)
+    assert_trace_fractions(dataclasses.replace(fast), rules)
 
 
 @settings(max_examples=200, deadline=None)
@@ -147,8 +171,10 @@ def test_translate_matches_oracle(instance, data):
     fast = translate(f, g, trace, rules)
     # the lifted ends, then each lifted trace: start, steps, end, end precision
     assert fast == naive.translate(f, g, trace, rules)
+    assert_fractions(*fast[:2])
     for lifted in fast[2:]:
         assert cofactors(lifted, rules) == naive.cofactors(lifted, rules)
+        assert_trace_fractions(lifted, rules)
 
 
 @settings(max_examples=150, deadline=None)
@@ -162,12 +188,16 @@ def test_congruence_test_matches_traced_normalize(instance, data):
     trace = outcome(normalize, f.subtract(g), rules, target)
     if isinstance(trace, str):   # the same error with the same message
         assert verdict == trace
-    elif trace.end.truncate(target).known_zero():
+        return
+    if trace.end.truncate(target).known_zero():
         assert verdict == Member(cofactors(trace, rules))
+        assert_fractions(*verdict.cofactors)
     elif assume_standard_basis:
         assert verdict == NotMember(trace.end)
+        assert_fractions(verdict.witness)
     else:
         assert verdict == UnknownAtPrecision(trace.end)
+        assert_fractions(verdict.residual)
 
 
 @settings(max_examples=150, deadline=None)
@@ -181,3 +211,53 @@ def test_confluence_probe_matches_seeded_normalize(instance, seeds):
         assert report == errors[0]
     else:
         assert report.ends == tuple(t.end for t in traces)
+        assert_fractions(*report.ends)
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances(), st.integers(0, 2 ** 16))
+def test_falsifier_certificate_holds_fractions(instance, seed):
+    _f, rules, target = instance
+    cert = falsify_standard_basis(rules, max(target, 1), trials=2, seed=seed)
+    if cert is not None:
+        assert_fractions(cert.combination, cert.normal_form, *cert.cofactors)
+
+
+# Each branch of the step's factor coeff / LC: int // int where the LC
+# divides, Fraction(int, int) where it does not, and `/` once a Fraction
+# is involved.  (rules, input series, precision, the factor of the first step)
+FACTORS = [
+    ("-x1 + x1^2", "3*x1", 3, -3),
+    ("-2*x1 + x1^2", "4*x1", 3, -2),
+    ("-2*x1 + x1^2", "3*x1", 3, Fraction(-3, 2)),
+    ("2*x1 - x1^2", "3*x1", 4, Fraction(3, 2)),
+    ("1/2*x1 + x2^2", "3*x1", 4, Fraction(6)),
+    ("2*x1 + x2^2", "3/2*x1 + x1^2", 4, Fraction(3, 4)),
+]
+
+
+@pytest.mark.parametrize("rules_text, f_text, prec, factor", FACTORS)
+def test_factor_branches_match_oracle(rules_text, f_text, prec, factor):
+    rules = parse_rules(rules_text, 2)
+    f = parse_series(f_text, 2)
+    r = _Reducer(f, _Compiled(rules), prec)
+    r.step(r.pending[0], 1)
+    (got,) = r.quotients[0].values()
+    assert got == factor and type(got) is type(factor)
+    fast, slow = normalize(f, rules, prec), naive.normalize(f, rules, prec)
+    assert_same_trace(fast, slow, rules)
+    assert repr(fast) == repr(slow)
+    for seed in range(3):
+        assert_same_trace(normalize_random(f, rules, prec, seed),
+                          naive.normalize_random(f, rules, prec, seed), rules)
+
+
+def test_deep_geometric_division_reprs_are_unchanged():
+    """x2 by x2 - x2^2 at p=400: 399 steps on ints, each shown as it always was."""
+    rules = parse_rules("x2 - x2^2", 2)
+    f = parse_series("x2", 2)
+    fast = normalize(f, rules, 400)
+    assert len(fast) == 399
+    assert all(repr(step).endswith("coeff=Fraction(1, 1))") for step in fast.steps)
+    assert repr(fast) == repr(naive.normalize(f, rules, 400))
+    assert repr(cofactors(fast, rules)) == repr(naive.cofactors(fast, rules))
