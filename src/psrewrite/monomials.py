@@ -23,12 +23,15 @@ class Monomial:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        if any(e < 0 for e in self.exponents):
-            raise ValueError(f"negative exponent in {self.exponents}")
+        for e in self.exponents:
+            require_int(e, "exponent")
+            if e < 0:
+                raise ValueError(f"negative exponent in {self.exponents}")
 
     @classmethod
     def _trusted(cls, exponents: tuple[int, ...]) -> Monomial:
-        """Unchecked: for exponents the reducer made, natural by construction."""
+        """Unchecked: for exponents that are natural ints by construction,
+        such as sums, differences or maxima of checked ones."""
         m = object.__new__(cls)
         object.__setattr__(m, "exponents", exponents)
         return m
@@ -50,18 +53,18 @@ class Monomial:
 
     def multiply(self, other: Monomial) -> Monomial:
         _check_same_n(self, other)
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
+        return Monomial._trusted(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
 
     def divides(self, other: Monomial) -> Optional[Monomial]:
         """Quotient other/self when self divides other, else None."""
         _check_same_n(self, other)
         if all(a <= b for a, b in zip(self.exponents, other.exponents)):
-            return Monomial(tuple(b - a for a, b in zip(self.exponents, other.exponents)))
+            return Monomial._trusted(tuple(b - a for a, b in zip(self.exponents, other.exponents)))
         return None
 
     def lcm(self, other: Monomial) -> Monomial:
         _check_same_n(self, other)
-        return Monomial(tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)))
+        return Monomial._trusted(tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)))
 
     def __str__(self) -> str:
         factors = []
@@ -71,6 +74,12 @@ class Monomial:
             elif e > 1:
                 factors.append(f"x{i + 1}^{e}")
         return "*".join(factors) if factors else "1"
+
+
+def require_int(value, what: str) -> None:
+    """A TypeError naming `value` unless it is an int; a bool is not."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} {value!r} is not an int")
 
 
 def _check_same_n(m1: Monomial, m2: Monomial) -> None:

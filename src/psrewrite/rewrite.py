@@ -510,7 +510,7 @@ def random_polynomial(rng: random.Random, n: int, max_degree: int,
         exps = [0] * n
         for _ in range(d):
             exps[rng.randrange(n)] += 1
-        m = Monomial(tuple(exps))
+        m = Monomial._trusted(tuple(exps))
         c = Fraction(rng.randint(-4, 4))
         terms[m] = terms.get(m, Fraction(0)) + c
     return TruncatedSeries(n, terms)

@@ -12,8 +12,9 @@ Inputs are validated once, where they enter: the public constructors
 (`TruncatedSeries(n, terms, precision)`, `term`, `zero`) and the
 `scale_term` scalar check the variable count, the precision and every
 monomial, and reject any coefficient that is not a `numbers.Rational` (a
-float or a string raises `TypeError`).  `terms` is a mapping from monomial
-to coefficient, so no monomial comes twice; the constructor drops zero
+float or a string raises `TypeError`, as does a variable count or a
+precision that is not an `int` or is a `bool`).  `terms` is a mapping from
+monomial to coefficient, so no monomial comes twice; the constructor drops zero
 coefficients and prunes degrees at or above the precision.  Arithmetic and
 the rewriting engine build their results from terms that already hold
 these invariants, so they skip the checks.
@@ -36,7 +37,7 @@ from numbers import Rational
 from typing import Mapping, Optional
 
 from .errors import DimensionMismatchError, ZeroOrUnknownLeadingError
-from .monomials import Monomial, deglex_key
+from .monomials import Monomial, deglex_key, require_int
 
 
 class TruncatedSeries:
@@ -223,10 +224,13 @@ class TruncatedSeries:
 
 
 def _check_shape(n: int, precision: Optional[int]) -> None:
+    require_int(n, "variable count")
     if n < 1:
         raise ValueError("need at least one variable")
-    if precision is not None and precision < 0:
-        raise ValueError("precision must be a natural number")
+    if precision is not None:
+        require_int(precision, "precision")
+        if precision < 0:
+            raise ValueError("precision must be a natural number")
 
 
 def _rational(c) -> Fraction:

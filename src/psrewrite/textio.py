@@ -10,9 +10,17 @@ Series grammar (one series per line in rule files):
     factor  := var ['^' nat]          var = x1 .. xn
 
 At most one O(p) addend is allowed and it must come last; it sets the
-precision, and its absence means the polynomial is exact.  Formatting is
-canonical (terms ascending for deglex, unit coefficients dropped), and
-parse(format(f)) == f.
+precision, and its absence means the polynomial is exact.  Lexical rules,
+as the scanner `_TOKEN` defines them:
+
+- whitespace may separate any two tokens;
+- nat is a run of decimal digits (Unicode ones too, as `int` reads them),
+  and var is `x` and digits read as a number, so `x01` is `x1`;
+- a character that starts no token is reported before any grammar error.
+
+Formatting is canonical (terms ascending for deglex, unit coefficients
+dropped), and parse(format(f)) == f; a coefficient past Python's
+int-to-str limit raises a `RewritingError` that names its term.
 """
 
 from __future__ import annotations
@@ -22,12 +30,12 @@ from fractions import Fraction
 from typing import Optional
 
 from .ars import BACKWARD, FORWARD, Conversion, FiniteARS
-from .errors import ParseError
+from .errors import ParseError, RewritingError
 from .monomials import Monomial
 from .rewrite import ReductionTrace, RuleSet
 from .series import TruncatedSeries
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|(x\d+)|([O+\-*/^()]))")
+_TOKEN = re.compile(r"(?P<int>\d+)|(?P<var>x\d+)|(?P<punct>[O+\-*/^()])|(?P<bad>\S)")
 _SIZE = re.compile(r"\s*n\s*=\s*(\d+)\s*")
 _EDGE = re.compile(r"\s*(\d+)\s*->\s*(\d+)\s*")
 # The longest start of a line that could begin a size or an edge line: a
@@ -35,28 +43,6 @@ _EDGE = re.compile(r"\s*(\d+)\s*->\s*(\d+)\s*")
 _SIZE_PREFIX = re.compile(r"\s*(?:n\s*(?:=\s*(?:\d+\s*)?)?)?")
 _EDGE_PREFIX = re.compile(r"\s*(?:\d+\s*(?:->\s*(?:\d+\s*)?)?)?")
 _WORD = re.compile(r"\S+")
-
-
-def _tokenize(text: str, line: int) -> list[tuple[str, str, int]]:
-    """(kind, value, column) triples; kinds: int, var, punct."""
-    text = text.rstrip()
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            col = len(text) - len(stripped) + 1
-            raise ParseError(f"unexpected character {stripped[0]!r}", line, col)
-        col = m.start(m.lastindex) + 1
-        if m.group(1) is not None:
-            tokens.append(("int", m.group(1), col))
-        elif m.group(2) is not None:
-            tokens.append(("var", m.group(2), col))
-        else:
-            tokens.append(("punct", m.group(3), col))
-        pos = m.end()
-    return tokens
 
 
 def _int(digits: str, line: int, column: int) -> int:
@@ -69,122 +55,100 @@ def _int(digits: str, line: int, column: int) -> int:
                          line, column) from None
 
 
-class _Cursor:
-    def __init__(self, tokens, line, length):
-        self.tokens = tokens
-        self.line = line
-        self.pos = 0
-        self.end_column = length + 1
-
-    def peek(self) -> Optional[tuple[str, str, int]]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self, expect: Optional[str] = None) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.line, self.end_column)
-        if expect is not None and tok[1] != expect:
-            raise ParseError(f"expected {expect!r}, found {tok[1]!r}", self.line, tok[2])
-        self.pos += 1
-        return tok
-
-    def take_int(self) -> tuple[int, int]:
-        tok = self.peek()
-        if tok is None or tok[0] != "int":
-            col = self.end_column if tok is None else tok[2]
-            raise ParseError("expected a number", self.line, col)
-        self.pos += 1
-        return _int(tok[1], self.line, tok[2]), tok[2]
+def _number(tokens: list, i: int, line: int) -> int:
+    kind, value, col = tokens[i]
+    if kind != "int":
+        raise ParseError("expected a number", line, col)
+    return _int(value, line, col)
 
 
-def _parse_monomial(cur: _Cursor, n: int) -> Monomial:
-    exps = [0] * n
-    while True:
-        kind, value, col = cur.next()
-        if kind != "var":
-            raise ParseError(f"expected a variable, found {value!r}", cur.line, col)
-        k = _int(value[1:], cur.line, col + 1)
-        if not 1 <= k <= n:
-            raise ParseError(f"unknown variable {value} (have x1..x{n})", cur.line, col)
-        power = 1
-        tok = cur.peek()
-        if tok is not None and tok[1] == "^":
-            cur.next()
-            power, _ = cur.take_int()
-        exps[k - 1] += power
-        tok = cur.peek()
-        if tok is not None and tok[1] == "*" and cur.pos + 1 < len(cur.tokens) \
-                and cur.tokens[cur.pos + 1][0] == "var":
-            cur.next()
-            continue
-        return Monomial(tuple(exps))
+def _expect(tokens: list, i: int, punct: str, line: int) -> None:
+    kind, value, col = tokens[i]
+    if value != punct:
+        raise ParseError("unexpected end of input" if kind == "end" else
+                         f"expected {punct!r}, found {value!r}", line, col)
 
 
 def parse_series(text: str, n: int, line: int = 1) -> TruncatedSeries:
     """Parse one series in the grammar above over variables x1..xn."""
-    cur = _Cursor(_tokenize(text, line), line, len(text))
-    if cur.peek() is None:
+    tokens = [(m.lastgroup, m.group(), m.start() + 1) for m in _TOKEN.finditer(text)]
+    for kind, value, col in tokens:
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", line, col)
+    if not tokens:
         raise ParseError("empty series", line, 1)
+    tokens.append(("end", "", len(text) + 1))
     terms: dict[Monomial, Fraction] = {}
     precision: Optional[int] = None
-
-    first = True
-    while True:
-        tok = cur.peek()
-        if tok is None:
-            break
+    i = 0
+    while tokens[i][0] != "end":
+        kind, value, col = tokens[i]
         if precision is not None:
-            raise ParseError("O(...) must be the last addend", cur.line, tok[2])
-        sign = 1
-        if not first:
-            _, value, col = cur.next()
-            if value == "-":
-                sign = -1
-            elif value != "+":
-                raise ParseError(f"expected '+' or '-', found {value!r}", cur.line, col)
-            tok = cur.peek()
-        elif tok[1] in "+-":
-            cur.next()
-            sign = -1 if tok[1] == "-" else 1
-            tok = cur.peek()
-        first = False
-        if tok is None:
-            raise ParseError("dangling sign", cur.line, cur.end_column)
+            raise ParseError("O(...) must be the last addend", line, col)
+        sign = -1 if value == "-" else 1
+        if value in ("+", "-"):
+            i += 1
+            kind, value, col = tokens[i]
+            if kind == "end":
+                raise ParseError("dangling sign", line, col)
+        elif i:
+            raise ParseError(f"expected '+' or '-', found {value!r}", line, col)
 
-        if tok[1] == "O":
+        if value == "O":
             if sign < 0:
-                raise ParseError("O(...) cannot be subtracted", cur.line, tok[2])
-            cur.next()
-            cur.next("(")
-            precision, _ = cur.take_int()
-            cur.next(")")
+                raise ParseError("O(...) cannot be subtracted", line, col)
+            _expect(tokens, i + 1, "(", line)
+            precision = _number(tokens, i + 2, line)
+            _expect(tokens, i + 3, ")", line)
+            i += 4
             continue
 
-        coeff = Fraction(sign)
-        monomial = None
-        if tok[0] == "int":
-            num, _ = cur.take_int()
-            coeff *= num
-            nxt = cur.peek()
-            if nxt is not None and nxt[1] == "/":
-                cur.next()
-                den, col = cur.take_int()
+        num, den, exps = sign, 1, [0] * n
+        monomial = kind == "var"
+        if kind == "int":
+            num *= _number(tokens, i, line)
+            i += 1
+            if tokens[i][1] == "/":
+                den = _number(tokens, i + 1, line)
                 if den == 0:
-                    raise ParseError("zero denominator", cur.line, col)
-                coeff /= den
-                nxt = cur.peek()
-            if nxt is not None and nxt[1] == "*":
-                cur.next()
-                monomial = _parse_monomial(cur, n)
-        elif tok[0] == "var":
-            monomial = _parse_monomial(cur, n)
-        else:
-            raise ParseError(f"expected a term, found {tok[1]!r}", cur.line, tok[2])
-        if monomial is None:
-            monomial = Monomial.one(n)
-        terms[monomial] = terms.get(monomial, 0) + coeff
+                    raise ParseError("zero denominator", line, tokens[i + 1][2])
+                i += 2
+            if tokens[i][1] == "*":
+                i, monomial = i + 1, True
+        elif not monomial:
+            raise ParseError(f"expected a term, found {value!r}", line, col)
+        while monomial:   # factor ('*' factor)*, from tokens[i]
+            kind, value, col = tokens[i]
+            if kind != "var":
+                raise ParseError("unexpected end of input" if kind == "end" else
+                                 f"expected a variable, found {value!r}", line, col)
+            k = _int(value[1:], line, col + 1)
+            if not 1 <= k <= n:
+                raise ParseError(f"unknown variable {value} (have x1..x{n})", line, col)
+            if tokens[i + 1][1] == "^":
+                exps[k - 1] += _number(tokens, i + 2, line)
+                i += 3
+            else:
+                exps[k - 1] += 1
+                i += 1
+            monomial = tokens[i][1] == "*" and tokens[i + 1][0] == "var"
+            if monomial:
+                i += 1
+        m = Monomial._trusted(tuple(exps))
+        terms[m] = terms.get(m, 0) + Fraction(num, den)
 
     return TruncatedSeries(n, terms, precision)
+
+
+def _coefficient(c: Fraction, m: Monomial, step: Optional[int] = None) -> str:
+    """str(c) for the coefficient of m (in a trace, of step `step`); one
+    past Python's int-to-str limit is an error that names its term."""
+    try:
+        return str(c)
+    except ValueError:
+        where = "" if step is None else f" in step {step}"
+        raise RewritingError(f"the coefficient of {m}{where} is past Python's "
+                             "int-to-str limit") from None
 
 
 def format_series(f: TruncatedSeries) -> str:
@@ -194,11 +158,11 @@ def format_series(f: TruncatedSeries) -> str:
     for k, (m, c) in enumerate(f.sorted_terms()):
         mag = -c if c < 0 else c
         if m.is_one():
-            body = str(mag)
+            body = _coefficient(mag, m)
         elif mag == 1:
             body = str(m)
         else:
-            body = f"{mag}*{m}"
+            body = f"{_coefficient(mag, m)}*{m}"
         if k == 0:
             parts.append(f"-{body}" if c < 0 else body)
         else:
@@ -226,7 +190,8 @@ def parse_rules(text: str, n: int) -> RuleSet:
 def format_trace(trace: ReductionTrace) -> list[str]:
     """Line-oriented step records for diffing."""
     return [
-        f"step {k}: M={s.monomial} rule={s.rule_index} m={s.quotient} c={s.coeff}"
+        f"step {k}: M={s.monomial} rule={s.rule_index} m={s.quotient} "
+        f"c={_coefficient(s.coeff, s.quotient, k)}"
         for k, s in enumerate(trace.steps, start=1)
     ]
 

@@ -434,11 +434,22 @@ GOLDENS = [
 ]
 
 
+# Whole error reports: each is one `error:` line on standard error.
+ERROR_GOLDENS = [
+    # a coefficient past Python's int-to-str limit names its term
+    ("--vars 1 --prec 4 --rules {big} nf x1",
+     "error: the coefficient of x1^2 in step 3 is past Python's int-to-str limit"),
+    ("--vars 1 --prec 4 --rules {big} cofactors x1",
+     "error: the coefficient of x1^2 is past Python's int-to-str limit"),
+]
+
+
 class TestGoldens:
     @pytest.fixture
     def files(self, tmp_path):
         texts = {"geo": "x2 - x2^2\n", "pair": "x1 + x2\nx1 - x2\n",
-                 "sys": "n=4\n1 -> 0\n1 -> 2\n3 -> 2\n3 -> 0\n2 -> 0\n"}
+                 "sys": "n=4\n1 -> 0\n1 -> 2\n3 -> 2\n3 -> 0\n2 -> 0\n",
+                 "big": "x1 - 1" + "0" * 3999 + "*x1^2\n"}
         for name, text in texts.items():
             (tmp_path / f"{name}.txt").write_text(text)
         return {name: str(tmp_path / f"{name}.txt") for name in texts}
@@ -452,3 +463,11 @@ class TestGoldens:
         kv_text, plain_text = rows(golden)
         assert out.out == (kv_text if mode == "kv" else plain_text)
         assert out.err == ""
+
+    @pytest.mark.parametrize("mode", ["kv", "plain"])
+    @pytest.mark.parametrize("command, golden", ERROR_GOLDENS, ids=[c for c, _g in ERROR_GOLDENS])
+    def test_whole_error_report(self, files, capsys, command, golden, mode):
+        argv = ["--report", mode] + shlex.split(command.format(**files))
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", golden + "\n")

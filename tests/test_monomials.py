@@ -1,3 +1,6 @@
+import re
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -76,6 +79,20 @@ class TestTrustedConstructor:
     def test_public_constructor_still_checks(self):
         with pytest.raises(ValueError, match="negative exponent"):
             Monomial((-1,))
+
+    @pytest.mark.parametrize("e", [1.5, "a", True, None, Fraction(1)])
+    def test_public_constructor_rejects_a_non_int_exponent(self, e):
+        with pytest.raises(TypeError, match=re.escape(f"exponent {e!r} is not an int")):
+            Monomial((1, e))
+
+    @given(monomials3, monomials3)
+    def test_unchecked_results_hold_checked_exponents(self, m1, m2):
+        # multiply, divides and lcm build with `_trusted`: the results must
+        # pass the public constructor's checks all the same
+        q = m1.divides(m2)
+        for r in (m1.multiply(m2), m1.lcm(m2), *([q] if q is not None else [])):
+            assert Monomial(r.exponents) == r
+            assert all(type(e) is int and e >= 0 for e in r.exponents)
 
 
 class TestDivides:

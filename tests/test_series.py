@@ -1,3 +1,4 @@
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -237,6 +238,15 @@ class TestTrustedPath:
     def test_terms_must_be_a_mapping(self):
         with pytest.raises(TypeError):
             TruncatedSeries(N, [(X, 1), (X, -1)])
+
+    @pytest.mark.parametrize("value", [2.5, True, "3", Fraction(3)])
+    def test_variable_count_and_precision_must_be_ints(self, value):
+        for make, what in [(lambda: TruncatedSeries(value, {}), "variable count"),
+                           (lambda: TruncatedSeries(1, {}, value), "precision"),
+                           (lambda: TruncatedSeries.zero(value), "variable count"),
+                           (lambda: TruncatedSeries.zero(N, value), "precision")]:
+            with pytest.raises(TypeError, match=re.escape(f"{what} {value!r} is not an int")):
+                make()
 
 
 class TestRationalCoefficients:

@@ -1,14 +1,16 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import naive_textio
 from psrewrite import (
     BACKWARD,
     FORWARD,
     Conversion,
     Monomial,
     ParseError,
+    RewritingError,
     TruncatedSeries,
     format_conversion,
     format_series,
@@ -119,6 +121,31 @@ def test_series_parser_is_total(text):
         pass
 
 
+# Tokens and characters that reach every scanner rule: variables in and out
+# of range, a bare `x`, leading zeros, every punctuator, whitespace, a
+# character no token starts with, a non-ASCII decimal digit (`\d` and `int`
+# accept it) and a superscript digit (neither does).
+ATOMS = ["x1", "x2", "x3", "x", "x0", "x12", *"0123456789/*^+-O()", " ", "\t", "$",
+         "\u0663", "\u00b2"]
+
+
+def outcome(parse, text, n):
+    """The parsed series, or the error's (message, line, column)."""
+    try:
+        return parse(text, n)
+    except ParseError as err:
+        return str(err), err.line, err.column
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(ATOMS), max_size=16).map("".join), st.integers(1, 3))
+@example("x1 + 2 $", 2)            # the unknown character beats the grammar error
+@example("-3/4*x2^2*x1 + x3 - O(4)", 3)
+@example("2*x1*x2^3 + 1/\u0663 + O(5)", 2)
+def test_parser_matches_the_naive_parser(text, n):
+    assert outcome(parse_series, text, n) == outcome(naive_textio.parse_series, text, n)
+
+
 @given(st.text(alphabet="x12 +-*/^O()0\n", max_size=40))
 @example("x1\n0\n")
 @example("x1\nO(3)\n")
@@ -169,6 +196,27 @@ class TestTraceFormat:
             "step 1: M=x2 rule=1 m=1 c=1",
             "step 2: M=x2^2 rule=1 m=x2 c=1",
         ]
+
+
+class TestUnprintableCoefficients:
+    """A coefficient past Python's int-to-str limit is an error naming its
+    term, not Python's own message."""
+
+    BIG = Fraction(10 ** 5000)
+
+    @pytest.mark.parametrize("m, name", [(Y, "x2"), (Monomial.one(N), "1")])
+    @pytest.mark.parametrize("c", [BIG, -BIG, 1 / BIG, Fraction(3, 10 ** 5000)])
+    def test_series(self, m, name, c):
+        f = TruncatedSeries(N, {Monomial((1, 0)): 1, m: c}, 9)
+        with pytest.raises(RewritingError, match=f"^the coefficient of {name} is past "):
+            format_series(f)
+
+    def test_trace(self):
+        rules = parse_rules("x1 - 1" + "0" * 3999 + "*x1^2", 1)
+        trace = normalize(parse_series("x1", 1), rules, 4)
+        with pytest.raises(RewritingError, match="^the coefficient of x1\\^2 in step 3 is past "
+                                                 "Python's int-to-str limit$"):
+            format_trace(trace)
 
 
 class TestArsFormats:
