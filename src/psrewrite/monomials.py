@@ -38,6 +38,7 @@ class Monomial:
 
     @classmethod
     def one(cls, n: int) -> Monomial:
+        require_int(n, "variable count")
         return cls((0,) * n)
 
     @property

@@ -175,39 +175,53 @@ class _Compiled:
         return hit
 
 
+def _seed(f: TruncatedSeries, rules: RuleSet) -> dict[tuple[int, ...], int | Fraction]:
+    """A fresh exponent-keyed copy of f's terms for a reducer over the rules,
+    integral coefficients as ints (see `_narrow`)."""
+    if f.n != rules.n:
+        raise DimensionMismatchError(f"series over {f.n} variables, rules over {rules.n}")
+    return {m.exponents: _narrow(c) for m, c in f.items()}
+
+
 class _Reducer:
-    """One reduction run on a mutable copy of a series.
+    """One reduction run on an exponent-keyed term dict, which it takes over.
 
     ``terms`` maps exponent tuples to the nonzero coefficients of degree
     below ``precision``; when a rule's truncation lowers the precision,
-    the terms at or above the new bound are dropped, as the series
-    constructor would.  ``pending`` holds the ``(degree, exponents)``
-    keys of the reducible terms of degree below ``below``, sorted in the
-    order: the canonical strategy takes ``pending[0]``, and a uniform draw
-    over it is a draw over the sorted candidate list.  ``quotients[i]``
+    the terms and deferred products at or above the new bound are
+    dropped, as the series constructor would.  ``pending`` holds the
+    ``(degree, exponents)`` keys of the reducible terms of degree below
+    ``below``, sorted in the order: the canonical strategy takes
+    ``pending[0]``, and a uniform draw over it is a draw over the sorted
+    candidate list.  ``quotients[i]``
     accumulates the cofactor of rule i + 1 as the steps run, and
     ``steps`` the raw ``(M, i, m, coeff)`` records a trace is built from.
+
+    A tail product of degree ``defer`` or more is not added into ``terms``:
+    ``deferred`` keeps its ``(factor, tail coefficient)`` pair under its
+    monomial, and `end` sums those pairs only when the end needs them.
+    ``defer`` is the target in `_run`, whose steps never read a term at or
+    above it, and infinite for the walkers that read every coefficient.
 
     The coefficients in ``terms``, ``steps`` and ``quotients`` are ints
     while the arithmetic keeps them integral, else `Fraction`s.  `trace` and
     `_series` convert only the ints back: every value leaving is a `Fraction`.
     """
 
-    __slots__ = ("start", "rules", "below", "terms", "precision", "pending", "steps",
-                 "quotients", "_table", "dividing")
+    __slots__ = ("rules", "below", "defer", "terms", "deferred", "precision", "pending",
+                 "steps", "quotients", "_table", "dividing")
 
-    def __init__(self, start: TruncatedSeries, compiled: _Compiled, below: Optional[int]):
+    def __init__(self, compiled: _Compiled, terms: dict[tuple[int, ...], int | Fraction],
+                 precision: Optional[int], below: Optional[int], defer: float = math.inf):
         self.rules = rules = compiled.rules
-        if start.n != rules.n:
-            raise DimensionMismatchError(
-                f"series over {start.n} variables, rules over {rules.n}")
-        self.start = start
         self.below = math.inf if below is None else below
-        self.terms = {m.exponents: _narrow(c) for m, c in start.items()}
-        self.precision = start.precision
+        self.defer = defer
+        self.terms = terms
+        self.deferred: dict[tuple[int, ...], list[tuple[int | Fraction, int | Fraction]]] = {}
+        self.precision = precision
         self._table = compiled.table
         self.dividing = compiled.dividing
-        self.pending = sorted((d, e) for e in self.terms
+        self.pending = sorted((d, e) for e in terms
                               if (d := sum(e)) < self.below and self.dividing(e))
         self.steps: list[tuple[tuple[int, ...], int, tuple[int, ...], int | Fraction]] = []
         self.quotients: list[dict[tuple[int, ...], int | Fraction]] = [{} for _ in rules.rules]
@@ -226,13 +240,15 @@ class _Reducer:
         m = tuple(map(operator.sub, M, lm))
         dm = d - lm_degree
         terms, pending, below = self.terms, self.pending, self.below
+        deferred, defer = self.deferred, self.defer
         coeff = terms.pop(M)
         self._unpend(key)
         prec = self.precision
         if body_precision is not None and (prec is None or body_precision + dm < prec):
             prec = self.precision = body_precision + dm
-            for e in [e for e in terms if sum(e) >= prec]:
-                del terms[e]
+            for store in (terms, deferred):
+                for e in [e for e in store if sum(e) >= prec]:
+                    del store[e]
             del pending[bisect_left(pending, (prec,)):]
         if type(coeff) is int and type(lc) is int:   # never `/` on two ints: a float
             factor = coeff // lc if coeff % lc == 0 else Fraction(coeff, lc)
@@ -243,6 +259,13 @@ class _Reducer:
             if prec is not None and d2 >= prec:
                 continue
             e2 = tuple(map(operator.add, e, m))
+            if d2 >= defer:
+                held = deferred.get(e2)
+                if held is None:
+                    deferred[e2] = [(factor, c)]
+                else:
+                    held.append((factor, c))
+                continue
             old = terms.get(e2)
             if old is None:
                 terms[e2] = -factor * c
@@ -260,25 +283,59 @@ class _Reducer:
         q[m] = q.get(m, 0) + factor   # zero sums drop out in _series
         self.steps.append((M, i, m, coeff))
 
-    def series(self) -> TruncatedSeries:
-        return _series(self.start.n, self.terms, self.precision)
+    def end(self, target: int) -> tuple[TruncatedSeries, int]:
+        """The end of a run whose pending list is empty, and its precision.
 
-    def trace(self, end: TruncatedSeries, end_precision: int) -> ReductionTrace:
-        """The trace of this run, carrying the cofactors it collected."""
+        A reducible term left at degree >= target means the normal form is
+        pinned down only below the target: the end is the terms below it at
+        precision target.  The deferred products decide that only where
+        they land on a reducible monomial, and the first nonzero sum there
+        settles it.  Otherwise every deferred product is folded in and the
+        end is exact up to the run's precision."""
+        terms, deferred, dividing = self.terms, self.deferred, self.dividing
+        above = [e for e in terms if sum(e) >= target]
+        if any(dividing(e) and _fold(terms.get(e, 0), deferred.get(e, ()))
+               for e in (*above, *deferred)):
+            for e in above:
+                del terms[e]
+            return _series(self.rules.n, terms, target), target
+        for e, held in deferred.items():
+            c = _fold(terms.get(e, 0), held)
+            if c:
+                terms[e] = c
+            else:
+                terms.pop(e, None)
+        return self.series(), target if self.precision is None else self.precision
+
+    def series(self) -> TruncatedSeries:
+        return _series(self.rules.n, self.terms, self.precision)
+
+    def trace(self, start: TruncatedSeries, end: TruncatedSeries,
+              end_precision: int) -> ReductionTrace:
+        """The trace of this run from start, carrying the cofactors it collected."""
         trusted = Monomial._trusted
         steps = tuple(ReductionStep(trusted(M), i, trusted(m),
                                     Fraction(c) if type(c) is int else c)
                       for M, i, m, c in self.steps)
-        trace = ReductionTrace(self.start, steps, end, end_precision)
+        trace = ReductionTrace(start, steps, end, end_precision)
         object.__setattr__(trace, "_collected", (self.rules, self.quotients))
         return trace
 
 
+def _fold(c: int | Fraction, held: Sequence[tuple[int | Fraction, int | Fraction]]
+          ) -> int | Fraction:
+    """c minus the deferred products factor * tail coefficient, in step order."""
+    for factor, k in held:
+        c -= factor * k
+    return c
+
+
 def _series(n: int, terms: dict[tuple[int, ...], int | Fraction],
             precision: Optional[int] = None) -> TruncatedSeries:
-    """The series, with `Fraction`s, of a reducer's term dict or cofactor
-    accumulator (ints or `Fraction`s below the precision); only an
-    accumulator can hold a zero sum, which is dropped here."""
+    """The series, with `Fraction`s, of an exponent-keyed term dict (ints or
+    `Fraction`s below the precision): a reducer's terms, or a cofactor or
+    combination; only a cofactor accumulator can hold a zero sum, which is
+    dropped here."""
     return TruncatedSeries._from_clean(
         n, {Monomial._trusted(e): Fraction(c) if type(c) is int else c
             for e, c in terms.items() if c}, precision)
@@ -299,15 +356,18 @@ def _uniform(rng: random.Random) -> Pick:
     return pick
 
 
-def _run(f: TruncatedSeries, compiled: _Compiled, target_precision: int,
+def _run(compiled: _Compiled, terms: dict[tuple[int, ...], int | Fraction],
+         precision: Optional[int], target_precision: int,
          pick: Pick) -> tuple[_Reducer, TruncatedSeries, int]:
-    """Reduce f below the target; the reducer, end and end precision."""
-    r = _Reducer(f, compiled, target_precision)
+    """Reduce the terms, known below the precision, below the target; the
+    reducer, end and end precision.  Products at or above the target are
+    deferred, and summed only as far as `_Reducer.end` needs them."""
     if target_precision < 0:
         raise ValueError("target precision must be a natural number")
-    if f.precision is not None and f.precision < target_precision:
+    if precision is not None and precision < target_precision:
         raise PrecisionUnattainableError(
-            f"input precision {f.precision} below target {target_precision}")
+            f"input precision {precision} below target {target_precision}")
+    r = _Reducer(compiled, terms, precision, target_precision, defer=target_precision)
 
     while r.pending:
         key, i = pick(r)
@@ -316,13 +376,7 @@ def _run(f: TruncatedSeries, compiled: _Compiled, target_precision: int,
             raise PrecisionUnattainableError(
                 f"rule truncation caps precision at {r.precision} < target {target_precision} "
                 f"after reducing {Monomial(key[1])} with rule {i}")
-
-    end = r.series()
-    if any(r.dividing(e) for e in r.terms):
-        # Reducible monomials remain at degree >= target: the normal form
-        # is only pinned down below the target, so say exactly that.
-        return r, end.truncate(target_precision), target_precision
-    return r, end, target_precision if r.precision is None else r.precision
+    return (r, *r.end(target_precision))
 
 
 def normalize(f: TruncatedSeries, rules: RuleSet, target_precision: int) -> ReductionTrace:
@@ -333,23 +387,25 @@ def normalize(f: TruncatedSeries, rules: RuleSet, target_precision: int) -> Redu
     (finitely many monomials under any bound) and leaves every coefficient
     below the last reduced monomial final.
     """
-    r, end, end_precision = _run(f, _Compiled(rules), target_precision, _smallest)
-    return r.trace(end, end_precision)
+    r, end, end_precision = _run(_Compiled(rules), _seed(f, rules), f.precision,
+                                 target_precision, _smallest)
+    return r.trace(f, end, end_precision)
 
 
 def normalize_random(f: TruncatedSeries, rules: RuleSet, target_precision: int,
                      seed: int) -> ReductionTrace:
     """Reduce f below the target degree, drawing the reducible monomial
     and the applicable rule uniformly at each step (reproducible per seed)."""
-    r, end, end_precision = _run(f, _Compiled(rules), target_precision,
-                                 _uniform(random.Random(seed)))
-    return r.trace(end, end_precision)
+    r, end, end_precision = _run(_Compiled(rules), _seed(f, rules), f.precision,
+                                 target_precision, _uniform(random.Random(seed)))
+    return r.trace(f, end, end_precision)
 
 
 def _replay(trace: ReductionTrace, compiled: _Compiled) -> _Reducer:
     """Rerun the steps of the trace on a reducer, validating each one."""
     rules = compiled.rules
-    r = _Reducer(trace.start, compiled, 0)   # the steps pick the monomials
+    start = trace.start   # the steps pick the monomials
+    r = _Reducer(compiled, _seed(start, rules), start.precision, 0)
     for k, step in enumerate(trace.steps):
         if step.quotient.multiply(rules.rule(step.rule_index).leading_monomial) != step.monomial:
             raise InvalidTraceError(
@@ -417,7 +473,8 @@ def multiple_to_zero_chain(q: TruncatedSeries, i: int, rules: RuleSet,
     if start.precision is not None and start.precision < precision:
         raise PrecisionUnattainableError(
             f"product precision {start.precision} below target {precision}")
-    r = _Reducer(start, _Compiled(rules), 0)   # the walk picks its own monomials
+    # the walk picks its own monomials
+    r = _Reducer(_Compiled(rules), _seed(start, rules), start.precision, 0)
     lm = rule.leading_monomial.exponents
     for m in sorted(q.support, key=deglex_key):
         M = tuple(map(operator.add, m.exponents, lm))
@@ -425,7 +482,7 @@ def multiple_to_zero_chain(q: TruncatedSeries, i: int, rules: RuleSet,
             r.step((sum(M), M), i)
     if r.terms:
         raise InvariantViolationError("known part of q * s_i did not telescope to zero")
-    return r.trace(r.series(), precision if r.precision is None else r.precision)
+    return r.trace(start, r.series(), precision if r.precision is None else r.precision)
 
 
 def translate(f: TruncatedSeries, g: TruncatedSeries, trace: ReductionTrace,
@@ -441,7 +498,7 @@ def translate(f: TruncatedSeries, g: TruncatedSeries, trace: ReductionTrace,
         raise InvalidTraceError("trace does not start at f - g")
     compiled = _Compiled(rules)
     _replay(trace, compiled)
-    sides = (_Reducer(f, compiled, 0), _Reducer(g, compiled, 0))
+    sides = tuple(_Reducer(compiled, _seed(h, rules), h.precision, 0) for h in (f, g))
     for step in trace.steps:
         M = step.monomial.exponents
         for r in sides:
@@ -451,7 +508,7 @@ def translate(f: TruncatedSeries, g: TruncatedSeries, trace: ReductionTrace,
     f_k, g_k = (r.series() for r in sides)
     if f_k.subtract(g_k).truncate(p) != trace.end.truncate(p):
         raise InvalidTraceError("lifted chains do not reproduce the trace end")
-    return f_k, g_k, sides[0].trace(f_k, p), sides[1].trace(g_k, p)
+    return f_k, g_k, sides[0].trace(f, f_k, p), sides[1].trace(g, g_k, p)
 
 
 # -- membership / congruence ------------------------------------------------
@@ -485,12 +542,20 @@ def congruence_test(f: TruncatedSeries, g: TruncatedSeries, rules: RuleSet,
                     assume_standard_basis: bool = False) -> MembershipVerdict:
     """Decide f = g modulo the generated ideal, below the precision.
 
-    Normalises f - g.  A vanishing residual always yields Member (the
-    congruence is witnessed by cofactors).  A surviving residual yields
-    NotMember only under the caller's standard-basis assumption, otherwise
-    UnknownAtPrecision.
+    Normalises f - g, seeded straight from the terms of f and g.  A
+    vanishing residual always yields Member (the congruence is witnessed by
+    cofactors).  A surviving residual yields NotMember only under the
+    caller's standard-basis assumption, otherwise UnknownAtPrecision.
     """
-    r, end, _ = _run(f.subtract(g), _Compiled(rules), precision, _smallest)
+    if f.n != g.n:
+        raise DimensionMismatchError(f"series over {f.n} and {g.n} variables")
+    terms = _seed(f, rules)
+    for m, c in g.items():
+        terms[m.exponents] = terms.get(m.exponents, 0) - c
+    known = min((p for p in (f.precision, g.precision) if p is not None), default=None)
+    terms = {e: _narrow(c) for e, c in terms.items()
+             if c and (known is None or sum(e) < known)}
+    r, end, _ = _run(_Compiled(rules), terms, known, precision, _smallest)
     if end.truncate(precision).known_zero():
         return Member(tuple(_series(rules.n, q) for q in r.quotients))
     if assume_standard_basis:
@@ -550,37 +615,30 @@ def falsify_standard_basis(rules: RuleSet, precision: int, trials: int,
         raise TypeError(f"trials must be an int, got {trials!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    r = len(rules)
     n = rules.n
     compiled = _Compiled(rules)
 
-    def check(qs: list[TruncatedSeries], phase: str, trial: int
+    def check(qs: list[dict[tuple[int, ...], int | Fraction]], phase: str, trial: int
               ) -> Optional[StandardBasisCounterexample]:
-        combo = TruncatedSeries.zero(n)
-        for q, rule in zip(qs, rules.rules):
-            combo = combo.add(q.multiply(rule.body))
-        if combo.truncate(precision).known_zero():
-            return None
         try:
-            end = _run(combo, compiled, precision, _smallest)[1]
+            end = _run(compiled, *_combine(compiled, qs), precision, _smallest)[1]
         except PrecisionUnattainableError:
             return None  # rule truncations make this combination untestable
         residual = end.truncate(precision)
         if residual.known_zero():
             return None
-        return StandardBasisCounterexample(phase, trial, tuple(qs), combo, residual)
+        return StandardBasisCounterexample(phase, trial, tuple(_series(n, q) for q in qs),
+                                           _series(n, *_combine(compiled, qs)), residual)
 
     trial = 0
-    for a in range(r):
-        for b in range(a + 1, r):
-            ra, rb = rules.rules[a], rules.rules[b]
+    for a, ra in enumerate(rules.rules):
+        for b in range(a + 1, len(rules)):
+            rb = rules.rules[b]
             lcm = ra.leading_monomial.lcm(rb.leading_monomial)
-            qa = TruncatedSeries.term(ra.leading_monomial.divides(lcm),
-                                      1 / ra.leading_coefficient)
-            qb = TruncatedSeries.term(rb.leading_monomial.divides(lcm),
-                                      -1 / rb.leading_coefficient)
-            qs = [TruncatedSeries.zero(n) for _ in range(r)]
-            qs[a], qs[b] = qa, qb
+            qs = [{} for _ in rules.rules]
+            for k, rule, sign in ((a, ra, 1), (b, rb, -1)):
+                qs[k] = {rule.leading_monomial.divides(lcm).exponents:
+                         _narrow(sign / rule.leading_coefficient)}
             trial += 1
             found = check(qs, "pairwise", trial)
             if found is not None:
@@ -590,11 +648,36 @@ def falsify_standard_basis(rules: RuleSet, precision: int, trials: int,
 
     rng = random.Random(seed)
     for t in range(1, trials + 1):
-        qs = [random_polynomial(rng, n, max_cofactor_degree) for _ in range(r)]
+        qs = [_seed(random_polynomial(rng, n, max_cofactor_degree), rules) for _ in rules.rules]
         found = check(qs, "random", t)
         if found is not None:
             return found
     return None
+
+
+def _combine(compiled: _Compiled, qs: Sequence[dict[tuple[int, ...], int | Fraction]]
+             ) -> tuple[dict[tuple[int, ...], int | Fraction], Optional[int]]:
+    """The exponent-keyed terms and the precision of sum q_i * s_i, for exact
+    cofactors q_i (nonzero terms only) and the compiled rule bodies s_i.
+
+    The precision is min over the nonzero q_i of p_i + val(q_i), as
+    `TruncatedSeries.multiply` and `add` compute it, and the terms are
+    those below it; a leading term that cancels, as in a critical pair,
+    cancels in the sum."""
+    precision = None
+    for q, (_lm, _d, _lc, _tail, body_precision) in zip(qs, compiled.table):
+        if q and body_precision is not None:
+            p = body_precision + min(map(sum, q))
+            precision = p if precision is None else min(precision, p)
+    acc: dict[tuple[int, ...], int | Fraction] = {}
+    for q, (lm, lm_degree, lc, tail, _p) in zip(qs, compiled.table):
+        for mq, cq in q.items():
+            dq = sum(mq)
+            for e, de, c in ((lm, lm_degree, lc), *tail):
+                if precision is None or de + dq < precision:
+                    e2 = tuple(map(operator.add, e, mq))
+                    acc[e2] = acc.get(e2, 0) + cq * c
+    return {e: _narrow(c) for e, c in acc.items() if c}, precision
 
 
 # -- confluence probing ------------------------------------------------------
@@ -627,7 +710,8 @@ def confluence_probe(f: TruncatedSeries, rules: RuleSet, precision: int,
     if not strategy_seeds:
         raise ValueError("strategy_seeds must be nonempty")
     compiled = _Compiled(rules)
-    ends = [_run(f, compiled, precision, _uniform(random.Random(s)))[1]
+    ends = [_run(compiled, _seed(f, rules), f.precision, precision,
+                 _uniform(random.Random(s)))[1]
             for s in strategy_seeds]
     pairs = []
     for a in range(len(ends)):
@@ -659,7 +743,7 @@ def attractivity_check(f: TruncatedSeries, rules: RuleSet,
     if reducible_monomials(alpha, rules):
         raise PreconditionFailedError("alpha contains a reducible monomial")
     pick = _uniform(random.Random(seed))
-    r = _Reducer(f, _Compiled(rules), None)
+    r = _Reducer(_Compiled(rules), _seed(f, rules), f.precision, None)
     dists = [delta(f, alpha)[0]]
     taken = 0
     for k in range(1, steps + 1):

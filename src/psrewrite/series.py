@@ -36,7 +36,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Mapping, Optional
 
-from .errors import DimensionMismatchError, ZeroOrUnknownLeadingError
+from .errors import DimensionMismatchError, RewritingError, ZeroOrUnknownLeadingError
 from .monomials import Monomial, deglex_key, require_int
 
 
@@ -118,7 +118,11 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         from .textio import format_series
-        return f"TruncatedSeries({format_series(self)!r})"
+        try:
+            return f"TruncatedSeries({format_series(self)!r})"
+        except RewritingError as e:   # a coefficient past the int-to-str limit
+            return (f"<TruncatedSeries n={self.n} terms={len(self._terms)} "
+                    f"precision={self.precision}: {e}>")
 
     # -- arithmetic ------------------------------------------------------
 
@@ -194,6 +198,7 @@ class TruncatedSeries:
 
     def truncate(self, p: int) -> TruncatedSeries:
         """Forget everything at degree >= p (never raises precision)."""
+        require_int(p, "precision")
         if p < 0:
             raise ValueError("precision must be a natural number")
         if self.precision is not None and self.precision <= p:

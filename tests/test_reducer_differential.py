@@ -9,6 +9,12 @@ point with the same message.
 The verdict procedures reduce without building a trace; they must give
 what the traced `normalize` and `normalize_random` give.
 
+A run defers every tail product at or above its target and sums those
+products only where its end needs them.  Low targets, where most products
+land above, are checked against the oracle on their own, as is the
+falsifier, which seeds its reducers with combinations built from the
+compiled rule table.
+
 Inside, the reducer keeps integral coefficients as ints.  An int that
 leaked out would pass every `==` here and still change `repr` and
 `type`, so every coefficient that leaves it is checked to be a
@@ -23,6 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 import naive_reduction as naive
 from psrewrite import (
+    DimensionMismatchError,
     Member,
     Monomial,
     NotMember,
@@ -38,11 +45,12 @@ from psrewrite import (
     multiple_to_zero_chain,
     normalize,
     normalize_random,
+    format_series,
     parse_rules,
     parse_series,
     translate,
 )
-from psrewrite.rewrite import _Compiled, _Reducer
+from psrewrite.rewrite import _Compiled, _Reducer, _seed
 
 COEFFS = st.sampled_from([-2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-3, 2)])
 
@@ -56,7 +64,7 @@ def polynomials(draw, n, max_terms, nonzero=False):
 
 
 @st.composite
-def instances(draw):
+def instances(draw, targets=st.integers(0, 6)):
     """(f, rules, target): 1-3 variables, 1-3 rules, some rule bodies and
     inputs truncated, and inputs that contain multiples of the rules so
     that reduction steps cancel terms."""
@@ -73,7 +81,7 @@ def instances(draw):
     for body in bodies:
         if draw(st.booleans()):
             f = f.add(draw(polynomials(n, 2)).multiply(body))
-    target = draw(st.integers(0, 6))
+    target = draw(targets)
     if draw(st.integers(0, 3)) == 0:
         f = f.truncate(draw(st.integers(max(target - 1, 0), target + 3)))
     return f, rules, target
@@ -214,11 +222,16 @@ def test_confluence_probe_matches_seeded_normalize(instance, seeds):
         assert_fractions(*report.ends)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(instances(), st.integers(0, 2 ** 16))
 def test_falsifier_certificate_holds_fractions(instance, seed):
+    """Against the oracle too: leading coefficients such as 1/2, 2, 3 and
+    -3/2, and bodies truncated one to four degrees above their valuation,
+    so that some critical pairs are known only below the target."""
     _f, rules, target = instance
-    cert = falsify_standard_basis(rules, max(target, 1), trials=2, seed=seed)
+    p = max(target, 1)
+    cert = falsify_standard_basis(rules, p, trials=2, seed=seed)
+    assert cert == naive.falsify_standard_basis(rules, p, 2, seed)
     if cert is not None:
         assert_fractions(cert.combination, cert.normal_form, *cert.cofactors)
 
@@ -240,7 +253,7 @@ FACTORS = [
 def test_factor_branches_match_oracle(rules_text, f_text, prec, factor):
     rules = parse_rules(rules_text, 2)
     f = parse_series(f_text, 2)
-    r = _Reducer(f, _Compiled(rules), prec)
+    r = _Reducer(_Compiled(rules), _seed(f, rules), f.precision, prec)
     r.step(r.pending[0], 1)
     (got,) = r.quotients[0].values()
     assert got == factor and type(got) is type(factor)
@@ -261,3 +274,124 @@ def test_deep_geometric_division_reprs_are_unchanged():
     assert all(repr(step).endswith("coeff=Fraction(1, 1))") for step in fast.steps)
     assert repr(fast) == repr(naive.normalize(f, rules, 400))
     assert repr(cofactors(fast, rules)) == repr(naive.cofactors(fast, rules))
+
+
+# -- products at or above the target -----------------------------------------
+
+# Inputs of degree up to 6 against targets of 1..3: most tail products land
+# at or above the target, where a run defers them; a truncated body lowers
+# the run's precision when it reduces a monomial of high degree.
+LOW_TARGET = instances(st.integers(1, 3))
+
+
+@pytest.mark.parametrize("rules_text, f_text, end, end_precision", [
+    ("x1 - x1^3", "x1 - x1^3", "0", 2),       # the reducible product cancels: exact end
+    ("x1 - x1^3", "x1 - x1^4", "O(2)", 2),    # x1^4 is left reducible: truncated end
+    ("x1 - x1^3", "x1", "O(2)", 2),           # the product x1^3 itself is reducible
+    ("x1 - x2^2", "x1", "x2^2", 2),           # an irreducible product is folded in
+    ("x1 - x2^2 + O(3)", "x1 + x1*x2^2", "x2^2 + O(3)", 3),   # O(3) drops x1*x2^2
+    ("x2 - x2^4\nx1 + O(3)", "x1 + x2", "O(3)", 3),    # and the deferred x2^4
+])
+def test_deferred_products_decide_the_end(rules_text, f_text, end, end_precision):
+    rules, f = parse_rules(rules_text, 2), parse_series(f_text, 2)
+    fast = normalize(f, rules, 2)
+    assert (format_series(fast.end), fast.end_precision) == (end, end_precision)
+    assert_same_trace(fast, naive.normalize(f, rules, 2), rules)
+    assert congruence_test(f, parse_series("0", 2), rules, 2) == (
+        Member(cofactors(fast, rules)) if fast.end.truncate(2).known_zero()
+        else UnknownAtPrecision(fast.end))
+    assert confluence_probe(f, rules, 2, [0, 1]).ends == (fast.end, fast.end)
+
+
+@settings(max_examples=200, deadline=None)
+@given(LOW_TARGET)
+def test_low_target_normalize_matches_oracle(instance):
+    f, rules, target = instance
+    assert_same_trace(outcome(normalize, f, rules, target),
+                      outcome(naive.normalize, f, rules, target), rules)
+
+
+@settings(max_examples=150, deadline=None)
+@given(LOW_TARGET, st.integers(0, 2 ** 16))
+def test_low_target_seeded_random_matches_oracle(instance, seed):
+    f, rules, target = instance
+    assert_same_trace(outcome(normalize_random, f, rules, target, seed),
+                      outcome(naive.normalize_random, f, rules, target, seed), rules)
+
+
+@settings(max_examples=150, deadline=None)
+@given(LOW_TARGET, st.data())
+def test_low_target_congruence_test_matches_oracle(instance, data):
+    h, rules, target = instance
+    g = data.draw(polynomials(rules.n, 4))
+    if data.draw(st.booleans()):
+        g = g.truncate(data.draw(st.integers(target, target + 3)))
+    f = h.add(g)
+    assume_standard_basis = data.draw(st.booleans())
+    verdict = outcome(congruence_test, f, g, rules, target, assume_standard_basis)
+    trace = outcome(naive.normalize, f.subtract(g), rules, target)
+    if isinstance(trace, str):
+        assert verdict == trace
+    elif trace.end.truncate(target).known_zero():
+        assert verdict == Member(naive.cofactors(trace, rules))
+        assert_fractions(*verdict.cofactors)
+    elif assume_standard_basis:
+        assert verdict == NotMember(trace.end)
+        assert_fractions(verdict.witness)
+    else:
+        assert verdict == UnknownAtPrecision(trace.end)
+        assert_fractions(verdict.residual)
+
+
+@settings(max_examples=150, deadline=None)
+@given(LOW_TARGET, st.lists(st.integers(0, 2 ** 16), min_size=1, max_size=3))
+def test_low_target_confluence_probe_matches_oracle(instance, seeds):
+    f, rules, target = instance
+    report = outcome(confluence_probe, f, rules, target, seeds)
+    traces = [outcome(naive.normalize_random, f, rules, target, s) for s in seeds]
+    errors = [t for t in traces if isinstance(t, str)]
+    if errors:
+        assert report == errors[0]
+    else:
+        assert report.ends == tuple(t.end for t in traces)
+        assert [end.precision for end in report.ends] == [t.end.precision for t in traces]
+        assert_fractions(*report.ends)
+
+
+def test_congruence_test_dimension_errors():
+    rules = parse_rules("x1 - x1^2", 2)
+    x = {n: parse_series("x1", n) for n in (1, 2)}
+    with pytest.raises(DimensionMismatchError, match="^series over 2 and 1 variables$"):
+        congruence_test(x[2], x[1], rules, 3)
+    with pytest.raises(DimensionMismatchError, match="^series over 1 and 2 variables$"):
+        congruence_test(x[1], x[2], rules, 3)
+    with pytest.raises(DimensionMismatchError, match="^series over 1 variables, rules over 2$"):
+        congruence_test(x[1], x[1], rules, 3)
+
+
+# -- the falsifier's combinations --------------------------------------------
+
+def test_a_pair_known_below_the_target_is_skipped_but_counted():
+    # LM x2 with LCs 1 and 1/2 in rules 1 and 3: their pair, trial 2, is
+    # known only below degree 2 < 3; the certificate is the third pair's.
+    rules = parse_rules("x2 + O(2)\nx1*x2 + O(3)\n1/2*x2 + 2*x1 + O(2)\n", 2)
+    cert = falsify_standard_basis(rules, precision=3, trials=1, seed=0)
+    assert (cert.phase, cert.trial) == ("pairwise", 3)
+    assert [format_series(q) for q in cert.cofactors] == ["0", "1", "-2*x1"]
+    assert format_series(cert.combination) == format_series(cert.normal_form) == "-4*x1^2 + O(3)"
+    assert cert == naive.falsify_standard_basis(rules, 3, 1, 0)
+    assert_fractions(cert.combination, cert.normal_form, *cert.cofactors)
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances(), st.integers(0, 2 ** 16))
+def test_random_phase_matches_oracle(instance, seed):
+    """Every body truncated, so the random phase runs after the pairs."""
+    _f, rules, target = instance
+    rules = RuleSet.from_series([r.body.truncate(r.body.valuation() + 2) for r in rules.rules],
+                                rules.n)
+    p = max(target, 1)
+    cert = falsify_standard_basis(rules, p, 3, seed)
+    assert cert == naive.falsify_standard_basis(rules, p, 3, seed)
+    if cert is not None:
+        assert_fractions(cert.combination, cert.normal_form, *cert.cofactors)

@@ -229,6 +229,12 @@ class TestTrustedPath:
         with pytest.raises(ValueError):
             S("x1 + O(3)").truncate(-1)
 
+    @pytest.mark.parametrize("value", [2.5, True, "3", Fraction(3)])
+    def test_truncate_precision_must_be_an_int(self, value):
+        for f in (S("x1 + x1^3"), S("x1 + O(3)")):
+            with pytest.raises(TypeError, match=re.escape(f"precision {value!r} is not an int")):
+                f.truncate(value)
+
     def test_zero_checks_its_shape(self):
         with pytest.raises(ValueError):
             TruncatedSeries.zero(0)
@@ -266,3 +272,17 @@ class TestRationalCoefficients:
         assert_clean(f)
         assert_clean(TruncatedSeries.term(X, 5))
         assert_clean(S("x1").scale_term(2, Y))
+
+
+class TestRepr:
+    def test_printable_series_show_their_text(self):
+        assert repr(S("x1 - 1/2*x2 + O(3)")) == "TruncatedSeries('-1/2*x2 + x1 + O(3)')"
+
+    def test_an_unprintable_coefficient_never_makes_repr_raise(self):
+        # format_series refuses a coefficient past Python's int-to-str limit
+        big = TruncatedSeries(1, {Monomial((0,)): Fraction(10 ** 5000)})
+        assert repr(big) == ("<TruncatedSeries n=1 terms=1 precision=None: the coefficient "
+                             "of 1 is past Python's int-to-str limit>")
+        tiny = TruncatedSeries(N, {X: 3, Y: Fraction(1, 10 ** 5000)}, 4)
+        assert repr(tiny) == ("<TruncatedSeries n=2 terms=2 precision=4: the coefficient "
+                              "of x2 is past Python's int-to-str limit>")
