@@ -36,11 +36,6 @@ class Monomial:
         object.__setattr__(m, "exponents", exponents)
         return m
 
-    @classmethod
-    def one(cls, n: int) -> Monomial:
-        require_int(n, "variable count")
-        return cls((0,) * n)
-
     @property
     def n(self) -> int:
         return len(self.exponents)

@@ -32,7 +32,7 @@ from .errors import (
     PreconditionFailedError,
     PrecisionUnattainableError,
 )
-from .monomials import Monomial, deglex_key
+from .monomials import Monomial, deglex_key, require_int
 from .series import TruncatedSeries, delta
 
 
@@ -43,11 +43,6 @@ class RewriteRule:
     body: TruncatedSeries
     leading_monomial: Monomial
     leading_coefficient: Fraction
-
-    @classmethod
-    def from_series(cls, body: TruncatedSeries) -> RewriteRule:
-        lm, lc = body.leading()  # raises on empty known support
-        return cls(body, lm, lc)
 
 
 @dataclass(frozen=True)
@@ -68,7 +63,8 @@ class RuleSet:
         for b in bodies:
             if b.n != n:
                 raise DimensionMismatchError(f"rule over {b.n} variables in a {n}-variable system")
-        return cls(tuple(RewriteRule.from_series(b) for b in bodies), n)
+        # leading() raises on an empty known support
+        return cls(tuple(RewriteRule(b, *b.leading()) for b in bodies), n)
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -188,19 +184,19 @@ class _Reducer:
 
     ``terms`` maps exponent tuples to the nonzero coefficients of degree
     below ``precision``; when a rule's truncation lowers the precision,
-    the terms and deferred products at or above the new bound are
+    the terms and deferred products at or above the new precision are
     dropped, as the series constructor would.  ``pending`` holds the
     ``(degree, exponents)`` keys of the reducible terms of degree below
-    ``below``, sorted in the order: the canonical strategy takes
+    ``bound``, sorted in the order: the canonical strategy takes
     ``pending[0]``, and a uniform draw over it is a draw over the sorted
     candidate list.  ``quotients[i]``
     accumulates the cofactor of rule i + 1 as the steps run, and
     ``steps`` the raw ``(M, i, m, coeff)`` records a trace is built from.
 
-    A tail product of degree ``defer`` or more is not added into ``terms``:
+    A tail product of degree ``bound`` or more is not added into ``terms``:
     ``deferred`` keeps its ``(factor, tail coefficient)`` pair under its
     monomial, and `end` sums those pairs only when the end needs them.
-    ``defer`` is the target in `_run`, whose steps never read a term at or
+    ``bound`` is the target in `_run`, whose steps never read a term at or
     above it, and infinite for the walkers that read every coefficient.
 
     The coefficients in ``terms``, ``steps`` and ``quotients`` are ints
@@ -208,21 +204,20 @@ class _Reducer:
     `_series` convert only the ints back: every value leaving is a `Fraction`.
     """
 
-    __slots__ = ("rules", "below", "defer", "terms", "deferred", "precision", "pending",
+    __slots__ = ("rules", "bound", "terms", "deferred", "precision", "pending",
                  "steps", "quotients", "_table", "dividing")
 
     def __init__(self, compiled: _Compiled, terms: dict[tuple[int, ...], int | Fraction],
-                 precision: Optional[int], below: Optional[int], defer: float = math.inf):
+                 precision: Optional[int], bound: float = math.inf):
         self.rules = rules = compiled.rules
-        self.below = math.inf if below is None else below
-        self.defer = defer
+        self.bound = bound
         self.terms = terms
         self.deferred: dict[tuple[int, ...], list[tuple[int | Fraction, int | Fraction]]] = {}
         self.precision = precision
         self._table = compiled.table
         self.dividing = compiled.dividing
         self.pending = sorted((d, e) for e in terms
-                              if (d := sum(e)) < self.below and self.dividing(e))
+                              if (d := sum(e)) < bound and self.dividing(e))
         self.steps: list[tuple[tuple[int, ...], int, tuple[int, ...], int | Fraction]] = []
         self.quotients: list[dict[tuple[int, ...], int | Fraction]] = [{} for _ in rules.rules]
 
@@ -239,8 +234,7 @@ class _Reducer:
         lm, lm_degree, lc, tail, body_precision = self._table[i - 1]
         m = tuple(map(operator.sub, M, lm))
         dm = d - lm_degree
-        terms, pending, below = self.terms, self.pending, self.below
-        deferred, defer = self.deferred, self.defer
+        terms, pending, deferred, bound = self.terms, self.pending, self.deferred, self.bound
         coeff = terms.pop(M)
         self._unpend(key)
         prec = self.precision
@@ -259,7 +253,7 @@ class _Reducer:
             if prec is not None and d2 >= prec:
                 continue
             e2 = tuple(map(operator.add, e, m))
-            if d2 >= defer:
+            if d2 >= bound:
                 held = deferred.get(e2)
                 if held is None:
                     deferred[e2] = [(factor, c)]
@@ -269,7 +263,7 @@ class _Reducer:
             old = terms.get(e2)
             if old is None:
                 terms[e2] = -factor * c
-                if d2 < below and self.dividing(e2):
+                if self.dividing(e2):
                     insort(pending, (d2, e2))
                 continue
             new = old - factor * c
@@ -277,8 +271,7 @@ class _Reducer:
                 terms[e2] = new
             else:
                 del terms[e2]
-                if d2 < below:
-                    self._unpend((d2, e2))
+                self._unpend((d2, e2))
         q = self.quotients[i - 1]
         q[m] = q.get(m, 0) + factor   # zero sums drop out in _series
         self.steps.append((M, i, m, coeff))
@@ -362,12 +355,13 @@ def _run(compiled: _Compiled, terms: dict[tuple[int, ...], int | Fraction],
     """Reduce the terms, known below the precision, below the target; the
     reducer, end and end precision.  Products at or above the target are
     deferred, and summed only as far as `_Reducer.end` needs them."""
+    require_int(target_precision, "target precision")
     if target_precision < 0:
         raise ValueError("target precision must be a natural number")
     if precision is not None and precision < target_precision:
         raise PrecisionUnattainableError(
             f"input precision {precision} below target {target_precision}")
-    r = _Reducer(compiled, terms, precision, target_precision, defer=target_precision)
+    r = _Reducer(compiled, terms, precision, target_precision)
 
     while r.pending:
         key, i = pick(r)
@@ -404,8 +398,8 @@ def normalize_random(f: TruncatedSeries, rules: RuleSet, target_precision: int,
 def _replay(trace: ReductionTrace, compiled: _Compiled) -> _Reducer:
     """Rerun the steps of the trace on a reducer, validating each one."""
     rules = compiled.rules
-    start = trace.start   # the steps pick the monomials
-    r = _Reducer(compiled, _seed(start, rules), start.precision, 0)
+    start = trace.start
+    r = _Reducer(compiled, _seed(start, rules), start.precision)
     for k, step in enumerate(trace.steps):
         if step.quotient.multiply(rules.rule(step.rule_index).leading_monomial) != step.monomial:
             raise InvalidTraceError(
@@ -468,13 +462,13 @@ def multiple_to_zero_chain(q: TruncatedSeries, i: int, rules: RuleSet,
     """Reduce q * s_i to zero with rule i alone, walking the support of q
     in increasing order; every quotient monomial is a support element of q
     and the whole known part telescopes away."""
+    require_int(precision, "target precision")
     rule = rules.rule(i)
     start = q.multiply(rule.body)
     if start.precision is not None and start.precision < precision:
         raise PrecisionUnattainableError(
             f"product precision {start.precision} below target {precision}")
-    # the walk picks its own monomials
-    r = _Reducer(_Compiled(rules), _seed(start, rules), start.precision, 0)
+    r = _Reducer(_Compiled(rules), _seed(start, rules), start.precision)
     lm = rule.leading_monomial.exponents
     for m in sorted(q.support, key=deglex_key):
         M = tuple(map(operator.add, m.exponents, lm))
@@ -498,7 +492,7 @@ def translate(f: TruncatedSeries, g: TruncatedSeries, trace: ReductionTrace,
         raise InvalidTraceError("trace does not start at f - g")
     compiled = _Compiled(rules)
     _replay(trace, compiled)
-    sides = tuple(_Reducer(compiled, _seed(h, rules), h.precision, 0) for h in (f, g))
+    sides = tuple(_Reducer(compiled, _seed(h, rules), h.precision) for h in (f, g))
     for step in trace.steps:
         M = step.monomial.exponents
         for r in sides:
@@ -542,20 +536,13 @@ def congruence_test(f: TruncatedSeries, g: TruncatedSeries, rules: RuleSet,
                     assume_standard_basis: bool = False) -> MembershipVerdict:
     """Decide f = g modulo the generated ideal, below the precision.
 
-    Normalises f - g, seeded straight from the terms of f and g.  A
-    vanishing residual always yields Member (the congruence is witnessed by
-    cofactors).  A surviving residual yields NotMember only under the
-    caller's standard-basis assumption, otherwise UnknownAtPrecision.
+    Normalises f - g.  A vanishing residual always yields Member (the
+    congruence is witnessed by cofactors).  A surviving residual yields
+    NotMember only under the caller's standard-basis assumption, otherwise
+    UnknownAtPrecision.
     """
-    if f.n != g.n:
-        raise DimensionMismatchError(f"series over {f.n} and {g.n} variables")
-    terms = _seed(f, rules)
-    for m, c in g.items():
-        terms[m.exponents] = terms.get(m.exponents, 0) - c
-    known = min((p for p in (f.precision, g.precision) if p is not None), default=None)
-    terms = {e: _narrow(c) for e, c in terms.items()
-             if c and (known is None or sum(e) < known)}
-    r, end, _ = _run(_Compiled(rules), terms, known, precision, _smallest)
+    d = f.subtract(g)
+    r, end, _ = _run(_Compiled(rules), _seed(d, rules), d.precision, precision, _smallest)
     if end.truncate(precision).known_zero():
         return Member(tuple(_series(rules.n, q) for q in r.quotients))
     if assume_standard_basis:
@@ -595,13 +582,13 @@ class StandardBasisCounterexample:
 
 
 def falsify_standard_basis(rules: RuleSet, precision: int, trials: int,
-                           seed: int, max_cofactor_degree: int = 3
-                           ) -> Optional[StandardBasisCounterexample]:
+                           seed: int) -> Optional[StandardBasisCounterexample]:
     """Search for a combination of the rules that does not reduce to zero.
 
     Runs the deterministic leading-cancellation phase first (for each rule
     pair, multiply both onto the lcm of their leading monomials so the
-    least leading terms cancel), then seeded random combinations.
+    least leading terms cancel), then seeded random combinations with
+    cofactors of degree at most 3.
 
     When every rule is exact, a None after the pairwise phase is
     conclusive: every critical pair reduced to 0 below p = `precision`,
@@ -615,6 +602,7 @@ def falsify_standard_basis(rules: RuleSet, precision: int, trials: int,
         raise TypeError(f"trials must be an int, got {trials!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    require_int(precision, "target precision")
     n = rules.n
     compiled = _Compiled(rules)
 
@@ -648,7 +636,7 @@ def falsify_standard_basis(rules: RuleSet, precision: int, trials: int,
 
     rng = random.Random(seed)
     for t in range(1, trials + 1):
-        qs = [_seed(random_polynomial(rng, n, max_cofactor_degree), rules) for _ in rules.rules]
+        qs = [_seed(random_polynomial(rng, n, 3), rules) for _ in rules.rules]
         found = check(qs, "random", t)
         if found is not None:
             return found
@@ -743,7 +731,7 @@ def attractivity_check(f: TruncatedSeries, rules: RuleSet,
     if reducible_monomials(alpha, rules):
         raise PreconditionFailedError("alpha contains a reducible monomial")
     pick = _uniform(random.Random(seed))
-    r = _Reducer(_Compiled(rules), _seed(f, rules), f.precision, None)
+    r = _Reducer(_Compiled(rules), _seed(f, rules), f.precision)
     dists = [delta(f, alpha)[0]]
     taken = 0
     for k in range(1, steps + 1):

@@ -9,7 +9,7 @@ the sharpest sound precision, and stored terms are always pruned of zeros
 and of degrees at or above the bound.
 
 Inputs are validated once, where they enter: the public constructors
-(`TruncatedSeries(n, terms, precision)`, `term`, `zero`) and the
+(`TruncatedSeries(n, terms, precision)` and `zero`) and the
 `scale_term` scalar check the variable count, the precision and every
 monomial, and reject any coefficient that is not a `numbers.Rational` (a
 float or a string raises `TypeError`, as does a variable count or a
@@ -82,10 +82,6 @@ class TruncatedSeries:
     def zero(cls, n: int, precision: Optional[int] = None) -> TruncatedSeries:
         _check_shape(n, precision)
         return cls._from_clean(n, {}, precision)
-
-    @classmethod
-    def term(cls, m: Monomial, c) -> TruncatedSeries:
-        return cls(m.n, {m: c})
 
     # -- inspection ------------------------------------------------------
 

@@ -163,7 +163,7 @@ def translate(f, g, trace, rules):
             ReductionTrace(g, tuple(g_steps), g_k, p))
 
 
-def falsify_standard_basis(rules, precision, trials, seed, max_cofactor_degree=3):
+def falsify_standard_basis(rules, precision, trials, seed):
     """Every critical pair, then `trials` seeded random combinations; the
     first whose normal form is nonzero below the precision is returned."""
     if trials < 1:
@@ -192,10 +192,10 @@ def falsify_standard_basis(rules, precision, trials, seed, max_cofactor_degree=3
             ra, rb = rules.rule(a + 1), rules.rule(b + 1)
             lcm = ra.leading_monomial.lcm(rb.leading_monomial)
             qs = [TruncatedSeries.zero(n) for _ in range(r)]
-            qs[a] = TruncatedSeries.term(ra.leading_monomial.divides(lcm),
-                                         1 / ra.leading_coefficient)
-            qs[b] = TruncatedSeries.term(rb.leading_monomial.divides(lcm),
-                                         -1 / rb.leading_coefficient)
+            qs[a] = TruncatedSeries(n, {ra.leading_monomial.divides(lcm):
+                                        1 / ra.leading_coefficient})
+            qs[b] = TruncatedSeries(n, {rb.leading_monomial.divides(lcm):
+                                        -1 / rb.leading_coefficient})
             trial += 1
             found = check(qs, "pairwise", trial)
             if found is not None:
@@ -203,7 +203,7 @@ def falsify_standard_basis(rules, precision, trials, seed, max_cofactor_degree=3
 
     rng = random.Random(seed)
     for t in range(1, trials + 1):
-        qs = [random_polynomial(rng, n, max_cofactor_degree) for _ in range(r)]
+        qs = [random_polynomial(rng, n, 3) for _ in range(r)]
         found = check(qs, "random", t)
         if found is not None:
             return found

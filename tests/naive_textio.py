@@ -152,7 +152,7 @@ def parse_series(text: str, n: int, line: int = 1) -> TruncatedSeries:
         else:
             raise ParseError(f"expected a term, found {tok[1]!r}", cur.line, tok[2])
         if monomial is None:
-            monomial = Monomial.one(n)
+            monomial = Monomial((0,) * n)
         terms[monomial] = terms.get(monomial, 0) + coeff
 
     return TruncatedSeries(n, terms, precision)

@@ -551,6 +551,25 @@ def test_rule_set_keeps_no_state():
     assert state() == before
 
 
+UNIVARIATE = rules_of("x1 - x1^2", n=1)
+TARGET_ENTRY_POINTS = {
+    "normalize": lambda p: normalize(S("x1 + x1^3", 1), UNIVARIATE, p),
+    "normalize_random": lambda p: normalize_random(S("x1 + x1^3", 1), UNIVARIATE, p, 0),
+    "congruence_test": lambda p: congruence_test(S("x1", 1), S("x1^2", 1), UNIVARIATE, p),
+    "confluence_probe": lambda p: confluence_probe(S("x1 + x1^3", 1), UNIVARIATE, p, [1, 2]),
+    # one exact rule: no pair and no random phase, so no run checks it
+    "falsify_standard_basis": lambda p: falsify_standard_basis(UNIVARIATE, p, 1, 0),
+    "multiple_to_zero_chain": lambda p: multiple_to_zero_chain(S("x1", 1), 1, UNIVARIATE, p),
+}
+
+
+@pytest.mark.parametrize("entry", TARGET_ENTRY_POINTS)
+@pytest.mark.parametrize("p", [2.5, True])
+def test_non_int_target_precision_rejected(entry, p):
+    with pytest.raises(TypeError, match=f"^target precision {p!r} is not an int$"):
+        TARGET_ENTRY_POINTS[entry](p)
+
+
 class TestAttractivity:
     def test_geometric_distances_shrink(self):
         report = attractivity_check(S("x2"), GEOMETRIC,

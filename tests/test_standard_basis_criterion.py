@@ -73,7 +73,7 @@ def instance(seed, crowd=False, truncate=False):
         free = [m for d in range(lead.degree + 1, p) for m in monomials_of_degree(rules.n, d)
                 if not rules.dividing_rules(m)]
         if free:
-            m = TruncatedSeries.term(rng.choice(free), rng.choice([-2, 1, 3]))
+            m = TruncatedSeries(rules.n, {rng.choice(free): rng.choice([-2, 1, 3])})
             bodies.append(bodies[0].add(m))
     if truncate:
         bodies = [b.truncate(b.valuation() + rng.randint(1, 4))
