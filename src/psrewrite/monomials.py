@@ -24,9 +24,7 @@ class Monomial:
 
     def __post_init__(self):
         for e in self.exponents:
-            require_int(e, "exponent")
-            if e < 0:
-                raise ValueError(f"negative exponent in {self.exponents}")
+            require_int(e, "exponent", 0)
 
     @classmethod
     def _trusted(cls, exponents: tuple[int, ...]) -> Monomial:
@@ -72,10 +70,13 @@ class Monomial:
         return "*".join(factors) if factors else "1"
 
 
-def require_int(value, what: str) -> None:
-    """A TypeError naming `value` unless it is an int; a bool is not."""
+def require_int(value, what: str, least: Optional[int] = None) -> None:
+    """A TypeError naming `value` unless it is an int (a bool is not), and
+    a ValueError when it is below `least`."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{what} {value!r} is not an int")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be >= {least}")
 
 
 def _check_same_n(m1: Monomial, m2: Monomial) -> None:

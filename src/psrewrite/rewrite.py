@@ -22,7 +22,7 @@ import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -60,6 +60,7 @@ class RuleSet:
             if not bodies:
                 raise ValueError("variable count required for an empty rule set")
             n = bodies[0].n
+        require_int(n, "variable count", 1)
         for b in bodies:
             if b.n != n:
                 raise DimensionMismatchError(f"rule over {b.n} variables in a {n}-variable system")
@@ -355,9 +356,7 @@ def _run(compiled: _Compiled, terms: dict[tuple[int, ...], int | Fraction],
     """Reduce the terms, known below the precision, below the target; the
     reducer, end and end precision.  Products at or above the target are
     deferred, and summed only as far as `_Reducer.end` needs them."""
-    require_int(target_precision, "target precision")
-    if target_precision < 0:
-        raise ValueError("target precision must be a natural number")
+    require_int(target_precision, "target precision", 0)
     if precision is not None and precision < target_precision:
         raise PrecisionUnattainableError(
             f"input precision {precision} below target {target_precision}")
@@ -390,6 +389,7 @@ def normalize_random(f: TruncatedSeries, rules: RuleSet, target_precision: int,
                      seed: int) -> ReductionTrace:
     """Reduce f below the target degree, drawing the reducible monomial
     and the applicable rule uniformly at each step (reproducible per seed)."""
+    require_int(seed, "seed")
     r, end, end_precision = _run(_Compiled(rules), _seed(f, rules), f.precision,
                                  target_precision, _uniform(random.Random(seed)))
     return r.trace(f, end, end_precision)
@@ -462,7 +462,7 @@ def multiple_to_zero_chain(q: TruncatedSeries, i: int, rules: RuleSet,
     """Reduce q * s_i to zero with rule i alone, walking the support of q
     in increasing order; every quotient monomial is a support element of q
     and the whole known part telescopes away."""
-    require_int(precision, "target precision")
+    require_int(precision, "target precision", 0)
     rule = rules.rule(i)
     start = q.multiply(rule.body)
     if start.precision is not None and start.precision < precision:
@@ -553,11 +553,11 @@ def congruence_test(f: TruncatedSeries, g: TruncatedSeries, rules: RuleSet,
 # -- standard-basis falsification -------------------------------------------
 
 def random_polynomial(rng: random.Random, n: int, max_degree: int,
-                      max_terms: int = 4, zero_ok: bool = True) -> TruncatedSeries:
-    """A reproducible random exact polynomial with small integer
-    coefficients and total degree <= max_degree."""
+                      zero_ok: bool = True) -> TruncatedSeries:
+    """A reproducible random exact polynomial with at most 4 terms, small
+    integer coefficients and total degree <= max_degree."""
     terms: dict[Monomial, Fraction] = {}
-    for _ in range(rng.randint(0 if zero_ok else 1, max_terms)):
+    for _ in range(rng.randint(0 if zero_ok else 1, 4)):
         d = rng.randint(0, max_degree)
         exps = [0] * n
         for _ in range(d):
@@ -590,19 +590,18 @@ def falsify_standard_basis(rules: RuleSet, precision: int, trials: int,
     least leading terms cancel), then seeded random combinations with
     cofactors of degree at most 3.
 
-    When every rule is exact, a None after the pairwise phase is
-    conclusive: every critical pair reduced to 0 below p = `precision`,
-    which by Buchberger's criterion in Q[[x]]/m^p means the rules are a
-    standard basis below p (the leading ideal of I + m^p is generated by
-    the rules' leading monomials and m^p), so no combination can be a
-    counterexample and the random phase is skipped.  It runs only when
-    some rule is truncated; there a None is inconclusive.
+    When every rule is exact or known to precision >= p = `precision`
+    (hence exact in Q[[x]]/m^p), a None after the pairwise phase is
+    conclusive: every critical pair reduced to 0 below p, which by
+    Buchberger's criterion in Q[[x]]/m^p means the rules are a standard
+    basis below p (the leading ideal of I + m^p is generated by the rules'
+    leading monomials and m^p), so no combination can be a counterexample
+    and the random phase is skipped.  It runs only when some rule is known
+    below p only; there a None is inconclusive.
     """
-    if not isinstance(trials, int) or isinstance(trials, bool):
-        raise TypeError(f"trials must be an int, got {trials!r}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    require_int(precision, "target precision")
+    require_int(trials, "trials", 1)
+    require_int(precision, "target precision", 0)
+    require_int(seed, "seed")
     n = rules.n
     compiled = _Compiled(rules)
 
@@ -631,7 +630,8 @@ def falsify_standard_basis(rules: RuleSet, precision: int, trials: int,
             found = check(qs, "pairwise", trial)
             if found is not None:
                 return found
-    if all(rule.body.precision is None for rule in rules.rules):
+    if all(rule.body.precision is None or rule.body.precision >= precision
+           for rule in rules.rules):
         return None
 
     rng = random.Random(seed)
@@ -694,9 +694,12 @@ class ConfluenceProbeReport:
 
 
 def confluence_probe(f: TruncatedSeries, rules: RuleSet, precision: int,
-                     strategy_seeds: Sequence[int]) -> ConfluenceProbeReport:
+                     strategy_seeds: Iterable[int]) -> ConfluenceProbeReport:
+    strategy_seeds = tuple(strategy_seeds)
     if not strategy_seeds:
         raise ValueError("strategy_seeds must be nonempty")
+    for s in strategy_seeds:
+        require_int(s, "seed")
     compiled = _Compiled(rules)
     ends = [_run(compiled, _seed(f, rules), f.precision, precision,
                  _uniform(random.Random(s)))[1]
@@ -706,8 +709,7 @@ def confluence_probe(f: TruncatedSeries, rules: RuleSet, precision: int,
         for b in range(a + 1, len(ends)):
             d, ub = delta(ends[a], ends[b])
             pairs.append((strategy_seeds[a], strategy_seeds[b], d, ub))
-    return ConfluenceProbeReport(precision, tuple(strategy_seeds), tuple(ends),
-                                 tuple(pairs))
+    return ConfluenceProbeReport(precision, strategy_seeds, tuple(ends), tuple(pairs))
 
 
 # -- attractivity -------------------------------------------------------------
@@ -728,6 +730,8 @@ def attractivity_check(f: TruncatedSeries, rules: RuleSet,
                        seed: int = 0) -> AttractivityReport:
     """Walk up to `steps` random one-step reductions from f, checking that
     the distance to the normal form alpha never increases."""
+    require_int(steps, "steps", 0)
+    require_int(seed, "seed")
     if reducible_monomials(alpha, rules):
         raise PreconditionFailedError("alpha contains a reducible monomial")
     pick = _uniform(random.Random(seed))

@@ -10,14 +10,13 @@ and of degrees at or above the bound.
 
 Inputs are validated once, where they enter: the public constructors
 (`TruncatedSeries(n, terms, precision)` and `zero`) and the
-`scale_term` scalar check the variable count, the precision and every
-monomial, and reject any coefficient that is not a `numbers.Rational` (a
-float or a string raises `TypeError`, as does a variable count or a
-precision that is not an `int` or is a `bool`).  `terms` is a mapping from
-monomial to coefficient, so no monomial comes twice; the constructor drops zero
-coefficients and prunes degrees at or above the precision.  Arithmetic and
-the rewriting engine build their results from terms that already hold
-these invariants, so they skip the checks.
+`scale_term` scalar check the variable count (an int >= 1), the
+precision (an int >= 0) and every monomial, and reject any coefficient
+that is not a `numbers.Rational`, such as a float or a string.  `terms`
+maps monomials to coefficients, so no monomial comes twice; the
+constructor drops zero coefficients and prunes degrees at or above the
+precision.  Arithmetic and the rewriting engine build their results from
+terms that already hold these invariants, so they skip the checks.
 
 Leading data follows the local-order convention used for standard bases
 of power series ideals: the leading monomial of f is the *minimum* of its
@@ -194,9 +193,7 @@ class TruncatedSeries:
 
     def truncate(self, p: int) -> TruncatedSeries:
         """Forget everything at degree >= p (never raises precision)."""
-        require_int(p, "precision")
-        if p < 0:
-            raise ValueError("precision must be a natural number")
+        require_int(p, "precision", 0)
         if self.precision is not None and self.precision <= p:
             return self
         return TruncatedSeries._from_clean(
@@ -225,13 +222,9 @@ class TruncatedSeries:
 
 
 def _check_shape(n: int, precision: Optional[int]) -> None:
-    require_int(n, "variable count")
-    if n < 1:
-        raise ValueError("need at least one variable")
+    require_int(n, "variable count", 1)
     if precision is not None:
-        require_int(precision, "precision")
-        if precision < 0:
-            raise ValueError("precision must be a natural number")
+        require_int(precision, "precision", 0)
 
 
 def _rational(c) -> Fraction:

@@ -31,7 +31,7 @@ from typing import Optional
 
 from .ars import BACKWARD, FORWARD, Conversion, FiniteARS
 from .errors import ParseError, RewritingError
-from .monomials import Monomial
+from .monomials import Monomial, require_int
 from .rewrite import ReductionTrace, RuleSet
 from .series import TruncatedSeries
 
@@ -71,6 +71,7 @@ def _expect(tokens: list, i: int, punct: str, line: int) -> None:
 
 def parse_series(text: str, n: int, line: int = 1) -> TruncatedSeries:
     """Parse one series in the grammar above over variables x1..xn."""
+    require_int(n, "variable count", 1)
     tokens = [(m.lastgroup, m.group(), m.start() + 1) for m in _TOKEN.finditer(text)]
     for kind, value, col in tokens:
         if kind == "bad":

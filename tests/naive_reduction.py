@@ -32,7 +32,7 @@ def _normalize_with(f, rules, target_precision, choose):
     if f.n != rules.n:
         raise DimensionMismatchError(f"series over {f.n} variables, rules over {rules.n}")
     if target_precision < 0:
-        raise ValueError("target precision must be a natural number")
+        raise ValueError("target precision must be >= 0")
     if f.precision is not None and f.precision < target_precision:
         raise PrecisionUnattainableError(
             f"input precision {f.precision} below target {target_precision}")

@@ -77,7 +77,7 @@ class TestTrustedConstructor:
         assert trusted == m and hash(trusted) == hash(m)
 
     def test_public_constructor_still_checks(self):
-        with pytest.raises(ValueError, match="negative exponent"):
+        with pytest.raises(ValueError, match="^exponent must be >= 0$"):
             Monomial((-1,))
 
     @pytest.mark.parametrize("e", [1.5, "a", True, None, Fraction(1)])

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -502,7 +503,7 @@ class TestFalsifyStandardBasis:
         (GEOMETRIC, 5), (rules_of("x1 + x2 + O(3)", "x1 - x2"), 4)])
     @pytest.mark.parametrize("trials", [1.5, "3", True])
     def test_non_int_trials_rejected(self, rules, precision, trials):
-        with pytest.raises(TypeError, match="^trials must be an int"):
+        with pytest.raises(TypeError, match=f"^trials {re.escape(repr(trials))} is not an int$"):
             falsify_standard_basis(rules, precision, trials=trials, seed=1)
 
 
@@ -528,6 +529,13 @@ class TestConfluenceProbe:
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError):
             confluence_probe(S("x2"), GEOMETRIC, 5, [])
+        with pytest.raises(ValueError):
+            confluence_probe(S("x2"), GEOMETRIC, 5, iter([]))
+
+    def test_seeds_may_come_from_an_iterator(self):
+        report = confluence_probe(S("x1 + x2"), PAIR, 5, iter(range(8)))
+        assert report == confluence_probe(S("x1 + x2"), PAIR, 5, list(range(8)))
+        assert report.seeds == tuple(range(8))
 
     def test_reproducible(self):
         a = normalize_random(S("x1 + x2 + x2^2"), PAIR, 5, seed=12)
@@ -564,10 +572,31 @@ TARGET_ENTRY_POINTS = {
 
 
 @pytest.mark.parametrize("entry", TARGET_ENTRY_POINTS)
-@pytest.mark.parametrize("p", [2.5, True])
+@pytest.mark.parametrize("p", [2.5, True, -1])
 def test_non_int_target_precision_rejected(entry, p):
-    with pytest.raises(TypeError, match=f"^target precision {p!r} is not an int$"):
+    if p == -1:
+        error, message = ValueError, "^target precision must be >= 0$"
+    else:
+        error, message = TypeError, f"^target precision {p!r} is not an int$"
+    with pytest.raises(error, match=message):
         TARGET_ENTRY_POINTS[entry](p)
+
+
+SEEDED_ENTRY_POINTS = {
+    "normalize_random": lambda s: normalize_random(S("x1 + x2"), PAIR, 4, s),
+    "falsify_standard_basis": lambda s: falsify_standard_basis(PAIR, 4, 1, s),
+    "confluence_probe": lambda s: confluence_probe(S("x1 + x2"), PAIR, 4, [0, s]),
+    "attractivity_check": lambda s: attractivity_check(S("x2"), GEOMETRIC,
+                                                       TruncatedSeries.zero(N), 3, s),
+}
+
+
+@pytest.mark.parametrize("entry", SEEDED_ENTRY_POINTS)
+@pytest.mark.parametrize("seed", [None, 1.5, True])
+def test_non_int_seed_rejected(entry, seed):
+    # random.Random(None) would draw from OS entropy: not reproducible
+    with pytest.raises(TypeError, match=f"^seed {seed!r} is not an int$"):
+        SEEDED_ENTRY_POINTS[entry](seed)
 
 
 class TestAttractivity:
@@ -586,6 +615,14 @@ class TestAttractivity:
     def test_reducible_alpha_rejected(self):
         with pytest.raises(PreconditionFailedError):
             attractivity_check(S("x2"), GEOMETRIC, S("x2 + x1"), steps=3)
+
+    @pytest.mark.parametrize("steps, error, message", [
+        (2.5, TypeError, "^steps 2.5 is not an int$"),
+        (True, TypeError, "^steps True is not an int$"),
+        (-1, ValueError, "^steps must be >= 0$")])
+    def test_steps_checked(self, steps, error, message):
+        with pytest.raises(error, match=message):
+            attractivity_check(S("x2"), GEOMETRIC, TruncatedSeries.zero(N), steps)
 
     def test_one_step_attractivity_random(self):
         rng = random.Random(53)

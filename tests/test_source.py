@@ -35,3 +35,27 @@ def test_package_imports_only_the_standard_library():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              for name in outside(node)]
     assert SOURCES and not found, f"imports outside the standard library: {found}"
+
+
+def test_int_checks_go_through_require_int():
+    # One rule for an int parameter: `monomials.require_int`, which rejects
+    # a bool.  The CLI keeps its own checks, whose messages are its output.
+    def names_bool(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2
+                and any(isinstance(t, ast.Name) and t.id == "bool"
+                        for t in ast.walk(node.args[1])))
+
+    found = []
+    for path in SOURCES:
+        if path.name == "cli.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = set()
+        if path.name == "monomials.py":
+            allowed = {id(n) for fn in tree.body
+                       if isinstance(fn, ast.FunctionDef) and fn.name == "require_int"
+                       for n in ast.walk(fn)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if names_bool(node) and id(node) not in allowed]
+    assert SOURCES and not found, f"int checks outside require_int: {found}"

@@ -5,10 +5,10 @@ below p exactly when F is a standard basis below p, i.e. the leading
 monomials of I + m^p below degree p are the multiples of the rules'
 leading monomials (Buchberger's criterion in Q[[x]]/m^p).  The echelon
 oracle here reads those leading monomials off the row-reduced truncated
-multiples x^a * s_i, without the reducer.  On exact rules the falsifier
-stops after the pairs, so its None must match the oracle's verdict; on
-truncated rules it must still give what the always-random falsifier in
-`naive_reduction` gives.
+multiples x^a * s_i, without the reducer.  On rules that are exact or
+known to precision >= p the falsifier stops after the pairs, so its None
+must match the oracle's verdict; on rules known below p only it must
+still give what the always-random falsifier in `naive_reduction` gives.
 """
 
 import random
@@ -96,6 +96,27 @@ def test_exact_verdict_matches_echelon_oracle(seed, crowd):
         assert cert.phase == "pairwise"
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6), st.booleans())
+@example(NOT_STANDARD[0], False)
+@example(NOT_STANDARD[1], False)
+def test_verdict_on_bodies_known_to_p_matches_echelon_oracle(seed, crowd):
+    # A body known modulo m^p is exact in Q[[x]]/m^p: the falsifier still
+    # stops after the pairs, and its None must still match the oracle.
+    rules, p = instance(seed, crowd)
+    rng = random.Random(seed)
+    bodies = []
+    for rule in rules.rules:
+        bound = p + rng.randint(0, 2)
+        bodies.append(rule.body.truncate(bound) if rule.body.valuation() < bound
+                      else rule.body)
+    rules = RuleSet.from_series(bodies, rules.n)
+    cert = falsify_standard_basis(rules, p, trials=3, seed=seed)
+    assert (cert is None) == standard_below(rules, p)
+    if cert is not None:
+        assert cert.phase == "pairwise"
+
+
 def test_seeded_sweep_holds_both_verdicts():
     verdicts = []
     for seed in range(300):
@@ -128,15 +149,18 @@ def test_only_the_random_phase_finds_this_truncated_certificate():
 def test_random_phase_runs_only_for_truncated_rules(monkeypatch):
     drawn = []
 
-    def counting(rng, n, max_degree, max_terms=4, zero_ok=True):
+    def counting(rng, n, max_degree, zero_ok=True):
         drawn.append(n)
-        return random_polynomial(rng, n, max_degree, max_terms, zero_ok)
+        return random_polynomial(rng, n, max_degree, zero_ok)
 
     monkeypatch.setattr(rewrite, "random_polynomial", counting)
     exact = parse_rules("x1 - x1^2\nx2 + x1*x2\n", 2)
     assert falsify_standard_basis(exact, precision=6, trials=50, seed=1) is None
     assert drawn == []
-    rules = parse_rules("x1 - x1^2 + O(7)\nx2 + x1*x2\n", 2)
+    known_to_p = parse_rules("x1 - x1^2 + O(7)\nx2 + x1*x2 + O(6)\n", 2)
+    assert falsify_standard_basis(known_to_p, precision=6, trials=50, seed=1) is None
+    assert drawn == []
+    rules = parse_rules("x1 - x1^2 + O(5)\nx2 + x1*x2\n", 2)
     assert falsify_standard_basis(rules, precision=6, trials=50, seed=1) is None
     assert len(drawn) == 2 * 50
 

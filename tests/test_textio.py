@@ -11,6 +11,7 @@ from psrewrite import (
     Monomial,
     ParseError,
     RewritingError,
+    RuleSet,
     TruncatedSeries,
     format_conversion,
     format_series,
@@ -179,6 +180,20 @@ class TestRuleFiles:
         assert len(rules) == 2
         assert rules.rule(1).body == parse_series("x1 + x2", N)
         assert rules.rule(2).body == parse_series("x1 - x2", N)
+
+    # The variable count is checked before any text is read.
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: parse_series("x1", 2.5), TypeError, "^variable count 2.5 is not an int$"),
+        (lambda: parse_series("x1", True), TypeError, "^variable count True is not an int$"),
+        (lambda: parse_series("x1", 0), ValueError, "^variable count must be >= 1$"),
+        (lambda: parse_rules("x1", 0), ValueError, "^variable count must be >= 1$"),
+        (lambda: parse_rules("", 0), ValueError, "^variable count must be >= 1$"),
+        (lambda: RuleSet.from_series([], 0), ValueError, "^variable count must be >= 1$"),
+        (lambda: RuleSet.from_series([], 1.5), TypeError, "^variable count 1.5 is not an int$"),
+    ])
+    def test_variable_count_checked(self, make, error, message):
+        with pytest.raises(error, match=message):
+            make()
 
     def test_error_carries_line_number(self):
         # an unknown variable, a zero rule, and rules with no known term
