@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import InvalidConversionError, InvariantViolationError, PreconditionFailedError
+from .monomials import require_int
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -40,7 +41,10 @@ class FiniteARS:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
+        require_int(self.size, "size", 0)
         for a, b in self.edges:
+            require_int(a, "element")
+            require_int(b, "element")
             if not (0 <= a < self.size and 0 <= b < self.size):
                 raise ValueError(f"edge ({a}, {b}) outside 0..{self.size - 1}")
 

@@ -72,6 +72,7 @@ class RuleSet:
 
     def rule(self, i: int) -> RewriteRule:
         """Rule number i, 1-based."""
+        require_int(i, "rule index")
         if not 1 <= i <= len(self.rules):
             raise NotReducibleError(f"rule index {i} out of range 1..{len(self.rules)}")
         return self.rules[i - 1]
@@ -97,7 +98,12 @@ class ReductionTrace:
 
     A trace made by the engine also holds the rule set and the cofactor
     accumulators of its run, which `cofactors` returns without a replay.
-    Traces built by hand or by `dataclasses.replace` hold none."""
+    Traces built by hand or by `dataclasses.replace` hold none.
+
+    An engine-made trace holds its run's raw ``(M, i, m, coeff)`` records
+    instead of `steps`, and builds the `steps` tuple from them on the first
+    read (`__getattr__` runs only while `steps` is missing).  `len` and
+    `cofactors` build nothing."""
 
     start: TruncatedSeries
     steps: tuple[ReductionStep, ...]
@@ -106,8 +112,22 @@ class ReductionTrace:
     _collected: Optional[tuple[RuleSet, list[dict]]] = field(
         default=None, init=False, compare=False, repr=False)
 
+    def __getattr__(self, name: str):
+        # `copy` and `pickle` probe a half-built instance without `_raw`:
+        # every name but `steps` of a trace with raw records is missing.
+        raw = self.__dict__.pop("_raw", None) if name == "steps" else None
+        if raw is None:
+            raise AttributeError(name)
+        trusted = Monomial._trusted
+        steps = tuple(ReductionStep(trusted(M), i, trusted(m),
+                                    Fraction(c) if type(c) is int else c)
+                      for M, i, m, c in raw)
+        object.__setattr__(self, "steps", steps)
+        return steps
+
     def __len__(self) -> int:
-        return len(self.steps)
+        raw = self.__dict__.get("_raw")
+        return len(self.steps if raw is None else raw)
 
 
 def reducible_monomials(f: TruncatedSeries, rules: RuleSet) -> set[Monomial]:
@@ -201,8 +221,9 @@ class _Reducer:
     above it, and infinite for the walkers that read every coefficient.
 
     The coefficients in ``terms``, ``steps`` and ``quotients`` are ints
-    while the arithmetic keeps them integral, else `Fraction`s.  `trace` and
-    `_series` convert only the ints back: every value leaving is a `Fraction`.
+    while the arithmetic keeps them integral, else `Fraction`s.  A trace's
+    `steps` and `_series` convert only the ints back: every value leaving
+    is a `Fraction`.
     """
 
     __slots__ = ("rules", "bound", "terms", "deferred", "precision", "pending",
@@ -306,13 +327,10 @@ class _Reducer:
 
     def trace(self, start: TruncatedSeries, end: TruncatedSeries,
               end_precision: int) -> ReductionTrace:
-        """The trace of this run from start, carrying the cofactors it collected."""
-        trusted = Monomial._trusted
-        steps = tuple(ReductionStep(trusted(M), i, trusted(m),
-                                    Fraction(c) if type(c) is int else c)
-                      for M, i, m, c in self.steps)
-        trace = ReductionTrace(start, steps, end, end_precision)
-        object.__setattr__(trace, "_collected", (self.rules, self.quotients))
+        """The trace of this run from start, with its cofactors and raw steps."""
+        trace = object.__new__(ReductionTrace)
+        trace.__dict__.update(start=start, end=end, end_precision=end_precision,
+                              _collected=(self.rules, self.quotients), _raw=self.steps)
         return trace
 
 

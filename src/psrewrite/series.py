@@ -75,6 +75,10 @@ class TruncatedSeries:
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
+    def __reduce__(self):
+        # `copy` and `pickle` would restore the slots through `__setattr__`.
+        return TruncatedSeries, (self.n, dict(self._terms), self.precision)
+
     # -- constructors ----------------------------------------------------
 
     @classmethod

@@ -122,6 +122,20 @@ def all_conversions(sys, max_len):
         yield from walk(start, [])
 
 
+class TestShapeChecked:
+    @pytest.mark.parametrize("size, edges, error, message", [
+        (2.5, [(0, 1)], TypeError, "^size 2.5 is not an int$"),
+        (True, [], TypeError, "^size True is not an int$"),
+        (-1, [], ValueError, "^size must be >= 0$"),
+        (3, [(0.5, 1)], TypeError, "^element 0.5 is not an int$"),
+        (3, [(0, True)], TypeError, "^element True is not an int$"),
+        (3, [(0, 3)], ValueError, r"^edge \(0, 3\) outside 0..2$"),
+    ])
+    def test_rejected(self, size, edges, error, message):
+        with pytest.raises(error, match=message):
+            FiniteARS.build(size, edges)
+
+
 class TestNormalForms:
     def test_single_edge(self):
         assert normal_forms(sys_of(2, (0, 1))) == {1}

@@ -1,6 +1,10 @@
+import copy
 import dataclasses
+import operator
+import pickle
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -269,6 +273,104 @@ class TestCofactorTrustBoundary:
         bad = dataclasses.replace(trace, steps=(first,) + trace.steps[1:])
         with pytest.raises(InvalidTraceError):
             translate(f, g, bad, GEOMETRIC)
+
+
+def _eager(trace):
+    return ReductionTrace(trace.start, trace.steps, trace.end, trace.end_precision)
+
+
+# A hand-built input, whose steps exist already: `translate` reads them.
+LIFT_F, LIFT_G = S("x1 + x2"), S("x1*x2")
+LIFT_TRACE = _eager(normalize(LIFT_F.subtract(LIFT_G), GEOMETRIC, 4))
+
+
+def _lifted(side):
+    return translate(LIFT_F, LIFT_G, LIFT_TRACE, GEOMETRIC)[2 + side]
+
+
+CLONES = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+          "pickle": lambda x: pickle.loads(pickle.dumps(x))}
+
+# Fresh engine traces whose steps nobody has read yet, with their rules.
+ENGINE_TRACES = {
+    "normalize": lambda: (normalize(S("x2 + x1*x2"), GEOMETRIC, 5), GEOMETRIC),
+    "normalize_random": lambda: (normalize_random(S("x1 + x2 + x2^2"), PAIR, 5, 12), PAIR),
+    "multiple_to_zero_chain": lambda: (multiple_to_zero_chain(S("1 + x2"), 1, GEOMETRIC, 5),
+                                       GEOMETRIC),
+    "translate_f": lambda: (_lifted(0), GEOMETRIC),
+    "translate_g": lambda: (_lifted(1), GEOMETRIC),
+}
+
+
+@pytest.mark.parametrize("make", ENGINE_TRACES.values(), ids=ENGINE_TRACES.keys())
+class TestStepsBuiltOnFirstRead:
+    """An engine trace keeps its run's raw step records and builds the
+    `ReductionStep`s once, when `steps` is first read."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        made = []
+        original = rewrite_module.ReductionStep
+
+        def counting(*args):
+            made.append(args)
+            return original(*args)
+        monkeypatch.setattr(rewrite_module, "ReductionStep", counting)
+        return made
+
+    def test_len_and_cofactors_build_no_step(self, make, built):
+        trace, rules = make()
+        n = len(trace)
+        qs = cofactors(trace, rules)
+        assert n > 0 and not built
+        assert n == len(trace.steps) == len(built)
+        assert qs == cofactors(_eager(trace), rules)   # the replay agrees
+
+    def test_second_read_is_the_same_tuple(self, make, built):
+        trace, _rules = make()
+        steps = trace.steps
+        assert trace.steps is steps and len(built) == len(steps)
+        assert steps == _eager(make()[0]).steps
+        assert all(type(s.coeff) is Fraction for s in steps)
+
+    def test_equal_hash_repr_asdict_as_eager(self, make):
+        hand = _eager(make()[0])
+        for read in (operator.eq, lambda a, b: hash(a) == hash(b),
+                     lambda a, b: repr(a) == repr(b),
+                     lambda a, b: dataclasses.asdict(a)["steps"] == dataclasses.asdict(b)["steps"]):
+            assert read(make()[0], hand)
+            assert read(hand, make()[0])
+
+    def test_replace_before_and_after_read(self, make):
+        unread = dataclasses.replace(make()[0], end_precision=1)
+        trace = make()[0]
+        steps = trace.steps
+        read = dataclasses.replace(trace, end_precision=1)
+        assert unread.steps == read.steps == steps and read.steps is steps
+        assert unread.end_precision == read.end_precision == 1
+
+    @pytest.mark.skipif(sys.version_info < (3, 13), reason="copy.replace is new in 3.13")
+    def test_copy_replace(self, make):
+        trace = make()[0]
+        again = copy.replace(trace, end_precision=1)
+        assert again.steps == make()[0].steps and again.end_precision == 1
+
+    @pytest.mark.parametrize("clone", CLONES.values(), ids=CLONES.keys())
+    def test_copies_of_an_unread_trace(self, make, built, clone):
+        trace, rules = make()
+        again = clone(trace)
+        assert not built
+        assert len(again) == len(trace) and cofactors(again, rules) == cofactors(trace, rules)
+        assert not built
+        assert again == trace and again.steps == trace.steps
+
+
+@pytest.mark.parametrize("clone", CLONES.values(), ids=CLONES.keys())
+def test_rule_set_copies(clone):
+    rules = rules_of("x1 + x2", "x2^2 - 1/2*x1^3 + O(6)")
+    again = clone(rules)
+    assert again == rules
+    assert normalize(S("x1 + x2^2"), again, 5) == normalize(S("x1 + x2^2"), rules, 5)
 
 
 class TestStandardRepresentation:
@@ -597,6 +699,21 @@ def test_non_int_seed_rejected(entry, seed):
     # random.Random(None) would draw from OS entropy: not reproducible
     with pytest.raises(TypeError, match=f"^seed {seed!r} is not an int$"):
         SEEDED_ENTRY_POINTS[entry](seed)
+
+
+@pytest.mark.parametrize("i", [True, 1.0])
+def test_non_int_rule_index_rejected(i):
+    # both equal 1, so the range check alone would let them through
+    for entry in (lambda: GEOMETRIC.rule(i),
+                  lambda: multiple_to_zero_chain(S("1"), i, GEOMETRIC, 4)):
+        with pytest.raises(TypeError, match=f"^rule index {i!r} is not an int$"):
+            entry()
+
+
+@pytest.mark.parametrize("i", [0, 2])
+def test_rule_index_out_of_range(i):
+    with pytest.raises(NotReducibleError, match=f"^rule index {i} out of range 1..1$"):
+        GEOMETRIC.rule(i)
 
 
 class TestAttractivity:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -196,6 +198,22 @@ class TestInvariants:
         out = f.add(g)
         assert out.precision == p
         assert fx.add(gx).truncate(p) == out
+
+
+class TestCopyAndPickle:
+    # The slots are restored through the checked constructor, not through
+    # the blocked `__setattr__`.
+    @pytest.mark.parametrize("text", ["0", "x1 + x2", "1/3*x1^2 - x2 + O(4)", "O(2)"])
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda f: pickle.loads(pickle.dumps(f))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_round_trip(self, text, clone):
+        f = S(text)
+        g = clone(f)
+        assert g == f and g.precision == f.precision
+        assert_clean(g)
+        with pytest.raises(AttributeError, match="immutable"):
+            g.n = 3
 
 
 def assert_clean(r):
