@@ -11,14 +11,12 @@ from psrewrite import (
     RuleSet,
     TruncatedSeries,
     cofactors,
-    deglex_key,
     delta,
     format_series,
     format_trace,
     normalize,
     parse_series,
     reduce_step,
-    reducible_monomials,
 )
 
 n = 2
@@ -48,8 +46,7 @@ for precision in (4, 8):
 print("the distance to the normal form 0 shrinks step by step:")
 h = f
 zero = TruncatedSeries.zero(n)
-for k in range(6):
+for k, step in enumerate(normalize(f, rules, 7).steps):
     value, _ = delta(h, zero)
     print(f"  after {k} steps: h = {format_series(h):<18} delta(h, 0) = {value}")
-    M = min(reducible_monomials(h, rules), key=deglex_key)
-    h, _ = reduce_step(h, rules, M, rules.dividing_rules(M)[0])
+    h, _ = reduce_step(h, rules, step.monomial, step.rule_index)

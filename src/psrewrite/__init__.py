@@ -44,7 +44,6 @@ from .rewrite import (
     RewriteRule,
     RuleSet,
     StandardBasisCounterexample,
-    StandardRepresentation,
     UnknownAtPrecision,
     attractivity_check,
     cofactors,
@@ -57,7 +56,6 @@ from .rewrite import (
     random_polynomial,
     reduce_step,
     reducible_monomials,
-    standard_representation,
     translate,
 )
 from .series import TruncatedSeries, delta

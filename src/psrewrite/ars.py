@@ -53,6 +53,7 @@ class FiniteARS:
         return cls(size, frozenset(edges))
 
     def _check(self, a: int) -> None:
+        require_int(a, "element")
         if not 0 <= a < self.size:
             raise ValueError(f"element {a} outside 0..{self.size - 1}")
 

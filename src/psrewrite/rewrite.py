@@ -77,11 +77,6 @@ class RuleSet:
             raise NotReducibleError(f"rule index {i} out of range 1..{len(self.rules)}")
         return self.rules[i - 1]
 
-    def dividing_rules(self, m: Monomial) -> list[int]:
-        """1-based indices of rules whose leading monomial divides m."""
-        return [i + 1 for i, r in enumerate(self.rules)
-                if r.leading_monomial.divides(m) is not None]
-
 
 @dataclass(frozen=True)
 class ReductionStep:
@@ -118,10 +113,7 @@ class ReductionTrace:
         raw = self.__dict__.pop("_raw", None) if name == "steps" else None
         if raw is None:
             raise AttributeError(name)
-        trusted = Monomial._trusted
-        steps = tuple(ReductionStep(trusted(M), i, trusted(m),
-                                    Fraction(c) if type(c) is int else c)
-                      for M, i, m, c in raw)
+        steps = _box(raw)
         object.__setattr__(self, "steps", steps)
         return steps
 
@@ -130,31 +122,12 @@ class ReductionTrace:
         return len(self.steps if raw is None else raw)
 
 
-def reducible_monomials(f: TruncatedSeries, rules: RuleSet) -> set[Monomial]:
-    """Stored monomials of f divisible by some rule's leading monomial."""
-    if f.n != rules.n:
-        raise DimensionMismatchError(f"series over {f.n} variables, rules over {rules.n}")
-    lms = [r.leading_monomial for r in rules.rules]
-    return {m for m in f.support if any(lm.divides(m) is not None for lm in lms)}
-
-
-def reduce_step(f: TruncatedSeries, rules: RuleSet, M: Monomial,
-                i: int) -> tuple[TruncatedSeries, ReductionStep]:
-    """One reduction of f at monomial M with rule i.
-
-    The result g has coefficient 0 at M and agrees with f on every
-    monomial strictly smaller than M; its precision is
-    min(p_f, deg(m) + p_rule).
-    """
-    rule = rules.rule(i)
-    coeff = f.coefficient(M)
-    if coeff == 0:
-        raise NotReducibleError(f"monomial {M} not in the known support")
-    m = rule.leading_monomial.divides(M)
-    if m is None:
-        raise NotReducibleError(f"leading monomial of rule {i} does not divide {M}")
-    g = f.subtract(rule.body.scale_term(coeff / rule.leading_coefficient, m))
-    return g, ReductionStep(M, i, m, coeff)
+def _box(raw: Sequence[tuple[tuple[int, ...], int, tuple[int, ...], int | Fraction]]
+         ) -> tuple[ReductionStep, ...]:
+    """The `ReductionStep`s of a reducer's raw ``(M, i, m, coeff)`` records."""
+    trusted = Monomial._trusted
+    return tuple(ReductionStep(trusted(M), i, trusted(m), Fraction(c) if type(c) is int else c)
+                 for M, i, m, c in raw)
 
 
 _Key = tuple[int, tuple[int, ...]]   # (degree, exponents): `deglex_key` of a monomial
@@ -413,6 +386,33 @@ def normalize_random(f: TruncatedSeries, rules: RuleSet, target_precision: int,
     return r.trace(f, end, end_precision)
 
 
+def reducible_monomials(f: TruncatedSeries, rules: RuleSet) -> set[Monomial]:
+    """Stored monomials of f divisible by some rule's leading monomial."""
+    dividing = _Compiled(rules).dividing
+    return {Monomial._trusted(e) for e in _seed(f, rules) if dividing(e)}
+
+
+def reduce_step(f: TruncatedSeries, rules: RuleSet, M: Monomial,
+                i: int) -> tuple[TruncatedSeries, ReductionStep]:
+    """One reduction of f at monomial M with rule i.
+
+    The result g has coefficient 0 at M and agrees with f on every
+    monomial strictly smaller than M; its precision is
+    min(p_f, deg(m) + p_rule).  It is one `_Reducer.step`, the step that
+    every reduction here runs.
+    """
+    rules.rule(i)   # the index checks
+    if not f.coefficient(M):
+        raise NotReducibleError(f"monomial {M} not in the known support")
+    r = _Reducer(_Compiled(rules), _seed(f, rules), f.precision)
+    e = M.exponents
+    if i not in r.dividing(e):
+        raise NotReducibleError(f"leading monomial of rule {i} does not divide {M}")
+    r.step((M.degree, e), i)
+    (step,) = _box(r.steps)
+    return r.series(), step
+
+
 def _replay(trace: ReductionTrace, compiled: _Compiled) -> _Reducer:
     """Rerun the steps of the trace on a reducer, validating each one."""
     rules = compiled.rules
@@ -444,35 +444,6 @@ def cofactors(trace: ReductionTrace, rules: RuleSet) -> tuple[TruncatedSeries, .
     if collected is None or collected[0] != rules:
         collected = (rules, _replay(trace, _Compiled(rules)).quotients)
     return tuple(_series(rules.n, q) for q in collected[1])
-
-
-@dataclass(frozen=True)
-class StandardRepresentation:
-    """Cofactors expressing f as sum q_i s_i below a precision, plus the
-    no-cancellation check: the least leading monomial among the nonzero
-    summands q_i s_i must be the leading monomial of f itself."""
-
-    cofactors: tuple[TruncatedSeries, ...]
-    leading_monomial: Monomial
-    min_summand_leading: Optional[Monomial]
-    no_cancellation: bool
-    trace: ReductionTrace
-
-
-def standard_representation(f: TruncatedSeries, rules: RuleSet,
-                            precision: int) -> Optional[StandardRepresentation]:
-    """Divide f by the rules; when the residual vanishes below the
-    precision, return the cofactors together with the cancellation check.
-    None when a nonzero residual survives."""
-    lm_f, _ = f.leading()
-    trace = normalize(f, rules, precision)
-    if not trace.end.truncate(precision).known_zero():
-        return None
-    qs = cofactors(trace, rules)
-    summand_lms = [q.multiply(rule.body).leading()[0]
-                   for q, rule in zip(qs, rules.rules) if not q.known_zero()]
-    min_lm = min(summand_lms, key=deglex_key, default=None)
-    return StandardRepresentation(qs, lm_f, min_lm, min_lm == lm_f, trace)
 
 
 def multiple_to_zero_chain(q: TruncatedSeries, i: int, rules: RuleSet,
@@ -750,10 +721,11 @@ def attractivity_check(f: TruncatedSeries, rules: RuleSet,
     the distance to the normal form alpha never increases."""
     require_int(steps, "steps", 0)
     require_int(seed, "seed")
-    if reducible_monomials(alpha, rules):
+    compiled = _Compiled(rules)
+    if any(map(compiled.dividing, _seed(alpha, rules))):
         raise PreconditionFailedError("alpha contains a reducible monomial")
     pick = _uniform(random.Random(seed))
-    r = _Reducer(_Compiled(rules), _seed(f, rules), f.precision)
+    r = _Reducer(compiled, _seed(f, rules), f.precision)
     dists = [delta(f, alpha)[0]]
     taken = 0
     for k in range(1, steps + 1):

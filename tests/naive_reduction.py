@@ -1,31 +1,66 @@
 """Slow reference reductions kept as differential oracles.
 
-These are the straightforward forms of the engine's reducer: every step
-rescans the whole support against every rule, re-sorts the candidates and
-rebuilds the series with `reduce_step`; cofactors come from replaying the
-trace, and `translate` lifts a chain one `reduce_step` at a time.  They use only the public single-step API, so the incremental
-reducer in `psrewrite.rewrite` can be checked against them.  The
-standard-basis falsifier here always runs its seeded random phase after
-the critical pairs, whether or not the rules are exact.
+These are the straightforward forms of the engine's reducer, written in
+series arithmetic and independent of it.  One step is `reduce_step`:
+f - (coeff / LC) * m * s_i, with `scale_term` and `subtract`, after the
+divisor test of `dividing_rules`.  Every reduction rescans the whole
+support against every rule with `reducible_monomials`, re-sorts the
+candidates and rebuilds the series with `reduce_step`; cofactors come
+from replaying the trace, and `translate` lifts a chain one `reduce_step`
+at a time.  `standard_representation` divides with these and rebuilds each
+summand q_i s_i with `multiply`.  The package's one incremental reducer
+in `psrewrite.rewrite`, its public `reduce_step` and `reducible_monomials`
+included, is checked against them.  The standard-basis falsifier here
+always runs its seeded random phase after the critical pairs, whether or
+not the rules are exact.
 """
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from psrewrite import (
     DimensionMismatchError,
     InvalidTraceError,
+    Monomial,
+    NotReducibleError,
     PrecisionUnattainableError,
+    ReductionStep,
     ReductionTrace,
     StandardBasisCounterexample,
     TruncatedSeries,
     deglex_key,
     delta,
     random_polynomial,
-    reduce_step,
-    reducible_monomials,
 )
 from psrewrite.rewrite import AttractivityReport
+
+
+def dividing_rules(rules, m):
+    """1-based indices of the rules whose leading monomial divides m."""
+    return [i + 1 for i, r in enumerate(rules.rules)
+            if r.leading_monomial.divides(m) is not None]
+
+
+def reducible_monomials(f, rules):
+    """Stored monomials of f divisible by some rule's leading monomial."""
+    if f.n != rules.n:
+        raise DimensionMismatchError(f"series over {f.n} variables, rules over {rules.n}")
+    return {m for m in f.support if dividing_rules(rules, m)}
+
+
+def reduce_step(f, rules, M, i):
+    """One reduction of f at M with rule i: f - (coeff / LC) * m * s_i."""
+    rule = rules.rule(i)
+    coeff = f.coefficient(M)
+    if coeff == 0:
+        raise NotReducibleError(f"monomial {M} not in the known support")
+    m = rule.leading_monomial.divides(M)
+    if m is None:
+        raise NotReducibleError(f"leading monomial of rule {i} does not divide {M}")
+    g = f.subtract(rule.body.scale_term(coeff / rule.leading_coefficient, m))
+    return g, ReductionStep(M, i, m, coeff)
 
 
 def _normalize_with(f, rules, target_precision, choose):
@@ -65,7 +100,7 @@ def _normalize_with(f, rules, target_precision, choose):
 def normalize(f, rules, target_precision):
     def choose(candidates):
         M = candidates[0]
-        return M, rules.dividing_rules(M)[0]
+        return M, dividing_rules(rules, M)[0]
 
     return _normalize_with(f, rules, target_precision, choose)
 
@@ -75,7 +110,7 @@ def normalize_random(f, rules, target_precision, seed):
 
     def choose(candidates):
         M = rng.choice(candidates)
-        return M, rng.choice(rules.dividing_rules(M))
+        return M, rng.choice(dividing_rules(rules, M))
 
     return _normalize_with(f, rules, target_precision, choose)
 
@@ -130,7 +165,7 @@ def attractivity_check(f, rules, alpha, steps, seed=0):
         if not candidates:
             break
         M = rng.choice(candidates)
-        i = rng.choice(rules.dividing_rules(M))
+        i = rng.choice(dividing_rules(rules, M))
         h, _ = reduce_step(h, rules, M, i)
         taken = k
         dists.append(delta(h, alpha)[0])
@@ -208,3 +243,31 @@ def falsify_standard_basis(rules, precision, trials, seed):
         if found is not None:
             return found
     return None
+
+
+@dataclass(frozen=True)
+class StandardRepresentation:
+    """Cofactors expressing f as sum q_i s_i below a precision, plus the
+    no-cancellation check: the least leading monomial among the nonzero
+    summands q_i s_i must be the leading monomial of f itself."""
+
+    cofactors: tuple[TruncatedSeries, ...]
+    leading_monomial: Monomial
+    min_summand_leading: Optional[Monomial]
+    no_cancellation: bool
+    trace: ReductionTrace
+
+
+def standard_representation(f, rules, precision):
+    """Divide f by the rules; when the residual vanishes below the
+    precision, return the cofactors together with the cancellation check.
+    None when a nonzero residual survives."""
+    lm_f, _ = f.leading()
+    trace = normalize(f, rules, precision)
+    if not trace.end.truncate(precision).known_zero():
+        return None
+    qs = cofactors(trace, rules)
+    summand_lms = [q.multiply(rule.body).leading()[0]
+                   for q, rule in zip(qs, rules.rules) if not q.known_zero()]
+    min_lm = min(summand_lms, key=deglex_key, default=None)
+    return StandardRepresentation(qs, lm_f, min_lm, min_lm == lm_f, trace)

@@ -135,6 +135,23 @@ class TestShapeChecked:
         with pytest.raises(error, match=message):
             FiniteARS.build(size, edges)
 
+    @pytest.mark.parametrize("conv, message", [
+        (Conversion(0.0, ((1, FORWARD),)), "^element 0.0 is not an int$"),
+        (Conversion(True, ((1, FORWARD),)), "^element True is not an int$"),
+        (Conversion(0, ((1.0, FORWARD),)), "^element 1.0 is not an int$"),
+    ])
+    def test_conversion_elements_rejected(self, conv, message):
+        with pytest.raises(TypeError, match=message):
+            validate_conversion(sys_of(3, (0, 1), (1, 2)), conv)
+
+    @pytest.mark.parametrize("start, message", [
+        (2.0, "^element 2.0 is not an int$"),
+        (True, "^element True is not an int$"),
+    ])
+    def test_valley_elimination_start_rejected(self, start, message):
+        with pytest.raises(TypeError, match=message):
+            eliminate_valleys(sys_of(3, (0, 1), (1, 2)), Conversion(start, ()))
+
 
 class TestNormalForms:
     def test_single_edge(self):

@@ -9,6 +9,12 @@ point with the same message.
 The verdict procedures reduce without building a trace; they must give
 what the traced `normalize` and `normalize_random` give.
 
+The public one-step API, `reduce_step` and `reducible_monomials`, runs on
+the same reducer and must match the oracle's series-arithmetic step and
+divisor test exactly: the result and its precision, the step, and the
+error type and message for an absent monomial, one the rule's leading
+monomial does not divide, and a bad rule index.
+
 A run defers every tail product at or above its target and sums those
 products only where its end needs them.  Low targets, where most products
 land above, are checked against the oracle on their own, as is the
@@ -22,17 +28,20 @@ leaked out would pass every `==` here and still change `repr` and
 """
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import naive_reduction as naive
+from helpers import monomials_of_degree, random_instance
 from psrewrite import (
     DimensionMismatchError,
     Member,
     Monomial,
     NotMember,
+    NotReducibleError,
     PrecisionUnattainableError,
     RuleSet,
     TruncatedSeries,
@@ -41,6 +50,7 @@ from psrewrite import (
     cofactors,
     confluence_probe,
     congruence_test,
+    deglex_key,
     falsify_standard_basis,
     multiple_to_zero_chain,
     normalize,
@@ -48,6 +58,8 @@ from psrewrite import (
     format_series,
     parse_rules,
     parse_series,
+    reduce_step,
+    reducible_monomials,
     translate,
 )
 from psrewrite.rewrite import _Compiled, _Reducer, _seed
@@ -395,3 +407,87 @@ def test_random_phase_matches_oracle(instance, seed):
     assert cert == naive.falsify_standard_basis(rules, p, 3, seed)
     if cert is not None:
         assert_fractions(cert.combination, cert.normal_form, *cert.cofactors)
+
+
+# -- one step ----------------------------------------------------------------
+
+def step_outcome(fn, f, rules, M, i):
+    """("ok", result, step) of one step, or ("error", type, message)."""
+    try:
+        g, step = fn(f, rules, M, i)
+    except NotReducibleError as e:
+        return "error", type(e), str(e)
+    return "ok", g, step
+
+
+def assert_same_step(f, rules, M, i):
+    """The engine's step against the oracle's; the kind of outcome: "ok",
+    or the start of the error message."""
+    fast = step_outcome(reduce_step, f, rules, M, i)
+    slow = step_outcome(naive.reduce_step, f, rules, M, i)
+    assert fast == slow   # series equality includes the precision
+    if slow[0] == "error":
+        return slow[2].split(" ")[0]
+    _, g, step = fast
+    assert repr(step) == repr(slow[2])
+    assert_fractions(g, coeffs=[step.coeff])
+    return "ok"
+
+
+def step_pool(f, rules):
+    """Monomials to reduce at: f's support, the leading monomials and their
+    multiples by one variable (mostly absent from f), and every monomial of
+    degree 1 and 2 (some not divisible)."""
+    pool = set(f.support)
+    for rule in rules.rules:
+        for d in range(2):
+            pool.update(rule.leading_monomial.multiply(m) for m in monomials_of_degree(rules.n, d))
+    for d in range(1, 3):
+        pool.update(monomials_of_degree(rules.n, d))
+    return sorted(pool, key=deglex_key)
+
+
+def test_reduce_step_matches_oracle_on_seeded_instances():
+    """Every monomial of the pool with every rule index, 0 and r + 1
+    included, on exact and truncated inputs and rule bodies."""
+    kinds = {}
+    for seed in range(150):
+        rng = random.Random(seed)
+        f, rules, _p = random_instance(rng, exact_input=False)
+        if seed % 2:
+            rules = RuleSet.from_series(
+                [r.body.truncate(r.body.valuation() + rng.randint(1, 3)) for r in rules.rules],
+                rules.n)
+        assert reducible_monomials(f, rules) == naive.reducible_monomials(f, rules)
+        for M in step_pool(f, rules):
+            for i in range(len(rules) + 2):
+                kind = assert_same_step(f, rules, M, i)
+                kinds[kind] = kinds.get(kind, 0) + 1
+    # steps, absent monomials, monomials not divisible, indices out of range
+    assert set(kinds) == {"ok", "monomial", "leading", "rule"}, kinds
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances(), st.data())
+def test_reduce_step_matches_oracle(instance, data):
+    f, rules, _target = instance
+    assert reducible_monomials(f, rules) == naive.reducible_monomials(f, rules)
+    M = data.draw(st.sampled_from(step_pool(f, rules)))
+    i = data.draw(st.integers(1, len(rules)))
+    assert_same_step(f, rules, M, i)
+
+
+def test_one_step_dimension_errors():
+    rules = parse_rules("x1 - x1^2", 2)
+    f = parse_series("x1", 1)
+    message = "^series over 1 variables, rules over 2$"
+    for fn in (reducible_monomials, naive.reducible_monomials):
+        with pytest.raises(DimensionMismatchError, match=message):
+            fn(f, rules)
+    with pytest.raises(DimensionMismatchError, match=message):
+        reduce_step(f, rules, Monomial((1,)), 1)
+    # a monomial outside f's support is not reducible, whatever its shape
+    for M in (Monomial((1, 0)), (1,)):
+        assert (step_outcome(reduce_step, f, rules, M, 1)
+                == step_outcome(naive.reduce_step, f, rules, M, 1)
+                == ("error", NotReducibleError, f"monomial {M} not in the known support"))

@@ -59,3 +59,15 @@ def test_int_checks_go_through_require_int():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if names_bool(node) and id(node) not in allowed]
     assert SOURCES and not found, f"int checks outside require_int: {found}"
+
+
+def test_one_reduction_step_in_package():
+    # `_Reducer.step` is the package's one reduction step and
+    # `_Compiled.dividing` its one divisor test: no module steps in series
+    # arithmetic with `scale_term`, or tests divisors with `dividing_rules`.
+    found = [f"{path.name}:{node.lineno} {node.func.attr}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in {"scale_term", "dividing_rules"}]
+    assert SOURCES and not found, f"second step paths: {found}"

@@ -54,7 +54,7 @@ def leading_monomials_below(rules, p):
 
 
 def standard_below(rules, p):
-    return all(rules.dividing_rules(m) for m in leading_monomials_below(rules, p))
+    return all(naive.dividing_rules(rules, m) for m in leading_monomials_below(rules, p))
 
 
 def instance(seed, crowd=False, truncate=False):
@@ -71,7 +71,7 @@ def instance(seed, crowd=False, truncate=False):
     if crowd:
         lead = rules.rules[0].leading_monomial
         free = [m for d in range(lead.degree + 1, p) for m in monomials_of_degree(rules.n, d)
-                if not rules.dividing_rules(m)]
+                if not naive.dividing_rules(rules, m)]
         if free:
             m = TruncatedSeries(rules.n, {rng.choice(free): rng.choice([-2, 1, 3])})
             bodies.append(bodies[0].add(m))
