@@ -23,6 +23,8 @@ class Monomial:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.exponents, tuple):
+            raise TypeError(f"exponents {self.exponents!r} are not a tuple")
         for e in self.exponents:
             require_int(e, "exponent", 0)
 

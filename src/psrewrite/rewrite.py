@@ -122,26 +122,90 @@ class ReductionTrace:
         return len(self.steps if raw is None else raw)
 
 
-def _box(raw: Sequence[tuple[tuple[int, ...], int, tuple[int, ...], int | Fraction]]
+def _box(raw: Sequence[tuple[tuple[int, ...], int, tuple[int, ...], _Q]]
          ) -> tuple[ReductionStep, ...]:
     """The `ReductionStep`s of a reducer's raw ``(M, i, m, coeff)`` records."""
     trusted = Monomial._trusted
-    return tuple(ReductionStep(trusted(M), i, trusted(m), Fraction(c) if type(c) is int else c)
-                 for M, i, m, c in raw)
+    return tuple(ReductionStep(trusted(M), i, trusted(m), _fraction(c)) for M, i, m, c in raw)
 
 
 _Key = tuple[int, tuple[int, ...]]   # (degree, exponents): `deglex_key` of a monomial
 
 
-def _narrow(c: Fraction) -> int | Fraction:
-    """c as an int when integral: int arithmetic skips `Fraction`'s gcds."""
-    return c.numerator if c.denominator == 1 else c
+# -- reducer coefficients ------------------------------------------------------
+#
+# Inside the reducer a rational is an int when it is integral and otherwise
+# a pair (num, den) with den > 1 and gcd(num, den) == 1, so each value has
+# one form and zero is only the int 0.  The helpers below keep that form,
+# cancelling gcds across operands before they multiply (Knuth, TAOCP vol. 2,
+# 4.5.1); a step does int-by-int arithmetic inline and calls them otherwise.
+
+_Q = int | tuple[int, int]
+
+
+def _narrow(c: Fraction) -> _Q:
+    """c in the reducer's form: its numerator when integral, else a pair."""
+    return c.numerator if c.denominator == 1 else (c.numerator, c.denominator)
+
+
+def _fraction(c: _Q) -> Fraction:
+    """The `Fraction` of a reducer value, for every value that leaves it."""
+    return Fraction(c) if type(c) is int else Fraction(*c)
+
+
+def _neg(a: _Q) -> _Q:
+    return -a if type(a) is int else (-a[0], a[1])
+
+
+def _mul(a: _Q, b: _Q) -> _Q:
+    if type(a) is int:
+        if type(b) is int:
+            return a * b
+        a, b = b, a
+    n, d = a
+    if type(b) is int:
+        g = math.gcd(b, d)
+        n *= b // g
+        d //= g
+    else:
+        bn, bd = b
+        g1, g2 = math.gcd(n, bd), math.gcd(bn, d)
+        n = (n // g1) * (bn // g2)
+        d = (d // g2) * (bd // g1)
+    return n if d == 1 else (n, d)
+
+
+def _add(a: _Q, b: _Q) -> _Q:
+    if type(a) is int:
+        if type(b) is int:
+            return a + b
+        a, b = b, a
+    n, d = a
+    if type(b) is int:
+        return (n + b * d, d)   # gcd(n + b*d, d) = gcd(n, d) = 1
+    bn, bd = b
+    g = math.gcd(d, bd)
+    if g == 1:
+        return (n * bd + bn * d, d * bd)
+    t = n * (bd // g) + bn * (d // g)
+    g2 = math.gcd(t, g)
+    n, d = t // g2, (d // g) * (bd // g2)
+    return n if d == 1 else (n, d)
+
+
+def _div(a: _Q, b: _Q) -> _Q:
+    """a / b for a nonzero b: a times b's inverse, put in the reducer's form."""
+    n, d = (b, 1) if type(b) is int else b
+    if n < 0:
+        n, d = -n, -d
+    return _mul(a, d if n == 1 else (d, n))
 
 
 class _Compiled:
     """Per rule: LM exponents, deg LM, LC, the other terms with their
-    degrees, and the body precision; plus a divisor memo.  The LC and the
-    tail coefficients are ints where integral (see `_narrow`).  Built once
+    degrees, the body precision, and whether every tail coefficient is an
+    int; plus a divisor memo.  The LC and the tail coefficients are in the
+    reducer's form (see `_narrow`).  Built once
     per public call and shared by its reducers, never kept on the `RuleSet`."""
 
     __slots__ = ("rules", "table", "memo")
@@ -153,7 +217,7 @@ class _Compiled:
             lm = r.leading_monomial
             tail = [(m.exponents, m.degree, _narrow(c)) for m, c in r.body.items() if m != lm]
             self.table.append((lm.exponents, lm.degree, _narrow(r.leading_coefficient), tail,
-                               r.body.precision))
+                               r.body.precision, all(type(c) is int for _e, _d, c in tail)))
         self.memo: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def dividing(self, e: tuple[int, ...]) -> tuple[int, ...]:
@@ -165,9 +229,9 @@ class _Compiled:
         return hit
 
 
-def _seed(f: TruncatedSeries, rules: RuleSet) -> dict[tuple[int, ...], int | Fraction]:
+def _seed(f: TruncatedSeries, rules: RuleSet) -> dict[tuple[int, ...], _Q]:
     """A fresh exponent-keyed copy of f's terms for a reducer over the rules,
-    integral coefficients as ints (see `_narrow`)."""
+    in the reducer's form (see `_narrow`)."""
     if f.n != rules.n:
         raise DimensionMismatchError(f"series over {f.n} variables, rules over {rules.n}")
     return {m.exponents: _narrow(c) for m, c in f.items()}
@@ -188,33 +252,33 @@ class _Reducer:
     ``steps`` the raw ``(M, i, m, coeff)`` records a trace is built from.
 
     A tail product of degree ``bound`` or more is not added into ``terms``:
-    ``deferred`` keeps its ``(factor, tail coefficient)`` pair under its
+    ``deferred`` keeps its ``(-factor, tail coefficient)`` pair under its
     monomial, and `end` sums those pairs only when the end needs them.
     ``bound`` is the target in `_run`, whose steps never read a term at or
     above it, and infinite for the walkers that read every coefficient.
 
-    The coefficients in ``terms``, ``steps`` and ``quotients`` are ints
-    while the arithmetic keeps them integral, else `Fraction`s.  A trace's
-    `steps` and `_series` convert only the ints back: every value leaving
-    is a `Fraction`.
+    The coefficients in ``terms``, ``deferred``, ``steps`` and
+    ``quotients`` are ints while integral, else reduced ``(num, den)``
+    pairs (see `_narrow`).  A trace's `steps` and `_series` convert them
+    back with `_fraction`: every value leaving is a `Fraction`.
     """
 
     __slots__ = ("rules", "bound", "terms", "deferred", "precision", "pending",
                  "steps", "quotients", "_table", "dividing")
 
-    def __init__(self, compiled: _Compiled, terms: dict[tuple[int, ...], int | Fraction],
+    def __init__(self, compiled: _Compiled, terms: dict[tuple[int, ...], _Q],
                  precision: Optional[int], bound: float = math.inf):
         self.rules = rules = compiled.rules
         self.bound = bound
         self.terms = terms
-        self.deferred: dict[tuple[int, ...], list[tuple[int | Fraction, int | Fraction]]] = {}
+        self.deferred: dict[tuple[int, ...], list[tuple[_Q, _Q]]] = {}
         self.precision = precision
         self._table = compiled.table
         self.dividing = compiled.dividing
         self.pending = sorted((d, e) for e in terms
                               if (d := sum(e)) < bound and self.dividing(e))
-        self.steps: list[tuple[tuple[int, ...], int, tuple[int, ...], int | Fraction]] = []
-        self.quotients: list[dict[tuple[int, ...], int | Fraction]] = [{} for _ in rules.rules]
+        self.steps: list[tuple[tuple[int, ...], int, tuple[int, ...], _Q]] = []
+        self.quotients: list[dict[tuple[int, ...], _Q]] = [{} for _ in rules.rules]
 
     def _unpend(self, key: _Key) -> None:
         pending = self.pending
@@ -226,7 +290,7 @@ class _Reducer:
         """Reduce the stored term at key = (degree, exponents) with rule i,
         whose leading monomial divides it."""
         d, M = key
-        lm, lm_degree, lc, tail, body_precision = self._table[i - 1]
+        lm, lm_degree, lc, tail, body_precision, int_tail = self._table[i - 1]
         m = tuple(map(operator.sub, M, lm))
         dm = d - lm_degree
         terms, pending, deferred, bound = self.terms, self.pending, self.deferred, self.bound
@@ -239,10 +303,16 @@ class _Reducer:
                 for e in [e for e in store if sum(e) >= prec]:
                     del store[e]
             del pending[bisect_left(pending, (prec,)):]
-        if type(coeff) is int and type(lc) is int:   # never `/` on two ints: a float
-            factor = coeff // lc if coeff % lc == 0 else Fraction(coeff, lc)
+        # ints: -factor and every tail coefficient are ints, so each product
+        # is an int product inline
+        if type(coeff) is int and type(lc) is int and not coeff % lc:
+            factor = coeff // lc
+            neg = -factor
+            ints = int_tail
         else:
-            factor = coeff / lc
+            factor = _div(coeff, lc)
+            neg = _neg(factor)
+            ints = int_tail and type(neg) is int
         for e, de, c in tail:
             d2 = de + dm
             if prec is not None and d2 >= prec:
@@ -251,24 +321,29 @@ class _Reducer:
             if d2 >= bound:
                 held = deferred.get(e2)
                 if held is None:
-                    deferred[e2] = [(factor, c)]
+                    deferred[e2] = [(neg, c)]
                 else:
-                    held.append((factor, c))
+                    held.append((neg, c))
                 continue
+            p = neg * c if ints else _mul(neg, c)
             old = terms.get(e2)
             if old is None:
-                terms[e2] = -factor * c
+                terms[e2] = p
                 if self.dividing(e2):
                     insort(pending, (d2, e2))
                 continue
-            new = old - factor * c
+            new = old + p if type(old) is int and type(p) is int else _add(old, p)
             if new:
                 terms[e2] = new
             else:
                 del terms[e2]
                 self._unpend((d2, e2))
         q = self.quotients[i - 1]
-        q[m] = q.get(m, 0) + factor   # zero sums drop out in _series
+        old = q.get(m)
+        if old is None:
+            q[m] = factor
+        else:   # a zero sum drops out in _series
+            q[m] = old + factor if type(old) is int and type(factor) is int else _add(old, factor)
         self.steps.append((M, i, m, coeff))
 
     def end(self, target: int) -> tuple[TruncatedSeries, int]:
@@ -307,22 +382,22 @@ class _Reducer:
         return trace
 
 
-def _fold(c: int | Fraction, held: Sequence[tuple[int | Fraction, int | Fraction]]
-          ) -> int | Fraction:
-    """c minus the deferred products factor * tail coefficient, in step order."""
-    for factor, k in held:
-        c -= factor * k
+def _fold(c: _Q, held: Sequence[tuple[_Q, _Q]]) -> _Q:
+    """c plus the deferred products -factor * tail coefficient, in step order."""
+    for neg, k in held:
+        c = _add(c, _mul(neg, k))
     return c
 
 
-def _series(n: int, terms: dict[tuple[int, ...], int | Fraction],
+def _series(n: int, terms: dict[tuple[int, ...], _Q],
             precision: Optional[int] = None) -> TruncatedSeries:
-    """The series, with `Fraction`s, of an exponent-keyed term dict (ints or
-    `Fraction`s below the precision): a reducer's terms, or a cofactor or
+    """The series, with `Fraction`s, of an exponent-keyed term dict in the
+    reducer's form below the precision: a reducer's terms, or a cofactor or
     combination; only a cofactor accumulator can hold a zero sum, which is
-    dropped here."""
+    dropped here.  `_fraction` is inlined: a call per term costs about 3% on
+    a 400-term cofactor."""
     return TruncatedSeries._from_clean(
-        n, {Monomial._trusted(e): Fraction(c) if type(c) is int else c
+        n, {Monomial._trusted(e): Fraction(c) if type(c) is int else Fraction(*c)
             for e, c in terms.items() if c}, precision)
 
 
@@ -341,7 +416,7 @@ def _uniform(rng: random.Random) -> Pick:
     return pick
 
 
-def _run(compiled: _Compiled, terms: dict[tuple[int, ...], int | Fraction],
+def _run(compiled: _Compiled, terms: dict[tuple[int, ...], _Q],
          precision: Optional[int], target_precision: int,
          pick: Pick) -> tuple[_Reducer, TruncatedSeries, int]:
     """Reduce the terms, known below the precision, below the target; the
@@ -423,7 +498,7 @@ def _replay(trace: ReductionTrace, compiled: _Compiled) -> _Reducer:
             raise InvalidTraceError(
                 f"step {k + 1}: quotient * LM(rule {step.rule_index}) != {step.monomial}")
         M = step.monomial.exponents
-        actual = r.terms.get(M, Fraction(0))
+        actual = _fraction(r.terms.get(M, 0))
         if actual != step.coeff or actual == 0:
             raise InvalidTraceError(
                 f"step {k + 1}: recorded coefficient {step.coeff} at {step.monomial}, found {actual}")
@@ -594,7 +669,7 @@ def falsify_standard_basis(rules: RuleSet, precision: int, trials: int,
     n = rules.n
     compiled = _Compiled(rules)
 
-    def check(qs: list[dict[tuple[int, ...], int | Fraction]], phase: str, trial: int
+    def check(qs: list[dict[tuple[int, ...], _Q]], phase: str, trial: int
               ) -> Optional[StandardBasisCounterexample]:
         try:
             end = _run(compiled, *_combine(compiled, qs), precision, _smallest)[1]
@@ -632,8 +707,8 @@ def falsify_standard_basis(rules: RuleSet, precision: int, trials: int,
     return None
 
 
-def _combine(compiled: _Compiled, qs: Sequence[dict[tuple[int, ...], int | Fraction]]
-             ) -> tuple[dict[tuple[int, ...], int | Fraction], Optional[int]]:
+def _combine(compiled: _Compiled, qs: Sequence[dict[tuple[int, ...], _Q]]
+             ) -> tuple[dict[tuple[int, ...], _Q], Optional[int]]:
     """The exponent-keyed terms and the precision of sum q_i * s_i, for exact
     cofactors q_i (nonzero terms only) and the compiled rule bodies s_i.
 
@@ -642,19 +717,19 @@ def _combine(compiled: _Compiled, qs: Sequence[dict[tuple[int, ...], int | Fract
     those below it; a leading term that cancels, as in a critical pair,
     cancels in the sum."""
     precision = None
-    for q, (_lm, _d, _lc, _tail, body_precision) in zip(qs, compiled.table):
+    for q, (_lm, _d, _lc, _tail, body_precision, _ints) in zip(qs, compiled.table):
         if q and body_precision is not None:
             p = body_precision + min(map(sum, q))
             precision = p if precision is None else min(precision, p)
-    acc: dict[tuple[int, ...], int | Fraction] = {}
-    for q, (lm, lm_degree, lc, tail, _p) in zip(qs, compiled.table):
+    acc: dict[tuple[int, ...], _Q] = {}
+    for q, (lm, lm_degree, lc, tail, _p, _ints) in zip(qs, compiled.table):
         for mq, cq in q.items():
             dq = sum(mq)
             for e, de, c in ((lm, lm_degree, lc), *tail):
                 if precision is None or de + dq < precision:
                     e2 = tuple(map(operator.add, e, mq))
-                    acc[e2] = acc.get(e2, 0) + cq * c
-    return {e: _narrow(c) for e, c in acc.items() if c}, precision
+                    acc[e2] = _add(acc.get(e2, 0), _mul(cq, c))
+    return {e: c for e, c in acc.items() if c}, precision
 
 
 # -- confluence probing ------------------------------------------------------
@@ -679,7 +754,8 @@ class ConfluenceProbeReport:
         return max((d for _, _, d, _ in self.pairwise), default=Fraction(0))
 
     def divergence_witnesses(self) -> list[tuple[int, int, Fraction]]:
-        return [(a, b, d) for a, b, d, _ in self.pairwise if d > self.threshold]
+        threshold = self.threshold
+        return [(a, b, d) for a, b, d, _ in self.pairwise if d > threshold]
 
 
 def confluence_probe(f: TruncatedSeries, rules: RuleSet, precision: int,

@@ -51,6 +51,8 @@ class TruncatedSeries:
             raise TypeError(f"terms must map monomials to coefficients, got {type(terms).__name__}")
         clean: dict[Monomial, Fraction] = {}
         for m, c in terms.items():
+            if not isinstance(m, Monomial):
+                raise TypeError(f"term key {m!r} is not a Monomial")
             if m.n != n:
                 raise DimensionMismatchError(f"monomial over {m.n} variables in a {n}-variable series")
             c = _rational(c)

@@ -85,6 +85,11 @@ class TestTrustedConstructor:
         with pytest.raises(TypeError, match=re.escape(f"exponent {e!r} is not an int")):
             Monomial((1, e))
 
+    @pytest.mark.parametrize("exponents", [[1, 2], range(2), (e for e in (1, 2)), "12"])
+    def test_public_constructor_takes_only_a_tuple(self, exponents):
+        with pytest.raises(TypeError, match=re.escape(f"exponents {exponents!r} are not a tuple")):
+            Monomial(exponents)
+
     @given(monomials3, monomials3)
     def test_unchecked_results_hold_checked_exponents(self, m1, m2):
         # multiply, divides and lcm build with `_trusted`: the results must

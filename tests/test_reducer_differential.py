@@ -21,13 +21,15 @@ land above, are checked against the oracle on their own, as is the
 falsifier, which seeds its reducers with combinations built from the
 compiled rule table.
 
-Inside, the reducer keeps integral coefficients as ints.  An int that
-leaked out would pass every `==` here and still change `repr` and
-`type`, so every coefficient that leaves it is checked to be a
-`Fraction`.
+Inside, the reducer keeps integral coefficients as ints and the others
+as reduced (num, den) pairs; its helpers must agree with `Fraction`
+arithmetic.  An int that leaked out would pass every `==` here and still
+change `repr` and `type`, so every coefficient that leaves it is checked
+to be a `Fraction`.
 """
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -62,7 +64,9 @@ from psrewrite import (
     reducible_monomials,
     translate,
 )
-from psrewrite.rewrite import _Compiled, _Reducer, _seed
+from psrewrite.rewrite import (
+    _Compiled, _Reducer, _add, _div, _fraction, _mul, _narrow, _neg, _seed,
+)
 
 COEFFS = st.sampled_from([-2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-3, 2)])
 
@@ -248,16 +252,21 @@ def test_falsifier_certificate_holds_fractions(instance, seed):
         assert_fractions(cert.combination, cert.normal_form, *cert.cofactors)
 
 
-# Each branch of the step's factor coeff / LC: int // int where the LC
-# divides, Fraction(int, int) where it does not, and `/` once a Fraction
-# is involved.  (rules, input series, precision, the factor of the first step)
+# Each branch of the step's factor coeff / LC: int // int inline where the
+# LC divides, and `_div` otherwise, on two ints, an int and a pair, a pair
+# and an int, or two pairs; its result is an int when integral, else a
+# reduced (num, den) pair with den > 1.
+# (rules, input series, precision, the factor of the first step)
 FACTORS = [
     ("-x1 + x1^2", "3*x1", 3, -3),
     ("-2*x1 + x1^2", "4*x1", 3, -2),
-    ("-2*x1 + x1^2", "3*x1", 3, Fraction(-3, 2)),
-    ("2*x1 - x1^2", "3*x1", 4, Fraction(3, 2)),
-    ("1/2*x1 + x2^2", "3*x1", 4, Fraction(6)),
-    ("2*x1 + x2^2", "3/2*x1 + x1^2", 4, Fraction(3, 4)),
+    ("-2*x1 + x1^2", "3*x1", 3, (-3, 2)),
+    ("2*x1 - x1^2", "3*x1", 4, (3, 2)),
+    ("1/2*x1 + x2^2", "3*x1", 4, 6),
+    ("2*x1 + x2^2", "3/2*x1 + x1^2", 4, (3, 4)),
+    ("-2/3*x1 + x2^2", "x1", 4, (-3, 2)),
+    ("3/2*x1 + x2^2", "-3/2*x1 + x1^2", 4, -1),
+    ("4/3*x1 + x2^2", "3/2*x1 + x1^2", 4, (9, 8)),
 ]
 
 
@@ -275,6 +284,35 @@ def test_factor_branches_match_oracle(rules_text, f_text, prec, factor):
     for seed in range(3):
         assert_same_trace(normalize_random(f, rules, prec, seed),
                           naive.normalize_random(f, rules, prec, seed), rules)
+
+
+# Reducer values: the int 0, ints and pairs with large numerators, and
+# denominators of 1 and -1, which `_narrow` turns into ints.
+NUMBERS = st.integers(-10, 10) | st.integers(-2 ** 200, 2 ** 200)
+DENOMINATORS = (st.sampled_from([1, -1]) | st.integers(-10, 10) | st.integers(-2 ** 90, 2 ** 90)
+                ).filter(bool)
+RATIONALS = st.builds(Fraction, NUMBERS, DENOMINATORS)
+
+
+def canonical(c):
+    """An int, or a pair (num, den) of ints with den > 1 and gcd 1."""
+    if type(c) is int:
+        return True
+    return (type(c) is tuple and len(c) == 2 and all(type(x) is int for x in c)
+            and c[1] > 1 and math.gcd(*c) == 1)
+
+
+@settings(max_examples=600, deadline=None)
+@given(RATIONALS, RATIONALS)
+def test_coefficient_helpers_match_fraction(a, b):
+    qa, qb = _narrow(a), _narrow(b)
+    assert canonical(qa) and _fraction(qa) == a and type(_fraction(qa)) is Fraction
+    results = [(_neg(qa), -a), (_mul(qa, qb), a * b), (_add(qa, qb), a + b)]
+    if b:
+        results.append((_div(qa, qb), a / b))
+    for got, want in results:
+        assert canonical(got) and got == _narrow(want)
+        assert _fraction(got) == want and type(_fraction(got)) is Fraction
 
 
 def test_deep_geometric_division_reprs_are_unchanged():

@@ -263,6 +263,11 @@ class TestTrustedPath:
         with pytest.raises(TypeError):
             TruncatedSeries(N, [(X, 1), (X, -1)])
 
+    @pytest.mark.parametrize("key", [(1, 0), "x1", None])
+    def test_term_keys_must_be_monomials(self, key):
+        with pytest.raises(TypeError, match=re.escape(f"term key {key!r} is not a Monomial")):
+            TruncatedSeries(N, {X: 1, key: 1})
+
     @pytest.mark.parametrize("value", [2.5, True, "3", Fraction(3)])
     def test_variable_count_and_precision_must_be_ints(self, value):
         for make, what in [(lambda: TruncatedSeries(value, {}), "variable count"),

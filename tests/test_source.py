@@ -71,3 +71,22 @@ def test_one_reduction_step_in_package():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr in {"scale_term", "dividing_rules"}]
     assert SOURCES and not found, f"second step paths: {found}"
+
+
+def test_no_fraction_arithmetic_in_the_reduction_loop():
+    # The reducer computes on ints and (num, den) pairs, converting to
+    # `Fraction` only where a value leaves it: no method of `_Reducer`, and
+    # neither `_fold` nor `_combine`, names `Fraction` or divides with `/`.
+    tree = ast.parse((Path(psrewrite.__file__).parent / "rewrite.py").read_text())
+    loop = [top for top in tree.body
+            if isinstance(top, ast.FunctionDef) and top.name in {"_fold", "_combine"}]
+    loop += [fn for top in tree.body
+             if isinstance(top, ast.ClassDef) and top.name == "_Reducer"
+             for fn in top.body if isinstance(fn, ast.FunctionDef)]
+    assert {"_fold", "_combine", "step", "end"} <= {fn.name for fn in loop}
+    found = [f"{fn.name}:{node.lineno}"
+             for fn in loop for node in ast.walk(fn)
+             if (isinstance(node, ast.Name) and node.id == "Fraction")
+             or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
+             or (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div))]
+    assert not found, f"Fraction arithmetic in the reduction loop: {found}"
