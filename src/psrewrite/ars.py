@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import InvalidConversionError, InvariantViolationError, PreconditionFailedError
 from .monomials import require_int
@@ -35,22 +35,20 @@ BACKWARD = "backward"
 
 @dataclass(frozen=True)
 class FiniteARS:
-    """Elements 0..size-1 with a one-step relation given by edge pairs."""
+    """Elements 0..size-1 with a one-step relation given by edge pairs,
+    from any iterable of them, kept as a frozenset."""
 
     size: int
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
         require_int(self.size, "size", 0)
+        object.__setattr__(self, "edges", frozenset(self.edges))
         for a, b in self.edges:
             require_int(a, "element")
             require_int(b, "element")
             if not (0 <= a < self.size and 0 <= b < self.size):
                 raise ValueError(f"edge ({a}, {b}) outside 0..{self.size - 1}")
-
-    @classmethod
-    def build(cls, size: int, edges: Iterable[tuple[int, int]]) -> FiniteARS:
-        return cls(size, frozenset(edges))
 
     def _check(self, a: int) -> None:
         require_int(a, "element")

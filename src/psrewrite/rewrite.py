@@ -22,7 +22,7 @@ import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -54,8 +54,9 @@ class RuleSet:
     n: int
 
     @classmethod
-    def from_series(cls, bodies: Sequence[TruncatedSeries],
+    def from_series(cls, bodies: Iterable[TruncatedSeries],
                     n: Optional[int] = None) -> RuleSet:
+        bodies = tuple(bodies)
         if n is None:
             if not bodies:
                 raise ValueError("variable count required for an empty rule set")
@@ -138,7 +139,8 @@ _Key = tuple[int, tuple[int, ...]]   # (degree, exponents): `deglex_key` of a mo
 # a pair (num, den) with den > 1 and gcd(num, den) == 1, so each value has
 # one form and zero is only the int 0.  The helpers below keep that form,
 # cancelling gcds across operands before they multiply (Knuth, TAOCP vol. 2,
-# 4.5.1); a step does int-by-int arithmetic inline and calls them otherwise.
+# 4.5.1).  A step computes an exact int factor and int sums inline, and
+# calls them for everything else, every tail product included.
 
 _Q = int | tuple[int, int]
 
@@ -203,9 +205,8 @@ def _div(a: _Q, b: _Q) -> _Q:
 
 class _Compiled:
     """Per rule: LM exponents, deg LM, LC, the other terms with their
-    degrees, the body precision, and whether every tail coefficient is an
-    int; plus a divisor memo.  The LC and the tail coefficients are in the
-    reducer's form (see `_narrow`).  Built once
+    degrees, and the body precision; plus a divisor memo.  The LC and the
+    tail coefficients are in the reducer's form (see `_narrow`).  Built once
     per public call and shared by its reducers, never kept on the `RuleSet`."""
 
     __slots__ = ("rules", "table", "memo")
@@ -217,7 +218,7 @@ class _Compiled:
             lm = r.leading_monomial
             tail = [(m.exponents, m.degree, _narrow(c)) for m, c in r.body.items() if m != lm]
             self.table.append((lm.exponents, lm.degree, _narrow(r.leading_coefficient), tail,
-                               r.body.precision, all(type(c) is int for _e, _d, c in tail)))
+                               r.body.precision))
         self.memo: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def dividing(self, e: tuple[int, ...]) -> tuple[int, ...]:
@@ -241,21 +242,23 @@ class _Reducer:
     """One reduction run on an exponent-keyed term dict, which it takes over.
 
     ``terms`` maps exponent tuples to the nonzero coefficients of degree
-    below ``precision``; when a rule's truncation lowers the precision,
-    the terms and deferred products at or above the new precision are
-    dropped, as the series constructor would.  ``pending`` holds the
-    ``(degree, exponents)`` keys of the reducible terms of degree below
-    ``bound``, sorted in the order: the canonical strategy takes
-    ``pending[0]``, and a uniform draw over it is a draw over the sorted
-    candidate list.  ``quotients[i]``
-    accumulates the cofactor of rule i + 1 as the steps run, and
-    ``steps`` the raw ``(M, i, m, coeff)`` records a trace is built from.
+    below ``precision`` and ``bound``; when a rule's truncation lowers the
+    precision, the terms and deferred products at or above the new
+    precision are dropped, as the series constructor would.  ``pending``
+    holds the ``(degree, exponents)`` keys of the reducible terms, sorted
+    in the order: the canonical strategy takes ``pending[0]``, and a
+    uniform draw over it is a draw over the sorted candidate list.
+    ``quotients[i]`` accumulates the cofactor of rule i + 1 as the steps
+    run, and ``steps`` the raw ``(M, i, m, coeff)`` records a trace is
+    built from.
 
-    A tail product of degree ``bound`` or more is not added into ``terms``:
-    ``deferred`` keeps its ``(-factor, tail coefficient)`` pair under its
-    monomial, and `end` sums those pairs only when the end needs them.
-    ``bound`` is the target in `_run`, whose steps never read a term at or
-    above it, and infinite for the walkers that read every coefficient.
+    Nothing of degree ``bound`` or more enters ``terms``: ``deferred``
+    keeps, under its monomial, each start term there as the pair
+    ``(c, 1)`` and each tail product there as its ``(-factor, tail
+    coefficient)`` pair, and `end` sums those pairs only when the end
+    needs them.  ``bound`` is the target in `_run`, whose steps never read
+    a term at or above it, and infinite for the walkers that read every
+    coefficient.
 
     The coefficients in ``terms``, ``deferred``, ``steps`` and
     ``quotients`` are ints while integral, else reduced ``(num, den)``
@@ -271,12 +274,12 @@ class _Reducer:
         self.rules = rules = compiled.rules
         self.bound = bound
         self.terms = terms
-        self.deferred: dict[tuple[int, ...], list[tuple[_Q, _Q]]] = {}
+        self.deferred: dict[tuple[int, ...], list[tuple[_Q, _Q]]] = {
+            e: [(terms.pop(e), 1)] for e in [e for e in terms if sum(e) >= bound]}
         self.precision = precision
         self._table = compiled.table
         self.dividing = compiled.dividing
-        self.pending = sorted((d, e) for e in terms
-                              if (d := sum(e)) < bound and self.dividing(e))
+        self.pending = sorted((sum(e), e) for e in terms if self.dividing(e))
         self.steps: list[tuple[tuple[int, ...], int, tuple[int, ...], _Q]] = []
         self.quotients: list[dict[tuple[int, ...], _Q]] = [{} for _ in rules.rules]
 
@@ -290,7 +293,7 @@ class _Reducer:
         """Reduce the stored term at key = (degree, exponents) with rule i,
         whose leading monomial divides it."""
         d, M = key
-        lm, lm_degree, lc, tail, body_precision, int_tail = self._table[i - 1]
+        lm, lm_degree, lc, tail, body_precision = self._table[i - 1]
         m = tuple(map(operator.sub, M, lm))
         dm = d - lm_degree
         terms, pending, deferred, bound = self.terms, self.pending, self.deferred, self.bound
@@ -303,16 +306,12 @@ class _Reducer:
                 for e in [e for e in store if sum(e) >= prec]:
                     del store[e]
             del pending[bisect_left(pending, (prec,)):]
-        # ints: -factor and every tail coefficient are ints, so each product
-        # is an int product inline
         if type(coeff) is int and type(lc) is int and not coeff % lc:
             factor = coeff // lc
             neg = -factor
-            ints = int_tail
         else:
             factor = _div(coeff, lc)
             neg = _neg(factor)
-            ints = int_tail and type(neg) is int
         for e, de, c in tail:
             d2 = de + dm
             if prec is not None and d2 >= prec:
@@ -325,7 +324,7 @@ class _Reducer:
                 else:
                     held.append((neg, c))
                 continue
-            p = neg * c if ints else _mul(neg, c)
+            p = _mul(neg, c)
             old = terms.get(e2)
             if old is None:
                 terms[e2] = p
@@ -347,27 +346,21 @@ class _Reducer:
         self.steps.append((M, i, m, coeff))
 
     def end(self, target: int) -> tuple[TruncatedSeries, int]:
-        """The end of a run whose pending list is empty, and its precision.
+        """The end and end precision of a run whose pending list is empty;
+        the target is the run's bound.
 
-        A reducible term left at degree >= target means the normal form is
-        pinned down only below the target: the end is the terms below it at
-        precision target.  The deferred products decide that only where
-        they land on a reducible monomial, and the first nonzero sum there
-        settles it.  Otherwise every deferred product is folded in and the
-        end is exact up to the run's precision."""
+        A nonzero deferred sum on a reducible monomial means the normal
+        form is pinned down only below the target: the end is the terms at
+        precision target, and the first such sum settles it.  Otherwise
+        every deferred sum is folded in and the end is exact up to the
+        run's precision."""
         terms, deferred, dividing = self.terms, self.deferred, self.dividing
-        above = [e for e in terms if sum(e) >= target]
-        if any(dividing(e) and _fold(terms.get(e, 0), deferred.get(e, ()))
-               for e in (*above, *deferred)):
-            for e in above:
-                del terms[e]
+        if any(dividing(e) and _fold(held) for e, held in deferred.items()):
             return _series(self.rules.n, terms, target), target
         for e, held in deferred.items():
-            c = _fold(terms.get(e, 0), held)
+            c = _fold(held)
             if c:
                 terms[e] = c
-            else:
-                terms.pop(e, None)
         return self.series(), target if self.precision is None else self.precision
 
     def series(self) -> TruncatedSeries:
@@ -382,10 +375,11 @@ class _Reducer:
         return trace
 
 
-def _fold(c: _Q, held: Sequence[tuple[_Q, _Q]]) -> _Q:
-    """c plus the deferred products -factor * tail coefficient, in step order."""
-    for neg, k in held:
-        c = _add(c, _mul(neg, k))
+def _fold(held: Sequence[tuple[_Q, _Q]]) -> _Q:
+    """The sum of the products of the deferred pairs, in the order deferred."""
+    c = 0
+    for a, b in held:
+        c = _add(c, _mul(a, b))
     return c
 
 
@@ -401,35 +395,28 @@ def _series(n: int, terms: dict[tuple[int, ...], _Q],
             for e, c in terms.items() if c}, precision)
 
 
-Pick = Callable[[_Reducer], tuple[_Key, int]]
-
-
-def _smallest(r: _Reducer) -> tuple[_Key, int]:
-    key = r.pending[0]
-    return key, r.dividing(key[1])[0]
-
-
-def _uniform(rng: random.Random) -> Pick:
-    def pick(r: _Reducer) -> tuple[_Key, int]:
-        key = rng.choice(r.pending)
-        return key, rng.choice(r.dividing(key[1]))
-    return pick
-
-
 def _run(compiled: _Compiled, terms: dict[tuple[int, ...], _Q],
          precision: Optional[int], target_precision: int,
-         pick: Pick) -> tuple[_Reducer, TruncatedSeries, int]:
+         rng: Optional[random.Random] = None) -> tuple[_Reducer, TruncatedSeries, int]:
     """Reduce the terms, known below the precision, below the target; the
-    reducer, end and end precision.  Products at or above the target are
-    deferred, and summed only as far as `_Reducer.end` needs them."""
+    reducer, end and end precision.  Without an rng each step takes the
+    smallest pending monomial and its first dividing rule, the canonical
+    strategy; with one it draws both uniformly.  Terms and products at or
+    above the target are deferred, and summed only as far as
+    `_Reducer.end` needs them."""
     require_int(target_precision, "target precision", 0)
     if precision is not None and precision < target_precision:
         raise PrecisionUnattainableError(
             f"input precision {precision} below target {target_precision}")
     r = _Reducer(compiled, terms, precision, target_precision)
-
-    while r.pending:
-        key, i = pick(r)
+    pending, dividing = r.pending, r.dividing
+    while pending:
+        if rng is None:
+            key = pending[0]
+            i = dividing(key[1])[0]
+        else:
+            key = rng.choice(pending)
+            i = rng.choice(dividing(key[1]))
         r.step(key, i)
         if r.precision is not None and r.precision < target_precision:
             raise PrecisionUnattainableError(
@@ -447,7 +434,7 @@ def normalize(f: TruncatedSeries, rules: RuleSet, target_precision: int) -> Redu
     below the last reduced monomial final.
     """
     r, end, end_precision = _run(_Compiled(rules), _seed(f, rules), f.precision,
-                                 target_precision, _smallest)
+                                 target_precision)
     return r.trace(f, end, end_precision)
 
 
@@ -457,7 +444,7 @@ def normalize_random(f: TruncatedSeries, rules: RuleSet, target_precision: int,
     and the applicable rule uniformly at each step (reproducible per seed)."""
     require_int(seed, "seed")
     r, end, end_precision = _run(_Compiled(rules), _seed(f, rules), f.precision,
-                                 target_precision, _uniform(random.Random(seed)))
+                                 target_precision, random.Random(seed))
     return r.trace(f, end, end_precision)
 
 
@@ -606,7 +593,7 @@ def congruence_test(f: TruncatedSeries, g: TruncatedSeries, rules: RuleSet,
     UnknownAtPrecision.
     """
     d = f.subtract(g)
-    r, end, _ = _run(_Compiled(rules), _seed(d, rules), d.precision, precision, _smallest)
+    r, end, _ = _run(_Compiled(rules), _seed(d, rules), d.precision, precision)
     if end.truncate(precision).known_zero():
         return Member(tuple(_series(rules.n, q) for q in r.quotients))
     if assume_standard_basis:
@@ -672,7 +659,7 @@ def falsify_standard_basis(rules: RuleSet, precision: int, trials: int,
     def check(qs: list[dict[tuple[int, ...], _Q]], phase: str, trial: int
               ) -> Optional[StandardBasisCounterexample]:
         try:
-            end = _run(compiled, *_combine(compiled, qs), precision, _smallest)[1]
+            end = _run(compiled, *_combine(compiled, qs), precision)[1]
         except PrecisionUnattainableError:
             return None  # rule truncations make this combination untestable
         residual = end.truncate(precision)
@@ -717,12 +704,12 @@ def _combine(compiled: _Compiled, qs: Sequence[dict[tuple[int, ...], _Q]]
     those below it; a leading term that cancels, as in a critical pair,
     cancels in the sum."""
     precision = None
-    for q, (_lm, _d, _lc, _tail, body_precision, _ints) in zip(qs, compiled.table):
+    for q, (_lm, _d, _lc, _tail, body_precision) in zip(qs, compiled.table):
         if q and body_precision is not None:
             p = body_precision + min(map(sum, q))
             precision = p if precision is None else min(precision, p)
     acc: dict[tuple[int, ...], _Q] = {}
-    for q, (lm, lm_degree, lc, tail, _p, _ints) in zip(qs, compiled.table):
+    for q, (lm, lm_degree, lc, tail, _p) in zip(qs, compiled.table):
         for mq, cq in q.items():
             dq = sum(mq)
             for e, de, c in ((lm, lm_degree, lc), *tail):
@@ -766,8 +753,7 @@ def confluence_probe(f: TruncatedSeries, rules: RuleSet, precision: int,
     for s in strategy_seeds:
         require_int(s, "seed")
     compiled = _Compiled(rules)
-    ends = [_run(compiled, _seed(f, rules), f.precision, precision,
-                 _uniform(random.Random(s)))[1]
+    ends = [_run(compiled, _seed(f, rules), f.precision, precision, random.Random(s))[1]
             for s in strategy_seeds]
     pairs = []
     for a in range(len(ends)):
@@ -800,14 +786,15 @@ def attractivity_check(f: TruncatedSeries, rules: RuleSet,
     compiled = _Compiled(rules)
     if any(map(compiled.dividing, _seed(alpha, rules))):
         raise PreconditionFailedError("alpha contains a reducible monomial")
-    pick = _uniform(random.Random(seed))
+    rng = random.Random(seed)
     r = _Reducer(compiled, _seed(f, rules), f.precision)
     dists = [delta(f, alpha)[0]]
     taken = 0
     for k in range(1, steps + 1):
         if not r.pending:
             break
-        r.step(*pick(r))
+        key = rng.choice(r.pending)
+        r.step(key, rng.choice(r.dividing(key[1])))
         taken = k
         dists.append(delta(r.series(), alpha)[0])
         if dists[-1] > dists[-2]:

@@ -195,7 +195,7 @@ def test_criterion_8_congruence_and_membership():
 def _all_systems(size):
     slots = [(a, b) for a in range(size) for b in range(size)]
     for mask in range(2 ** len(slots)):
-        yield FiniteARS.build(size, (e for k, e in enumerate(slots) if mask >> k & 1))
+        yield FiniteARS(size, (e for k, e in enumerate(slots) if mask >> k & 1))
 
 
 def _assert_implications(props):
@@ -248,14 +248,14 @@ def test_criterion_9_finite_system_propositions():
     sampled = 100_000
     for _ in range(sampled):
         mask = rng.getrandbits(16)
-        sys = FiniteARS.build(4, (e for k, e in enumerate(slots) if mask >> k & 1))
+        sys = FiniteARS(4, (e for k, e in enumerate(slots) if mask >> k & 1))
         _assert_implications(check_properties(sys))
 
     rng = random.Random(2026_10)
     sampled_valleys = 0
     while sampled_valleys < 300:
         mask = rng.getrandbits(16)
-        sys = FiniteARS.build(4, (e for k, e in enumerate(slots) if mask >> k & 1))
+        sys = FiniteARS(4, (e for k, e in enumerate(slots) if mask >> k & 1))
         props = check_properties(sys)
         if not (props.normalising and props.unique_nf_reached):
             continue

@@ -18,7 +18,7 @@ from psrewrite import (
 
 
 def sys_of(size, *edges):
-    return FiniteARS.build(size, edges)
+    return FiniteARS(size, edges)
 
 
 # -- naive re-implementations used as oracles ---------------------------------
@@ -99,7 +99,7 @@ def naive_eliminate_valleys(sys, conv):
 def all_systems(size):
     slots = [(a, b) for a in range(size) for b in range(size)]
     for mask in range(2 ** len(slots)):
-        yield FiniteARS.build(size, (e for k, e in enumerate(slots) if mask >> k & 1))
+        yield FiniteARS(size, (e for k, e in enumerate(slots) if mask >> k & 1))
 
 
 def all_conversions(sys, max_len):
@@ -133,7 +133,21 @@ class TestShapeChecked:
     ])
     def test_rejected(self, size, edges, error, message):
         with pytest.raises(error, match=message):
-            FiniteARS.build(size, edges)
+            FiniteARS(size, edges)
+
+    @pytest.mark.parametrize("make", [iter, list, tuple, frozenset],
+                             ids=["iterator", "list", "tuple", "frozenset"])
+    def test_edges_are_kept_as_a_frozenset(self, make):
+        sys, kept = FiniteARS(2, make([(0, 1)])), FiniteARS(2, frozenset({(0, 1)}))
+        assert type(sys.edges) is frozenset and sys.edges == {(0, 1)}
+        assert sys == kept and hash(sys) == hash(kept)
+        assert normal_forms(sys) == {1} and check_properties(sys) == check_properties(kept)
+
+    def test_a_list_changed_later_changes_nothing(self):
+        edges = [(0, 1)]
+        sys = FiniteARS(2, edges)
+        edges.append((1, 5))
+        assert sys.edges == {(0, 1)} and normal_forms(sys) == {1}
 
     @pytest.mark.parametrize("conv, message", [
         (Conversion(0.0, ((1, FORWARD),)), "^element 0.0 is not an int$"),
@@ -190,7 +204,7 @@ class TestCheckProperties:
         slots = [(a, b) for a in range(3) for b in range(3)]
         for _ in range(200):
             edges = [e for e in slots if rng.random() < 0.4]
-            sys = FiniteARS.build(3, edges)
+            sys = FiniteARS(3, edges)
             assert vars(check_properties(sys)) == naive_props(sys)
 
 
@@ -207,8 +221,8 @@ def labelled_systems(draw):
     edges |= {(i, (i + 1) % cycle) for i in range(cycle)}
     spread = draw(st.sampled_from([k, 10 ** 3, 10 ** 12]))
     labels = draw(st.lists(st.integers(0, spread - 1), min_size=k, max_size=k, unique=True))
-    relabelled = FiniteARS.build(spread, ((labels[a], labels[b]) for a, b in edges))
-    return FiniteARS.build(k, edges), relabelled
+    relabelled = FiniteARS(spread, ((labels[a], labels[b]) for a, b in edges))
+    return FiniteARS(k, edges), relabelled
 
 
 class TestCheckPropertiesDifferential:
@@ -230,11 +244,11 @@ class TestDeepSystems:
     N = 10 ** 4
 
     def test_chain(self):
-        props = check_properties(FiniteARS.build(self.N, ((i, i + 1) for i in range(self.N - 1))))
+        props = check_properties(FiniteARS(self.N, ((i, i + 1) for i in range(self.N - 1))))
         assert all(vars(props).values())
 
     def test_cycle(self):
-        props = check_properties(FiniteARS.build(self.N, ((i, (i + 1) % self.N) for i in range(self.N))))
+        props = check_properties(FiniteARS(self.N, ((i, (i + 1) % self.N) for i in range(self.N))))
         assert vars(props) == {"normalising": False, "nf_property": True,
                                "unique_nf_property": True, "unique_nf_reached": True,
                                "confluent": True}
@@ -242,7 +256,7 @@ class TestDeepSystems:
     def test_valley_far_from_its_normal_form(self):
         # Down the chain N-1 <- ... <- 0, then 0 -> 1 <- 0 (a valley at 1),
         # then back up; the valley's reduction walks the whole chain.
-        sys = FiniteARS.build(self.N, ((i, i + 1) for i in range(self.N - 1)))
+        sys = FiniteARS(self.N, ((i, i + 1) for i in range(self.N - 1)))
         down = tuple((i, BACKWARD) for i in range(self.N - 2, -1, -1))
         up = tuple((i, FORWARD) for i in range(1, self.N))
         conv = Conversion(self.N - 1, down + ((1, FORWARD), (0, BACKWARD)) + up)
@@ -338,7 +352,7 @@ def basin_conversions(draw):
         if len(members) > 1:
             edges |= set(draw(st.lists(st.tuples(st.sampled_from(members[1:]),
                                                  st.sampled_from(members)), max_size=k)))
-    sys = FiniteARS.build(k, edges)
+    sys = FiniteARS(k, edges)
     hops = {a: sorted([(y, FORWARD) for x, y in edges if x == a]
                       + [(x, BACKWARD) for x, y in edges if y == a]) for a in range(k)}
     start = at = draw(st.sampled_from(sorted({basin.index(b) for b in basin})))

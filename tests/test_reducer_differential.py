@@ -15,9 +15,10 @@ divisor test exactly: the result and its precision, the step, and the
 error type and message for an absent monomial, one the rule's leading
 monomial does not divide, and a bad rule index.
 
-A run defers every tail product at or above its target and sums those
-products only where its end needs them.  Low targets, where most products
-land above, are checked against the oracle on their own, as is the
+A run defers every start term and tail product at or above its target,
+so its terms stay below the target, and sums what it deferred only where
+its end needs it.  Low targets, where most products land above, are
+checked against the oracle on their own, as is the
 falsifier, which seeds its reducers with combinations built from the
 compiled rule table.
 
@@ -341,6 +342,7 @@ LOW_TARGET = instances(st.integers(1, 3))
     ("x1 - x2^2", "x1", "x2^2", 2),           # an irreducible product is folded in
     ("x1 - x2^2 + O(3)", "x1 + x1*x2^2", "x2^2 + O(3)", 3),   # O(3) drops x1*x2^2
     ("x2 - x2^4\nx1 + O(3)", "x1 + x2", "O(3)", 3),    # and the deferred x2^4
+    ("x1 - x2^2", "x1 + x2^3", "x2^2 + x2^3", 2),   # and an irreducible start term
 ])
 def test_deferred_products_decide_the_end(rules_text, f_text, end, end_precision):
     rules, f = parse_rules(rules_text, 2), parse_series(f_text, 2)
@@ -351,6 +353,27 @@ def test_deferred_products_decide_the_end(rules_text, f_text, end, end_precision
         Member(cofactors(fast, rules)) if fast.end.truncate(2).known_zero()
         else UnknownAtPrecision(fast.end))
     assert confluence_probe(f, rules, 2, [0, 1]).ends == (fast.end, fast.end)
+
+
+@settings(max_examples=200, deadline=None)
+@given(LOW_TARGET, st.one_of(st.none(), st.integers(0, 2 ** 16)))
+def test_terms_stay_below_the_bound(instance, seed):
+    """Start terms and products at or above the bound go to `deferred`
+    alone, so `pending` is every reducible term, from construction on."""
+    f, rules, target = instance
+    r = _Reducer(_Compiled(rules), _seed(f, rules), f.precision, target)
+    rng = random.Random(seed)
+
+    def check():
+        assert all(sum(e) < target for e in r.terms)
+        assert all(sum(e) >= target for e in r.deferred)
+        assert r.pending == sorted((sum(e), e) for e in r.terms if r.dividing(e))
+
+    check()
+    while r.pending:
+        key = r.pending[0] if seed is None else rng.choice(r.pending)
+        r.step(key, r.dividing(key[1])[0] if seed is None else rng.choice(r.dividing(key[1])))
+        check()
 
 
 @settings(max_examples=200, deadline=None)

@@ -373,6 +373,15 @@ def test_rule_set_copies(clone):
     assert normalize(S("x1 + x2^2"), again, 5) == normalize(S("x1 + x2^2"), rules, 5)
 
 
+@pytest.mark.parametrize("n", [1, None])
+def test_rule_set_from_a_generator(n):
+    # the bodies are read once, so a one-shot iterable gives the same rules
+    bodies = [S("x1 - x1^2", 1)]
+    rules = RuleSet.from_series((b for b in bodies), n)
+    assert rules == RuleSet.from_series(bodies, 1) and len(rules) == 1
+    assert normalize(S("x1", 1), rules, 3).end.known_zero()
+
+
 class TestStandardRepresentation:
     """The oracle's certificate, the per-pair payload of a standard-basis
     verifier, on the division it is built from."""

@@ -76,17 +76,56 @@ def test_one_reduction_step_in_package():
 def test_no_fraction_arithmetic_in_the_reduction_loop():
     # The reducer computes on ints and (num, den) pairs, converting to
     # `Fraction` only where a value leaves it: no method of `_Reducer`, and
-    # neither `_fold` nor `_combine`, names `Fraction` or divides with `/`.
+    # none of `_fold`, `_combine` and `_run`, names `Fraction` or divides
+    # with `/`.
     tree = ast.parse((Path(psrewrite.__file__).parent / "rewrite.py").read_text())
     loop = [top for top in tree.body
-            if isinstance(top, ast.FunctionDef) and top.name in {"_fold", "_combine"}]
+            if isinstance(top, ast.FunctionDef) and top.name in {"_fold", "_combine", "_run"}]
     loop += [fn for top in tree.body
              if isinstance(top, ast.ClassDef) and top.name == "_Reducer"
              for fn in top.body if isinstance(fn, ast.FunctionDef)]
-    assert {"_fold", "_combine", "step", "end"} <= {fn.name for fn in loop}
+    assert {"_fold", "_combine", "_run", "step", "end"} <= {fn.name for fn in loop}
     found = [f"{fn.name}:{node.lineno}"
              for fn in loop for node in ast.walk(fn)
              if (isinstance(node, ast.Name) and node.id == "Fraction")
              or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
              or (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div))]
     assert not found, f"Fraction arithmetic in the reduction loop: {found}"
+
+
+def test_no_unused_imports_or_private_names():
+    # Every name a module imports is used in it, and every private
+    # module-level name is referenced somewhere in the package; so a helper
+    # or import left behind by a refactor fails here.
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+
+    def loaded(tree):
+        return {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+    def defined(top):
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            return [top.name]
+        if isinstance(top, ast.Assign):
+            return [t.id for t in top.targets if isinstance(t, ast.Name)]
+        if isinstance(top, ast.AnnAssign) and isinstance(top.target, ast.Name):
+            return [top.target.id]
+        return []
+
+    referenced = set().union(*(
+        loaded(tree) | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        | {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        for tree in trees.values()))
+    found = []
+    for name, tree in trees.items():
+        if name == "__init__.py":
+            continue
+        used = loaded(tree)
+        found += [f"{name}:{node.lineno} import {a.asname or a.name}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Import)
+                  or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                  for a in node.names if (a.asname or a.name).partition(".")[0] not in used]
+        found += [f"{name}:{node.lineno} {d}" for node in tree.body for d in defined(node)
+                  if d.startswith("_") and not d.startswith("__") and d not in referenced]
+    assert SOURCES and not found, f"unused imports or private names: {found}"
