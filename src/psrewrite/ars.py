@@ -22,8 +22,8 @@ arbitrary conversion between normal forms into a single-peak one.
 
 from __future__ import annotations
 
-from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import chain, count
 from typing import Optional
 
 from .errors import InvalidConversionError, InvariantViolationError, PreconditionFailedError
@@ -61,37 +61,21 @@ def normal_forms(sys: FiniteARS) -> set[int]:
     return {a for a in range(sys.size) if a not in out}
 
 
-def _adjacency(sys: FiniteARS) -> dict[int, list[int]]:
-    """Sorted successor lists of the elements that occur in an edge.
+def _adjacency(sys: FiniteARS) -> tuple[dict[int, int], list[list[int]]]:
+    """The position of each element that occurs in an edge, in ascending
+    label order, and the ascending successor positions of each position.
 
     Every other element is a normal form alone in its component, and
     changes no flag, so nothing here grows with `sys.size`.
     """
-    adj: dict[int, list[int]] = {}
+    labels = sorted(set(chain.from_iterable(sys.edges)))
+    pos = dict(zip(labels, range(len(labels))))
+    succ: list[list[int]] = [[] for _ in labels]
     for a, b in sys.edges:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, [])
-    for succ in adj.values():
-        succ.sort()
-    return adj
-
-
-def _components(adj: dict[int, list[int]]) -> dict[int, int]:
-    """Connected components of the symmetric closure (union-find)."""
-    parent = {x: x for x in adj}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, succ in adj.items():
-        for b in succ:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    return {x: find(x) for x in adj}
+        succ[pos[a]].append(pos[b])
+    for targets in succ:
+        targets.sort()
+    return pos, succ
 
 
 @dataclass(frozen=True)
@@ -103,87 +87,77 @@ class SystemProperties:
     confluent: bool
 
 
-def _add_capped(acc: set[int], more: set[int]) -> None:
-    """Union into acc, stopping at two: the flags only tell 0, 1 and many."""
-    for x in more:
-        if len(acc) == 2:
-            return
-        acc.add(x)
+# A reach summary is None (reaches none), the one position or SCC root
+# reached, or _MANY (reaches two or more): the flags only tell 0, 1 and many.
+_MANY = -1
 
 
-def _properties(adj: dict[int, list[int]]) -> SystemProperties:
-    """The flags from one iterative Tarjan pass over the adjacency map.
+def _reach(succ: list[list[int]]) -> tuple[list[Optional[int]], list[Optional[int]]]:
+    """Per position, the normal forms and the bottom SCCs (SCCs no edge
+    leaves) it reaches, as reach summaries, by one iterative Tarjan pass.
 
-    SCCs are closed sinks first, so each one's summary is built from the
-    summaries of the SCCs it has edges into: at most two reachable normal
-    forms and at most two reachable bottom SCCs (SCCs with no edge leaving
-    them).  A normal form is a bottom SCC of one element with no
-    self-loop.
+    SCCs close sinks first, so each merges the summaries at its edges'
+    ends, which are still None inside it.  A normal form is a bottom SCC
+    of one element with no self-loop.
     """
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    scc_of: dict[int, int] = {}
-    nfs_of: list[set[int]] = []
-    bottoms_of: list[set[int]] = []
+    k = len(succ)
+    index = [-1] * k
+    low = [0] * k
+    nf: list[Optional[int]] = [None] * k
+    bottom: list[Optional[int]] = [None] * k
     stack: list[int] = []
-    for root in adj:
-        if root in index:
+    number = count()
+    for root in range(k):
+        if index[root] >= 0:
             continue
-        index[root] = low[root] = len(index)
+        index[root] = low[root] = next(number)
         stack.append(root)
-        work = [(root, iter(adj[root]))]
+        work = [(root, iter(succ[root]))]
         while work:
             v, it = work[-1]
             for w in it:
-                if w not in index:
-                    index[w] = low[w] = len(index)
+                if index[w] < 0:
+                    index[w] = low[w] = next(number)
                     stack.append(w)
-                    work.append((w, iter(adj[w])))
+                    work.append((w, iter(succ[w])))
                     break
-                if w not in scc_of and index[w] < low[v]:
+                if index[w] < low[v]:
                     low[v] = index[w]
             else:
                 work.pop()
-                if work and low[v] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[v]
                 if low[v] != index[v]:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
                     continue
-                cid = len(nfs_of)
-                members = []
-                while True:
-                    x = stack.pop()
-                    scc_of[x] = cid
-                    members.append(x)
-                    if x == v:
-                        break
-                nfs: set[int] = set()
-                bottoms: set[int] = set()
+                if stack[-1] == v:
+                    members = [stack.pop()]
+                else:
+                    top = len(stack) - 1
+                    while stack[top] != v:
+                        top -= 1
+                    members = stack[top:]
+                    del stack[top:]
+                reached_nf = reached_bottom = None
                 for x in members:
-                    for w in adj[x]:
-                        c = scc_of[w]
-                        if c != cid:
-                            _add_capped(nfs, nfs_of[c])
-                            _add_capped(bottoms, bottoms_of[c])
+                    # A closed position's index may lower no later low link.
+                    index[x] = k
+                    for w in succ[x]:
+                        s = nf[w]
+                        if s is not None and s != reached_nf:
+                            reached_nf = s if reached_nf is None else _MANY
+                        s = bottom[w]
+                        if s is not None and s != reached_bottom:
+                            reached_bottom = s if reached_bottom is None else _MANY
                 # Every SCC reaches a bottom SCC, so none was inherited
                 # exactly when no edge leaves this one.
-                if not bottoms:
-                    bottoms.add(cid)
-                    if not adj[v]:
-                        nfs.add(v)
-                nfs_of.append(nfs)
-                bottoms_of.append(bottoms)
-
-    comp = _components(adj)
-    nf_count = Counter(comp[x] for x, succ in adj.items() if not succ)
-    unique_nf_property = all(k <= 1 for k in nf_count.values())
-    return SystemProperties(
-        normalising=all(nfs_of),
-        nf_property=unique_nf_property and all(
-            nfs_of[scc_of[x]] or comp[x] not in nf_count for x in adj),
-        unique_nf_property=unique_nf_property,
-        unique_nf_reached=all(len(nfs) <= 1 for nfs in nfs_of),
-        confluent=all(len(bottoms) == 1 for bottoms in bottoms_of),
-    )
+                if reached_bottom is None:
+                    reached_bottom = v
+                    if not succ[v]:
+                        reached_nf = v
+                for x in members:
+                    nf[x] = reached_nf
+                    bottom[x] = reached_bottom
+    return nf, bottom
 
 
 def check_properties(sys: FiniteARS) -> SystemProperties:
@@ -194,7 +168,36 @@ def check_properties(sys: FiniteARS) -> SystemProperties:
     closure; many-step reduction stands in for the topological relation,
     which is exact under the discrete topology.
     """
-    return _properties(_adjacency(sys))
+    _pos, succ = _adjacency(sys)
+    nf, bottom = _reach(succ)
+    normalising, unique_nf_reached = None not in nf, _MANY not in nf
+    # Two normal forms reached from one element share its component.  If
+    # every element reaches exactly one, both ends of an edge reach the same
+    # one, so their component holds no other.  Only the rest needs components.
+    unique_nf_property = nf_property = unique_nf_reached
+    if unique_nf_reached and not normalising:
+        # Union-find with path halving, its finds inline: no call per edge.
+        parent = list(range(len(succ)))
+        for x, targets in enumerate(succ):
+            for b in targets:
+                a = x
+                while parent[a] != a:
+                    parent[a] = a = parent[parent[a]]
+                while parent[b] != b:
+                    parent[b] = b = parent[parent[b]]
+                parent[a] = b
+        for x in range(len(succ)):
+            while parent[parent[x]] != parent[x]:
+                parent[x] = parent[parent[x]]
+        roots = [parent[x] for x, targets in enumerate(succ) if not targets]
+        with_nf = set(roots)
+        unique_nf_property = len(with_nf) == len(roots)
+        nf_property = unique_nf_property and all(
+            s is not None or parent[x] not in with_nf for x, s in enumerate(nf))
+    return SystemProperties(
+        normalising=normalising, nf_property=nf_property,
+        unique_nf_property=unique_nf_property, unique_nf_reached=unique_nf_reached,
+        confluent=_MANY not in bottom)
 
 
 @dataclass(frozen=True)
@@ -207,6 +210,9 @@ class Conversion:
 
     start: int
     steps: tuple[tuple[int, str], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "steps", tuple(self.steps))
 
     @property
     def end(self) -> int:
@@ -225,7 +231,10 @@ class Conversion:
 def validate_conversion(sys: FiniteARS, conv: Conversion) -> None:
     prev = conv.start
     sys._check(prev)
-    for e, d in conv.steps:
+    for step in conv.steps:
+        if type(step) is not tuple or len(step) != 2:
+            raise InvalidConversionError(f"step {step!r} is not an (element, direction) pair")
+        e, d = step
         sys._check(e)
         if d == FORWARD:
             edge = (prev, e)
@@ -238,24 +247,24 @@ def validate_conversion(sys: FiniteARS, conv: Conversion) -> None:
         prev = e
 
 
-def _path_to_normal_form(adj: dict[int, list[int]], a: int) -> list[int]:
-    """A shortest reduction path from a to some normal form (BFS with
-    sorted successors, so deterministic)."""
-    parent: dict[int, Optional[int]] = {a: None}
-    queue = deque([a])
-    while queue:
-        x = queue.popleft()
-        if not adj[x]:
-            path = [x]
-            while parent[x] is not None:
+def _path_to_normal_form(labels: list[int], succ: list[list[int]], i: int) -> list[int]:
+    """A shortest reduction path from position i to some normal form, as
+    labels (BFS with ascending successors, so deterministic)."""
+    parent = [-1] * len(succ)
+    parent[i] = i
+    queue = [i]
+    for x in queue:
+        if not succ[x]:
+            path = [labels[x]]
+            while x != i:
                 x = parent[x]
-                path.append(x)
+                path.append(labels[x])
             return path[::-1]
-        for y in adj[x]:
-            if y not in parent:
+        for y in succ[x]:
+            if parent[y] < 0:
                 parent[y] = x
                 queue.append(y)
-    raise PreconditionFailedError(f"no normal form reachable from {a}")
+    raise PreconditionFailedError(f"no normal form reachable from {labels[i]}")
 
 
 def eliminate_valleys(sys: FiniteARS, conv: Conversion) -> Conversion:
@@ -272,19 +281,19 @@ def eliminate_valleys(sys: FiniteARS, conv: Conversion) -> Conversion:
     pass touched.  That is computed here in one pass.  The result has
     shape a <-* c ->* b, and the endpoints then necessarily coincide.
     """
-    adj = _adjacency(sys)
-    props = _properties(adj)
-    if not (props.normalising and props.unique_nf_reached):
+    pos, succ = _adjacency(sys)
+    nf, _bottom = _reach(succ)
+    if None in nf or _MANY in nf:
         raise PreconditionFailedError(
             "system must be normalising with unique normal forms reached")
     validate_conversion(sys, conv)
-    if adj.get(conv.start) or adj.get(conv.end):
+    if any(a in pos and succ[pos[a]] for a in (conv.start, conv.end)):
         raise PreconditionFailedError("conversion endpoints must be normal forms")
 
     valleys = conv.valley_indices()
     if valleys:
         v = valleys[0]
-        path = _path_to_normal_form(adj, conv.elements()[v])
+        path = _path_to_normal_form(list(pos), succ, pos[conv.elements()[v]])
         if path[-1] != conv.end:
             raise InvariantViolationError("unique normal forms force the same endpoint")
         conv = Conversion(conv.start, conv.steps[:v] + tuple((e, FORWARD) for e in path[1:]))

@@ -65,6 +65,40 @@ def naive_props(sys):
     }
 
 
+def bfs_props(sys):
+    """Flags from BFS reachability per element and BFS components of the
+    symmetric closure."""
+    succ = {a: [] for a in range(sys.size)}
+    near = {a: [] for a in range(sys.size)}
+    for a, b in sys.edges:
+        succ[a].append(b)
+        near[a].append(b)
+        near[b].append(a)
+
+    def bfs(a, nbrs):
+        seen, queue = {a}, [a]
+        for x in queue:
+            for y in nbrs[x]:
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        return seen
+
+    reach = {a: bfs(a, succ) for a in range(sys.size)}
+    comp = {a: bfs(a, near) for a in range(sys.size)}
+    nfs = {a for a in range(sys.size) if not succ[a]}
+    joinable = {(b, c) for b in range(sys.size) for c in range(sys.size)
+                if reach[b] & reach[c]}
+    return {
+        "normalising": all(reach[a] & nfs for a in range(sys.size)),
+        "nf_property": all(comp[a] & nfs <= reach[a] for a in range(sys.size)),
+        "unique_nf_property": all(len(comp[a] & nfs) <= 1 for a in range(sys.size)),
+        "unique_nf_reached": all(len(reach[a] & nfs) <= 1 for a in range(sys.size)),
+        "confluent": all((b, c) in joinable for a in range(sys.size)
+                         for b in reach[a] for c in reach[a]),
+    }
+
+
 def naive_path_to_normal_form(sys, a):
     """Breadth-first search from a over sorted successors, as in the
     library: the first normal form dequeued ends the path."""
@@ -238,6 +272,70 @@ class TestCheckPropertiesDifferential:
         assert vars(check_properties(relabelled)) == expected
 
 
+def mid_sized_system(rng):
+    """20-40 elements in 2-4 basins of shuffled labels.  Each basin is
+    ordered; every element but the basin's last has edges to 1-2 later
+    ones, and the basin's last element is a sink.  Then: edges back to an
+    earlier element of the basin (nontrivial SCCs, some of them bottom
+    ones), self-loops, and now and then an edge across basins, an element
+    cut off from its successors (a second sink), or a self-looping trap
+    entered from two basins."""
+    n = rng.randint(20, 40)
+    labels = list(range(n))
+    rng.shuffle(labels)
+    cuts = sorted(rng.sample(range(5, n - 4, 5), rng.randint(1, 3)))
+    basins = [labels[i:j] for i, j in zip([0] + cuts, cuts + [n])]
+    edges = set()
+    for basin in basins:
+        m = len(basin)
+        for i in range(m - 1):
+            for j in rng.sample(range(i + 1, m), min(rng.randint(1, 2), m - 1 - i)):
+                edges.add((basin[i], basin[j]))
+        for _ in range(rng.randint(0, 2)):
+            j = rng.randrange(1, m)
+            edges.add((basin[j], basin[rng.randrange(max(0, j - 4), j)]))
+    for _ in range(rng.randint(0, 2)):
+        a = rng.randrange(n)
+        edges.add((a, a))
+    if rng.random() < 0.3:
+        a, b = rng.sample(range(n), 2)
+        edges.add((a, b))
+    if rng.random() < 0.3:
+        a = rng.randrange(n)
+        edges = {e for e in edges if e[0] != a}
+    if rng.random() < 0.3:
+        # A trap no normal form is reached from, entered from two basins.
+        z = rng.randrange(n)
+        edges = {e for e in edges if e[0] != z} | {(z, z)}
+        edges |= {(rng.choice(basin), z) for basin in rng.sample(basins, 2)}
+    return FiniteARS(n, edges)
+
+
+def relabelled(sys, carrier, rng):
+    """The same edges with the elements relabelled injectively inside a
+    carrier of the given size."""
+    labels = rng.sample(range(carrier), sys.size)
+    return FiniteARS(carrier, ((labels[a], labels[b]) for a, b in sys.edges))
+
+
+class TestMidSizedSystems:
+    # naive_props is O(n^4) and stops at a few elements; the BFS oracle
+    # reaches the sizes where SCCs, sinks and components interact.
+    def test_matches_bfs_oracle(self):
+        rng = random.Random(20)
+        seen = set()
+        for _ in range(200):
+            sys = mid_sized_system(rng)
+            expected = bfs_props(sys)
+            assert vars(check_properties(sys)) == expected
+            assert vars(check_properties(relabelled(sys, 10 ** 12, rng))) == expected
+            seen.add(tuple(expected.values()))
+        # Every flag both ways, and normal forms reached uniquely but two of
+        # them in one component, which only the component pass can tell.
+        assert all(len({flags[i] for flags in seen}) == 2 for i in range(5))
+        assert (False, False, False, True, False) in seen
+
+
 class TestDeepSystems:
     # Deeper than the interpreter's recursion limit, so a recursive
     # depth-first search would fail here.
@@ -278,6 +376,19 @@ class TestSparseLabels:
         sys = sys_of(self.BIG, (self.BIG - 1, 7), (3, 7))
         conv = Conversion(7, ((self.BIG - 1, BACKWARD), (7, FORWARD), (3, BACKWARD), (7, FORWARD)))
         assert eliminate_valleys(sys, conv) == Conversion(7, ((self.BIG - 1, BACKWARD), (7, FORWARD)))
+
+    def test_valley_path_through_unordered_labels(self):
+        # The valley v reduces along v -> c1 -> c2 -> c3 -> nf, whose
+        # labels are in no order; v -> d -> c2 is as short, and the lower
+        # label c1 wins the tie.  Positions must not reach the output.
+        nf, p, q, v, c1, c2, c3, d = 10 ** 6, 12, 55, 7 * 10 ** 11, 3, self.BIG - 2, 40, 10 ** 11
+        sys = sys_of(self.BIG, (p, v), (p, nf), (q, v), (q, nf), (v, d), (v, c1),
+                     (d, c2), (c1, c2), (c2, c3), (c3, nf))
+        conv = Conversion(nf, ((p, BACKWARD), (v, FORWARD), (q, BACKWARD), (nf, FORWARD)))
+        out = eliminate_valleys(sys, conv)
+        assert out == naive_eliminate_valleys(sys, conv)
+        assert out == Conversion(nf, ((p, BACKWARD), (v, FORWARD), (c1, FORWARD),
+                                      (c2, FORWARD), (c3, FORWARD), (nf, FORWARD)))
 
     def test_isolated_endpoint_is_a_normal_form(self):
         sys = sys_of(self.BIG, (self.BIG - 1, 7))
@@ -326,6 +437,25 @@ class TestConversions:
     def test_validate_rejects_element_out_of_range(self, conv):
         with pytest.raises(ValueError, match="element 5 outside 0..1"):
             validate_conversion(sys_of(2, (0, 1)), conv)
+
+    @pytest.mark.parametrize("make", [iter, list, tuple], ids=["iterator", "list", "tuple"])
+    def test_steps_are_kept_as_a_tuple(self, make):
+        steps = ((1, FORWARD), (2, BACKWARD))
+        conv = Conversion(0, make(steps))
+        validate_conversion(sys_of(3, (0, 1), (2, 1)), conv)
+        assert conv.steps == steps and conv.end == 2
+        assert conv == Conversion(0, steps) and hash(conv) == hash(Conversion(0, steps))
+
+    @pytest.mark.parametrize("steps", [((1,),), (1,), ((1, FORWARD, 0),), ([1, FORWARD],)],
+                             ids=["one-tuple", "bare-int", "triple", "list-pair"])
+    def test_malformed_step_rejected(self, steps):
+        with pytest.raises(InvalidConversionError,
+                           match=r"^step .* is not an \(element, direction\) pair$"):
+            validate_conversion(sys_of(2, (0, 1)), Conversion(0, steps))
+
+    def test_unknown_direction_rejected(self):
+        with pytest.raises(InvalidConversionError, match="^unknown direction 'up'$"):
+            validate_conversion(sys_of(2, (0, 1)), Conversion(0, ((1, "up"),)))
 
     def test_valley_detection(self):
         conv = Conversion(0, ((1, BACKWARD), (2, FORWARD), (3, BACKWARD), (0, FORWARD)))
