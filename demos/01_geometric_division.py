@@ -21,7 +21,7 @@ from psrewrite import (
 
 n = 2
 f = parse_series("x2", n)
-rules = RuleSet.from_series([parse_series("x2 - x2^2", n)])
+rules = RuleSet([parse_series("x2 - x2^2", n)])
 
 print("input      :", format_series(f))
 print("rule 1     :", format_series(rules.rule(1).body))

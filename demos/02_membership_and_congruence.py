@@ -25,7 +25,7 @@ from psrewrite import (
 )
 
 n = 2
-rules = RuleSet.from_series([parse_series("x2 - x2^2", n)])
+rules = RuleSet([parse_series("x2 - x2^2", n)])
 zero = TruncatedSeries.zero(n)
 
 

@@ -24,9 +24,8 @@ from psrewrite import (
 )
 
 n = 2
-pair = RuleSet.from_series([parse_series("x1 + x2", n),
-                            parse_series("x1 - x2", n)])
-single = RuleSet.from_series([parse_series("x2 - x2^2", n)])
+pair = RuleSet([parse_series("x1 + x2", n), parse_series("x1 - x2", n)])
+single = RuleSet([parse_series("x2 - x2^2", n)])
 
 print("=== falsifier ===")
 cert = falsify_standard_basis(pair, precision=4, trials=100, seed=0)

@@ -38,7 +38,7 @@ print()
 exact = parse_series("x2 - x2^2", n)
 blurred = exact.truncate(2)
 print("a rule known only below degree 2:", format_series(blurred))
-rules = RuleSet.from_series([blurred])
+rules = RuleSet([blurred])
 try:
     normalize(parse_series("x2", n), rules, 3)
 except PrecisionUnattainableError as exc:

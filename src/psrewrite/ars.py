@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, count
-from typing import Optional
+from typing import Iterable, Optional
 
 from .errors import InvalidConversionError, InvariantViolationError, PreconditionFailedError
 from .monomials import require_int
@@ -43,12 +43,18 @@ class FiniteARS:
 
     def __post_init__(self):
         require_int(self.size, "size", 0)
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        for a, b in self.edges:
+        if not isinstance(self.edges, Iterable):
+            raise TypeError(f"edges must be an iterable, got {type(self.edges).__name__}")
+        edges = tuple(self.edges)
+        for edge in edges:
+            if type(edge) is not tuple or len(edge) != 2:
+                raise TypeError(f"edge {edge!r} is not an (a, b) pair")
+            a, b = edge
             require_int(a, "element")
             require_int(b, "element")
             if not (0 <= a < self.size and 0 <= b < self.size):
                 raise ValueError(f"edge ({a}, {b}) outside 0..{self.size - 1}")
+        object.__setattr__(self, "edges", frozenset(edges))
 
     def _check(self, a: int) -> None:
         require_int(a, "element")
@@ -212,14 +218,13 @@ class Conversion:
     steps: tuple[tuple[int, str], ...]
 
     def __post_init__(self):
+        if not isinstance(self.steps, Iterable):
+            raise TypeError(f"steps must be an iterable, got {type(self.steps).__name__}")
         object.__setattr__(self, "steps", tuple(self.steps))
 
     @property
     def end(self) -> int:
         return self.steps[-1][0] if self.steps else self.start
-
-    def elements(self) -> list[int]:
-        return [self.start] + [e for e, _d in self.steps]
 
     def valley_indices(self) -> list[int]:
         """Element positions that are a local minimum: entered forward,
@@ -293,7 +298,7 @@ def eliminate_valleys(sys: FiniteARS, conv: Conversion) -> Conversion:
     valleys = conv.valley_indices()
     if valleys:
         v = valleys[0]
-        path = _path_to_normal_form(list(pos), succ, pos[conv.elements()[v]])
+        path = _path_to_normal_form(list(pos), succ, pos[conv.steps[v - 1][0]])
         if path[-1] != conv.end:
             raise InvariantViolationError("unique normal forms force the same endpoint")
         conv = Conversion(conv.start, conv.steps[:v] + tuple((e, FORWARD) for e in path[1:]))

@@ -44,9 +44,6 @@ class Monomial:
     def degree(self) -> int:
         return sum(self.exponents)
 
-    def is_one(self) -> bool:
-        return all(e == 0 for e in self.exponents)
-
     def multiply(self, other: Monomial) -> Monomial:
         _check_same_n(self, other)
         return Monomial._trusted(tuple(a + b for a, b in zip(self.exponents, other.exponents)))

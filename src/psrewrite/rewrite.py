@@ -38,35 +38,39 @@ from .series import TruncatedSeries, delta
 
 @dataclass(frozen=True)
 class RewriteRule:
-    """A nonzero series with cached leading data for the opposite order."""
+    """A nonzero series with its leading data for the opposite order, from `body.leading()`."""
 
     body: TruncatedSeries
-    leading_monomial: Monomial
-    leading_coefficient: Fraction
+    leading_monomial: Monomial = field(init=False)
+    leading_coefficient: Fraction = field(init=False)
+
+    def __post_init__(self):
+        for name, value in zip(("leading_monomial", "leading_coefficient"), self.body.leading()):
+            object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RuleSet:
-    """An ordered family of rewrite rules; line order fixes the 1-based
-    indices that tie-breaking and traces refer to."""
+    """Rewrite rules built from their bodies, read once from any iterable;
+    line order fixes the 1-based indices that tie-breaking and traces use."""
 
     rules: tuple[RewriteRule, ...]
     n: int
 
-    @classmethod
-    def from_series(cls, bodies: Iterable[TruncatedSeries],
-                    n: Optional[int] = None) -> RuleSet:
+    def __init__(self, bodies: Iterable[TruncatedSeries], n: Optional[int] = None):
         bodies = tuple(bodies)
-        if n is None:
-            if not bodies:
-                raise ValueError("variable count required for an empty rule set")
-            n = bodies[0].n
+        for b in bodies:
+            if not isinstance(b, TruncatedSeries):
+                raise TypeError(f"rule body {b!r} is not a TruncatedSeries")
+        if n is None and not bodies:
+            raise ValueError("variable count required for an empty rule set")
+        n = bodies[0].n if n is None else n
         require_int(n, "variable count", 1)
         for b in bodies:
             if b.n != n:
                 raise DimensionMismatchError(f"rule over {b.n} variables in a {n}-variable system")
-        # leading() raises on an empty known support
-        return cls(tuple(RewriteRule(b, *b.leading()) for b in bodies), n)
+        object.__setattr__(self, "rules", tuple(map(RewriteRule, bodies)))
+        object.__setattr__(self, "n", n)
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -139,8 +143,8 @@ _Key = tuple[int, tuple[int, ...]]   # (degree, exponents): `deglex_key` of a mo
 # a pair (num, den) with den > 1 and gcd(num, den) == 1, so each value has
 # one form and zero is only the int 0.  The helpers below keep that form,
 # cancelling gcds across operands before they multiply (Knuth, TAOCP vol. 2,
-# 4.5.1).  A step computes an exact int factor and int sums inline, and
-# calls them for everything else, every tail product included.
+# 4.5.1).  A step computes an exact int factor and int tail sums inline,
+# and calls them for everything else: every product and quotient sum.
 
 _Q = int | tuple[int, int]
 
@@ -338,11 +342,8 @@ class _Reducer:
                 del terms[e2]
                 self._unpend((d2, e2))
         q = self.quotients[i - 1]
-        old = q.get(m)
-        if old is None:
-            q[m] = factor
-        else:   # a zero sum drops out in _series
-            q[m] = old + factor if type(old) is int and type(factor) is int else _add(old, factor)
+        old = q.get(m)   # only a random walk revisits m; a zero sum drops out in _series
+        q[m] = factor if old is None else _add(old, factor)
         self.steps.append((M, i, m, coeff))
 
     def end(self, target: int) -> tuple[TruncatedSeries, int]:

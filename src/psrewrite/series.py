@@ -100,10 +100,6 @@ class TruncatedSeries:
     def support(self) -> frozenset[Monomial]:
         return frozenset(self._terms)
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        """The stored terms, ascending in the deglex order."""
-        return sorted(self._terms.items(), key=lambda t: deglex_key(t[0]))
-
     def known_zero(self) -> bool:
         """True when the stored polynomial part is zero."""
         return not self._terms

@@ -31,7 +31,7 @@ from typing import Optional
 
 from .ars import BACKWARD, FORWARD, Conversion, FiniteARS
 from .errors import ParseError, RewritingError
-from .monomials import Monomial, require_int
+from .monomials import Monomial, deglex_key, require_int
 from .rewrite import ReductionTrace, RuleSet
 from .series import TruncatedSeries
 
@@ -156,9 +156,9 @@ def format_series(f: TruncatedSeries) -> str:
     if f.known_zero():
         return "0" if f.precision is None else f"O({f.precision})"
     parts = []
-    for k, (m, c) in enumerate(f.sorted_terms()):
+    for k, (m, c) in enumerate(sorted(f.items(), key=lambda t: deglex_key(t[0]))):
         mag = -c if c < 0 else c
-        if m.is_one():
+        if not m.degree:
             body = _coefficient(mag, m)
         elif mag == 1:
             body = str(m)
@@ -185,7 +185,7 @@ def parse_rules(text: str, n: int) -> RuleSet:
         if body.known_zero():
             raise ParseError("a rule needs a known nonzero term", lineno, 1)
         bodies.append(body)
-    return RuleSet.from_series(bodies, n)
+    return RuleSet(bodies, n)
 
 
 def format_trace(trace: ReductionTrace) -> list[str]:

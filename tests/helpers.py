@@ -32,7 +32,7 @@ def random_instance(rng, exact_input=True):
     f = random_polynomial(rng, n, max_degree=4)
     if not exact_input and rng.random() < 0.5:
         f = f.truncate(rng.randint(p, 8))
-    return f, RuleSet.from_series(bodies, n), p
+    return f, RuleSet(bodies, n), p
 
 
 def combination(qs, rules):

@@ -47,7 +47,7 @@ def S(text, n=N):
 
 
 def rules_of(*texts, n=N):
-    return RuleSet.from_series([parse_series(t, n) for t in texts], n)
+    return RuleSet([parse_series(t, n) for t in texts], n)
 
 
 GEOMETRIC = rules_of("x2 - x2^2")
@@ -146,7 +146,7 @@ def test_criterion_6_standard_basis_falsifier(tmp_path):
     rng = random.Random(2026_06)
     for _ in range(3):
         body = random_polynomial(rng, 2, max_degree=3, zero_ok=False)
-        single = RuleSet.from_series([body], 2)
+        single = RuleSet([body], 2)
         assert falsify_standard_basis(single, precision=4, trials=1000, seed=6) is None
 
     # the same through the command line
@@ -167,7 +167,7 @@ def test_criterion_7_confluence_probe():
     rng = random.Random(2026_07)
     for _ in range(5):
         body = random_polynomial(rng, 2, max_degree=3, zero_ok=False)
-        single = RuleSet.from_series([body], 2)
+        single = RuleSet([body], 2)
         f = random_polynomial(rng, 2, max_degree=4)
         report = confluence_probe(f, single, 5, list(range(5)))
         assert report.max_delta <= Fraction(1, 2 ** 5)

@@ -124,7 +124,7 @@ def naive_eliminate_valleys(sys, conv):
     element to its normal form."""
     while conv.valley_indices():
         v = conv.valley_indices()[-1]
-        path = naive_path_to_normal_form(sys, conv.elements()[v])
+        path = naive_path_to_normal_form(sys, [conv.start, *(e for e, _d in conv.steps)][v])
         assert path[-1] == conv.end
         conv = Conversion(conv.start, conv.steps[:v] + tuple((e, FORWARD) for e in path[1:]))
     return conv
@@ -168,6 +168,18 @@ class TestShapeChecked:
     def test_rejected(self, size, edges, error, message):
         with pytest.raises(error, match=message):
             FiniteARS(size, edges)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: FiniteARS(3, [(0,)]), r"^edge \(0,\) is not an \(a, b\) pair$"),
+        (lambda: FiniteARS(3, [(0, 1, 2)]), r"^edge \(0, 1, 2\) is not an \(a, b\) pair$"),
+        (lambda: FiniteARS(3, [5]), r"^edge 5 is not an \(a, b\) pair$"),
+        (lambda: FiniteARS(3, [[0, 1]]), r"^edge \[0, 1\] is not an \(a, b\) pair$"),
+        (lambda: FiniteARS(3, None), "^edges must be an iterable, got NoneType$"),
+        (lambda: Conversion(0, None), "^steps must be an iterable, got NoneType$"),
+    ], ids=["one-tuple", "triple", "bare-int", "list-pair", "no-edges", "no-steps"])
+    def test_malformed_argument_rejected(self, make, message):
+        with pytest.raises(TypeError, match=message):
+            make()
 
     @pytest.mark.parametrize("make", [iter, list, tuple, frozenset],
                              ids=["iterator", "list", "tuple", "frozenset"])

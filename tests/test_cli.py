@@ -1,3 +1,4 @@
+import re
 import shlex
 
 import pytest
@@ -174,6 +175,13 @@ class TestArgumentChecks:
         with pytest.raises(ValueError, match=f"^{field} must be an int"):
             SessionConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("n", 0, "need at least one variable"), ("precision", 0, "precision must be >= 1"),
+        ("report", "json", "unknown report mode 'json'")])
+    def test_session_config_rejects_a_bad_value(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SessionConfig(**{field: value})
+
     @pytest.mark.parametrize("value", [3, 1.5, b"rules.txt"])
     def test_session_config_rejects_a_non_path(self, value):
         with pytest.raises(ValueError, match="^rules_path must be a str or os.PathLike"):
@@ -329,6 +337,11 @@ class TestMain:
         out = capsys.readouterr()
         assert code == 1
         assert out.out == "" and "error" in out.err
+
+    def test_bad_session_is_an_error(self, capsys):
+        assert main(["--vars", "0", "delta", "x1", "x1"]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "error: need at least one variable\n"
 
     def test_plain_report(self, geometric_rules, capsys):
         code = main(["--prec", "5", "--rules", geometric_rules, "nf", "x2"])

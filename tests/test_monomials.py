@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import monomials_of_degree
-from psrewrite import Monomial, deglex_key
+from psrewrite import DimensionMismatchError, Monomial, deglex_key
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -130,6 +130,10 @@ class TestMultiply:
 
     def test_repeated_variable(self):
         assert mono(1, 1).multiply(mono(1, 0)) == mono(2, 1)
+
+    def test_variable_counts_must_match(self):
+        with pytest.raises(DimensionMismatchError, match="^monomials over 2 and 1 variables$"):
+            mono(1, 0).multiply(mono(1))
 
     @given(monomials2, monomials2)
     def test_commutative(self, m1, m2):

@@ -93,7 +93,7 @@ def instances(draw, targets=st.integers(0, 6)):
         if draw(st.booleans()):
             body = body.truncate(draw(st.integers(v + 1, v + 4)))
         bodies.append(body)
-    rules = RuleSet.from_series(bodies, n)
+    rules = RuleSet(bodies, n)
     f = draw(polynomials(n, 4))
     for body in bodies:
         if draw(st.booleans()):
@@ -157,12 +157,18 @@ def test_seeded_random_matches_oracle(instance, seed):
 @settings(max_examples=100, deadline=None)
 @given(instances(), st.integers(0, 2 ** 16), st.integers(0, 12))
 def test_attractivity_walk_matches_oracle(instance, seed, steps):
+    """The attractivity lemma as a property: no walk moves away from the
+    normal form.  alpha is irreducible, so it has no term at a reducible M;
+    a step at M clears M, keeps every degree below deg M, adds terms only
+    at degree >= deg M, and a precision drop lands above deg M.  So
+    val(f - alpha) never goes down, and a violation is an engine fault."""
     f, rules, target = instance
     alpha = outcome(naive.normalize, f, rules, target)
     if isinstance(alpha, str):
         return
-    assert (attractivity_check(f, rules, alpha.end, steps, seed)
-            == naive.attractivity_check(f, rules, alpha.end, steps, seed))
+    report = attractivity_check(f, rules, alpha.end, steps, seed)
+    assert report == naive.attractivity_check(f, rules, alpha.end, steps, seed)
+    assert report.ok and report.violation_step is None
 
 
 @settings(max_examples=100, deadline=None)
@@ -461,8 +467,7 @@ def test_a_pair_known_below_the_target_is_skipped_but_counted():
 def test_random_phase_matches_oracle(instance, seed):
     """Every body truncated, so the random phase runs after the pairs."""
     _f, rules, target = instance
-    rules = RuleSet.from_series([r.body.truncate(r.body.valuation() + 2) for r in rules.rules],
-                                rules.n)
+    rules = RuleSet([r.body.truncate(r.body.valuation() + 2) for r in rules.rules], rules.n)
     p = max(target, 1)
     cert = falsify_standard_basis(rules, p, 3, seed)
     assert cert == naive.falsify_standard_basis(rules, p, 3, seed)
@@ -516,7 +521,7 @@ def test_reduce_step_matches_oracle_on_seeded_instances():
         rng = random.Random(seed)
         f, rules, _p = random_instance(rng, exact_input=False)
         if seed % 2:
-            rules = RuleSet.from_series(
+            rules = RuleSet(
                 [r.body.truncate(r.body.valuation() + rng.randint(1, 3)) for r in rules.rules],
                 rules.n)
         assert reducible_monomials(f, rules) == naive.reducible_monomials(f, rules)

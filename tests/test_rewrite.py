@@ -19,6 +19,7 @@ from psrewrite import (
     PreconditionFailedError,
     PrecisionUnattainableError,
     ReductionTrace,
+    RewriteRule,
     RuleSet,
     TruncatedSeries,
     UnknownAtPrecision,
@@ -54,7 +55,7 @@ def S(text, n=N):
 
 
 def rules_of(*texts, n=N):
-    return RuleSet.from_series([parse_series(t, n) for t in texts], n)
+    return RuleSet([parse_series(t, n) for t in texts], n)
 
 
 GEOMETRIC = rules_of("x2 - x2^2")          # y -> y^2
@@ -135,8 +136,7 @@ class TestNormalize:
             normalize(f, GEOMETRIC, 5)
 
     def test_rule_truncation_caps_precision(self):
-        truncated_rule = RuleSet.from_series(
-            [TruncatedSeries(N, {Y: 1}, 2)], N)
+        truncated_rule = RuleSet([TruncatedSeries(N, {Y: 1}, 2)], N)
         with pytest.raises(PrecisionUnattainableError):
             normalize(S("x2"), truncated_rule, 3)
 
@@ -237,6 +237,15 @@ class TestCofactorTrustBoundary:
         bad = ReductionTrace(trace.start, (first,) + trace.steps[1:], trace.end,
                              trace.end_precision)
         with pytest.raises(InvalidTraceError):
+            cofactors(bad, GEOMETRIC)
+
+    def test_hand_built_trace_with_wrong_quotient_rejected(self):
+        trace = normalize(S("x2"), GEOMETRIC, 5)
+        first = dataclasses.replace(trace.steps[0], quotient=Y)
+        bad = ReductionTrace(trace.start, (first,) + trace.steps[1:], trace.end,
+                             trace.end_precision)
+        with pytest.raises(InvalidTraceError,
+                           match=r"^step 1: quotient \* LM\(rule 1\) != x2$"):
             cofactors(bad, GEOMETRIC)
 
     def test_replaced_trace_with_tampered_step_rejected(self, replays):
@@ -377,9 +386,32 @@ def test_rule_set_copies(clone):
 def test_rule_set_from_a_generator(n):
     # the bodies are read once, so a one-shot iterable gives the same rules
     bodies = [S("x1 - x1^2", 1)]
-    rules = RuleSet.from_series((b for b in bodies), n)
-    assert rules == RuleSet.from_series(bodies, 1) and len(rules) == 1
+    rules = RuleSet((b for b in bodies), n)
+    assert rules == RuleSet(bodies, 1) and len(rules) == 1
     assert normalize(S("x1", 1), rules, 3).end.known_zero()
+
+
+def test_rule_leading_data_comes_from_the_body():
+    rules = RuleSet([S("x1 - x1^2", 1)])
+    rule = rules.rule(1)
+    assert (rule.leading_monomial, rule.leading_coefficient) == (Monomial((1,)), 1)
+    assert repr(rules) == (
+        "RuleSet(rules=(RewriteRule(body=TruncatedSeries('x1 - x1^2'), "
+        "leading_monomial=Monomial(exponents=(1,)), leading_coefficient=Fraction(1, 1)),), n=1)")
+
+
+# A rule set is built one checked way: no unchecked rules, leading data or n.
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: RuleSet(["x1"], 1), TypeError, "^rule body 'x1' is not a TruncatedSeries$"),
+    (lambda: RuleSet(GEOMETRIC.rules, 2), TypeError, "^rule body RewriteRule.* is not a "),
+    (lambda: RuleSet(list(GEOMETRIC.rules), 0), TypeError, "^rule body RewriteRule.* is not a "),
+    (lambda: RewriteRule(S("x1 - x1^2", 1), Monomial((1,)), Fraction(5)), TypeError, "argument"),
+    (lambda: dataclasses.replace(GEOMETRIC, n=3), TypeError, "argument"),
+], ids=["str-body", "rule-body", "rule-list-n0",
+        "rule-with-leading-data", "replace"])
+def test_rule_set_rejects(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
 
 
 class TestStandardRepresentation:
@@ -582,7 +614,7 @@ class TestCongruence:
             f = random_polynomial(rng, 1, max_degree=6)
             if s.known_zero() or f.known_zero():
                 continue
-            rules = RuleSet.from_series([s], 1)
+            rules = RuleSet([s], 1)
             verdict = congruence_test(f, TruncatedSeries.zero(1), rules, 9,
                                       assume_standard_basis=True)
             should_be_member = f.valuation() >= s.valuation()
@@ -603,7 +635,7 @@ class TestFalsifyStandardBasis:
         assert falsify_standard_basis(GEOMETRIC, precision=5, trials=200, seed=3) is None
 
     def test_empty_rule_set(self):
-        rules = RuleSet.from_series([], n=N)
+        rules = RuleSet([], n=N)
         assert falsify_standard_basis(rules, precision=4, trials=5, seed=0) is None
 
     def test_reproducible(self):

@@ -253,6 +253,18 @@ class TestTrustedPath:
             with pytest.raises(TypeError, match=re.escape(f"precision {value!r} is not an int")):
                 f.truncate(value)
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: TruncatedSeries(N, {Monomial((1,)): 1}),
+         "^monomial over 1 variables in a 2-variable series$"),
+        (lambda: S("x1").scale_term(1, Monomial((1,))), "^monomial over 1 variables, series over 2$"),
+    ], ids=["constructor", "scale_term"])
+    def test_monomial_variable_count_checked(self, make, message):
+        with pytest.raises(DimensionMismatchError, match=message):
+            make()
+
+    def test_never_equal_to_a_non_series(self):
+        assert (S("x1") == "x1") is False
+
     def test_zero_checks_its_shape(self):
         with pytest.raises(ValueError):
             TruncatedSeries.zero(0)

@@ -78,7 +78,7 @@ def instance(seed, crowd=False, truncate=False):
     if truncate:
         bodies = [b.truncate(b.valuation() + rng.randint(1, 4))
                   if rng.random() < 0.5 else b for b in bodies]
-    return RuleSet.from_series(bodies, rules.n), p
+    return RuleSet(bodies, rules.n), p
 
 
 NOT_STANDARD = [24, 65]   # seeds whose plain instance is not a standard basis
@@ -110,7 +110,7 @@ def test_verdict_on_bodies_known_to_p_matches_echelon_oracle(seed, crowd):
         bound = p + rng.randint(0, 2)
         bodies.append(rule.body.truncate(bound) if rule.body.valuation() < bound
                       else rule.body)
-    rules = RuleSet.from_series(bodies, rules.n)
+    rules = RuleSet(bodies, rules.n)
     cert = falsify_standard_basis(rules, p, trials=3, seed=seed)
     assert (cert is None) == standard_below(rules, p)
     if cert is not None:

@@ -8,6 +8,7 @@ from psrewrite import (
     BACKWARD,
     FORWARD,
     Conversion,
+    DimensionMismatchError,
     Monomial,
     ParseError,
     RewritingError,
@@ -188,8 +189,11 @@ class TestRuleFiles:
         (lambda: parse_series("x1", 0), ValueError, "^variable count must be >= 1$"),
         (lambda: parse_rules("x1", 0), ValueError, "^variable count must be >= 1$"),
         (lambda: parse_rules("", 0), ValueError, "^variable count must be >= 1$"),
-        (lambda: RuleSet.from_series([], 0), ValueError, "^variable count must be >= 1$"),
-        (lambda: RuleSet.from_series([], 1.5), TypeError, "^variable count 1.5 is not an int$"),
+        (lambda: RuleSet([], 0), ValueError, "^variable count must be >= 1$"),
+        (lambda: RuleSet([], 1.5), TypeError, "^variable count 1.5 is not an int$"),
+        (lambda: RuleSet([]), ValueError, "^variable count required for an empty rule set$"),
+        (lambda: RuleSet([parse_series("x1", 1), parse_series("x1", 2)]), DimensionMismatchError,
+         "^rule over 2 variables in a 1-variable system$"),
     ])
     def test_variable_count_checked(self, make, error, message):
         with pytest.raises(error, match=message):
