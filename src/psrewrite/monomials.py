@@ -60,13 +60,13 @@ class Monomial:
         return Monomial._trusted(tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)))
 
     def __str__(self) -> str:
-        factors = []
-        for i, e in enumerate(self.exponents):
-            if e == 1:
-                factors.append(f"x{i + 1}")
-            elif e > 1:
-                factors.append(f"x{i + 1}^{e}")
-        return "*".join(factors) if factors else "1"
+        return exponent_text(self.exponents)
+
+
+def exponent_text(exponents: tuple[int, ...]) -> str:
+    """The monomial's text in the series grammar: `x2*x3^4`, or `1`."""
+    return "*".join(f"x{i}" if e == 1 else f"x{i}^{e}"
+                    for i, e in enumerate(exponents, 1) if e) or "1"
 
 
 def require_int(value, what: str, least: Optional[int] = None) -> None:

@@ -22,6 +22,7 @@ import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -32,8 +33,8 @@ from .errors import (
     PreconditionFailedError,
     PrecisionUnattainableError,
 )
-from .monomials import Monomial, deglex_key, require_int
-from .series import TruncatedSeries, delta
+from .monomials import Monomial, require_int
+from .series import _Q, TruncatedSeries, _add, _div, _fraction, _mul, _neg, delta
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,7 @@ class RewriteRule:
     leading_coefficient: Fraction = field(init=False)
 
     def __post_init__(self):
+        _require_series(self.body)
         for name, value in zip(("leading_monomial", "leading_coefficient"), self.body.leading()):
             object.__setattr__(self, name, value)
 
@@ -58,10 +60,11 @@ class RuleSet:
     n: int
 
     def __init__(self, bodies: Iterable[TruncatedSeries], n: Optional[int] = None):
+        if not isinstance(bodies, Iterable):
+            raise TypeError(f"bodies must be an iterable, got {type(bodies).__name__}")
         bodies = tuple(bodies)
         for b in bodies:
-            if not isinstance(b, TruncatedSeries):
-                raise TypeError(f"rule body {b!r} is not a TruncatedSeries")
+            _require_series(b)
         if n is None and not bodies:
             raise ValueError("variable count required for an empty rule set")
         n = bodies[0].n if n is None else n
@@ -81,6 +84,11 @@ class RuleSet:
         if not 1 <= i <= len(self.rules):
             raise NotReducibleError(f"rule index {i} out of range 1..{len(self.rules)}")
         return self.rules[i - 1]
+
+
+def _require_series(body) -> None:
+    if not isinstance(body, TruncatedSeries):
+        raise TypeError(f"rule body {body!r} is not a TruncatedSeries")
 
 
 @dataclass(frozen=True)
@@ -137,81 +145,11 @@ def _box(raw: Sequence[tuple[tuple[int, ...], int, tuple[int, ...], _Q]]
 _Key = tuple[int, tuple[int, ...]]   # (degree, exponents): `deglex_key` of a monomial
 
 
-# -- reducer coefficients ------------------------------------------------------
-#
-# Inside the reducer a rational is an int when it is integral and otherwise
-# a pair (num, den) with den > 1 and gcd(num, den) == 1, so each value has
-# one form and zero is only the int 0.  The helpers below keep that form,
-# cancelling gcds across operands before they multiply (Knuth, TAOCP vol. 2,
-# 4.5.1).  A step computes an exact int factor and int tail sums inline,
-# and calls them for everything else: every product and quotient sum.
-
-_Q = int | tuple[int, int]
-
-
-def _narrow(c: Fraction) -> _Q:
-    """c in the reducer's form: its numerator when integral, else a pair."""
-    return c.numerator if c.denominator == 1 else (c.numerator, c.denominator)
-
-
-def _fraction(c: _Q) -> Fraction:
-    """The `Fraction` of a reducer value, for every value that leaves it."""
-    return Fraction(c) if type(c) is int else Fraction(*c)
-
-
-def _neg(a: _Q) -> _Q:
-    return -a if type(a) is int else (-a[0], a[1])
-
-
-def _mul(a: _Q, b: _Q) -> _Q:
-    if type(a) is int:
-        if type(b) is int:
-            return a * b
-        a, b = b, a
-    n, d = a
-    if type(b) is int:
-        g = math.gcd(b, d)
-        n *= b // g
-        d //= g
-    else:
-        bn, bd = b
-        g1, g2 = math.gcd(n, bd), math.gcd(bn, d)
-        n = (n // g1) * (bn // g2)
-        d = (d // g2) * (bd // g1)
-    return n if d == 1 else (n, d)
-
-
-def _add(a: _Q, b: _Q) -> _Q:
-    if type(a) is int:
-        if type(b) is int:
-            return a + b
-        a, b = b, a
-    n, d = a
-    if type(b) is int:
-        return (n + b * d, d)   # gcd(n + b*d, d) = gcd(n, d) = 1
-    bn, bd = b
-    g = math.gcd(d, bd)
-    if g == 1:
-        return (n * bd + bn * d, d * bd)
-    t = n * (bd // g) + bn * (d // g)
-    g2 = math.gcd(t, g)
-    n, d = t // g2, (d // g) * (bd // g2)
-    return n if d == 1 else (n, d)
-
-
-def _div(a: _Q, b: _Q) -> _Q:
-    """a / b for a nonzero b: a times b's inverse, put in the reducer's form."""
-    n, d = (b, 1) if type(b) is int else b
-    if n < 0:
-        n, d = -n, -d
-    return _mul(a, d if n == 1 else (d, n))
-
-
 class _Compiled:
     """Per rule: LM exponents, deg LM, LC, the other terms with their
-    degrees, and the body precision; plus a divisor memo.  The LC and the
-    tail coefficients are in the reducer's form (see `_narrow`).  Built once
-    per public call and shared by its reducers, never kept on the `RuleSet`."""
+    degrees, and the body precision; plus a divisor memo, all read from the
+    bodies' stored terms.  Built once per public call and shared by its
+    reducers, never kept on the `RuleSet`."""
 
     __slots__ = ("rules", "table", "memo")
 
@@ -219,10 +157,9 @@ class _Compiled:
         self.rules = rules
         self.table = []
         for r in rules.rules:
-            lm = r.leading_monomial
-            tail = [(m.exponents, m.degree, _narrow(c)) for m, c in r.body.items() if m != lm]
-            self.table.append((lm.exponents, lm.degree, _narrow(r.leading_coefficient), tail,
-                               r.body.precision))
+            lm, terms = r.leading_monomial.exponents, r.body._terms
+            tail = [(e, sum(e), c) for e, c in terms.items() if e != lm]
+            self.table.append((lm, sum(lm), terms[lm], tail, r.body.precision))
         self.memo: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def dividing(self, e: tuple[int, ...]) -> tuple[int, ...]:
@@ -235,11 +172,10 @@ class _Compiled:
 
 
 def _seed(f: TruncatedSeries, rules: RuleSet) -> dict[tuple[int, ...], _Q]:
-    """A fresh exponent-keyed copy of f's terms for a reducer over the rules,
-    in the reducer's form (see `_narrow`)."""
+    """A fresh copy of f's stored terms for a reducer over the rules."""
     if f.n != rules.n:
         raise DimensionMismatchError(f"series over {f.n} variables, rules over {rules.n}")
-    return {m.exponents: _narrow(c) for m, c in f.items()}
+    return dict(f._terms)
 
 
 class _Reducer:
@@ -265,9 +201,9 @@ class _Reducer:
     coefficient.
 
     The coefficients in ``terms``, ``deferred``, ``steps`` and
-    ``quotients`` are ints while integral, else reduced ``(num, den)``
-    pairs (see `_narrow`).  A trace's `steps` and `_series` convert them
-    back with `_fraction`: every value leaving is a `Fraction`.
+    ``quotients`` are in the stored form of `TruncatedSeries`, so `_series`
+    hands terms out as they are; only a trace's `steps` turn their
+    coefficients into `Fraction`s.
     """
 
     __slots__ = ("rules", "bound", "terms", "deferred", "precision", "pending",
@@ -386,14 +322,12 @@ def _fold(held: Sequence[tuple[_Q, _Q]]) -> _Q:
 
 def _series(n: int, terms: dict[tuple[int, ...], _Q],
             precision: Optional[int] = None) -> TruncatedSeries:
-    """The series, with `Fraction`s, of an exponent-keyed term dict in the
-    reducer's form below the precision: a reducer's terms, or a cofactor or
-    combination; only a cofactor accumulator can hold a zero sum, which is
-    dropped here.  `_fraction` is inlined: a call per term costs about 3% on
-    a 400-term cofactor."""
-    return TruncatedSeries._from_clean(
-        n, {Monomial._trusted(e): Fraction(c) if type(c) is int else Fraction(*c)
-            for e, c in terms.items() if c}, precision)
+    """The series of a stored-form term dict below the precision that no one
+    changes afterwards: a reducer's terms, or a cofactor or combination.  It
+    is wrapped as it is, unless a cofactor sum in it is zero."""
+    if not all(terms.values()):
+        terms = {e: c for e, c in terms.items() if c}
+    return TruncatedSeries._from_clean(n, terms, precision)
 
 
 def _run(compiled: _Compiled, terms: dict[tuple[int, ...], _Q],
@@ -522,8 +456,8 @@ def multiple_to_zero_chain(q: TruncatedSeries, i: int, rules: RuleSet,
             f"product precision {start.precision} below target {precision}")
     r = _Reducer(_Compiled(rules), _seed(start, rules), start.precision)
     lm = rule.leading_monomial.exponents
-    for m in sorted(q.support, key=deglex_key):
-        M = tuple(map(operator.add, m.exponents, lm))
+    for _d, m in sorted((sum(e), e) for e in q._terms):   # increasing in deglex
+        M = tuple(map(operator.add, m, lm))
         if M in r.terms:   # else truncated away: the slice lies beyond the precision
             r.step((sum(M), M), i)
     if r.terms:
@@ -608,16 +542,16 @@ def random_polynomial(rng: random.Random, n: int, max_degree: int,
                       zero_ok: bool = True) -> TruncatedSeries:
     """A reproducible random exact polynomial with at most 4 terms, small
     integer coefficients and total degree <= max_degree."""
-    terms: dict[Monomial, Fraction] = {}
+    require_int(n, "variable count", 1)
+    terms: dict[tuple[int, ...], int] = {}
     for _ in range(rng.randint(0 if zero_ok else 1, 4)):
         d = rng.randint(0, max_degree)
         exps = [0] * n
         for _ in range(d):
             exps[rng.randrange(n)] += 1
-        m = Monomial._trusted(tuple(exps))
-        c = Fraction(rng.randint(-4, 4))
-        terms[m] = terms.get(m, Fraction(0)) + c
-    return TruncatedSeries(n, terms)
+        e = tuple(exps)
+        terms[e] = terms.get(e, 0) + rng.randint(-4, 4)
+    return TruncatedSeries._from_clean(n, {e: c for e, c in terms.items() if c}, None)
 
 
 @dataclass(frozen=True)
@@ -669,19 +603,15 @@ def falsify_standard_basis(rules: RuleSet, precision: int, trials: int,
         return StandardBasisCounterexample(phase, trial, tuple(_series(n, q) for q in qs),
                                            _series(n, *_combine(compiled, qs)), residual)
 
-    trial = 0
-    for a, ra in enumerate(rules.rules):
-        for b in range(a + 1, len(rules)):
-            rb = rules.rules[b]
-            lcm = ra.leading_monomial.lcm(rb.leading_monomial)
-            qs = [{} for _ in rules.rules]
-            for k, rule, sign in ((a, ra, 1), (b, rb, -1)):
-                qs[k] = {rule.leading_monomial.divides(lcm).exponents:
-                         _narrow(sign / rule.leading_coefficient)}
-            trial += 1
-            found = check(qs, "pairwise", trial)
-            if found is not None:
-                return found
+    table = compiled.table
+    for trial, (a, b) in enumerate(combinations(range(len(table)), 2), 1):
+        lcm = tuple(map(max, table[a][0], table[b][0]))
+        qs = [{} for _ in table]
+        for k, sign in ((a, 1), (b, -1)):
+            qs[k] = {tuple(map(operator.sub, lcm, table[k][0])): _div(sign, table[k][2])}
+        found = check(qs, "pairwise", trial)
+        if found is not None:
+            return found
     if all(rule.body.precision is None or rule.body.precision >= precision
            for rule in rules.rules):
         return None

@@ -3,20 +3,27 @@
 A series is stored as its known polynomial part plus a precision bound:
 ``precision = p`` means every coefficient of total degree < p is exact and
 nothing is known beyond (the value is f + O(deg p)); ``precision = None``
-means the stored polynomial is the whole value.  Coefficients are
-`fractions.Fraction`; floating point never enters.  Arithmetic propagates
+means the stored polynomial is the whole value.  Arithmetic propagates
 the sharpest sound precision, and stored terms are always pruned of zeros
 and of degrees at or above the bound.
 
+``_terms`` maps exponent tuples to coefficients: an int when integral,
+else a pair ``(num, den)`` with ``den > 1`` and ``gcd(num, den) == 1``,
+so each rational has one form and ``==`` compares dicts; floating point
+never enters.  This module owns the form and its helpers.  The parser
+builds it, the reducer copies it in and hands it back, the formatter and
+all arithmetic read it, so no term is converted on the way.  `Monomial`
+and `fractions.Fraction` objects are built only where a caller reads a
+term: `items()` builds a fresh list of pairs on each call, and
+`coefficient`, `support`, `leading` and pickling box what they return.
+
 Inputs are validated once, where they enter: the public constructors
-(`TruncatedSeries(n, terms, precision)` and `zero`) and the
-`scale_term` scalar check the variable count (an int >= 1), the
-precision (an int >= 0) and every monomial, and reject any coefficient
-that is not a `numbers.Rational`, such as a float or a string.  `terms`
-maps monomials to coefficients, so no monomial comes twice; the
-constructor drops zero coefficients and prunes degrees at or above the
-precision.  Arithmetic and the rewriting engine build their results from
-terms that already hold these invariants, so they skip the checks.
+(`TruncatedSeries(n, terms, precision)` and `zero`) and the `scale_term`
+scalar check the variable count (an int >= 1), the precision (an int
+>= 0), every monomial, and that each coefficient is a `numbers.Rational`.
+The constructor drops zeros and prunes degrees at or above the precision;
+arithmetic and the rewriting engine build their results from terms that
+already hold these invariants, so they skip the checks.
 
 Leading data follows the local-order convention used for standard bases
 of power series ideals: the leading monomial of f is the *minimum* of its
@@ -31,12 +38,78 @@ finite precision it returns the precision, which is only a lower bound, and
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 from numbers import Rational
 from typing import Mapping, Optional
 
 from .errors import DimensionMismatchError, RewritingError, ZeroOrUnknownLeadingError
-from .monomials import Monomial, deglex_key, require_int
+from .monomials import Monomial, require_int
+
+# The helpers keep the stored form of a rational, cancelling gcds across
+# operands before they multiply (Knuth, TAOCP vol. 2, 4.5.1).  Hot loops
+# add or multiply two ints inline and call them for everything else.
+
+_Q = int | tuple[int, int]
+
+
+def _narrow(c: Fraction) -> _Q:
+    """c in the stored form: its numerator when integral, else a pair."""
+    return c.numerator if c.denominator == 1 else (c.numerator, c.denominator)
+
+
+def _fraction(c: _Q) -> Fraction:
+    """The `Fraction` of a stored value, for every value a caller reads."""
+    return Fraction(c) if type(c) is int else Fraction(*c)
+
+
+def _neg(a: _Q) -> _Q:
+    return -a if type(a) is int else (-a[0], a[1])
+
+
+def _mul(a: _Q, b: _Q) -> _Q:
+    if type(a) is int:
+        if type(b) is int:
+            return a * b
+        a, b = b, a
+    n, d = a
+    if type(b) is int:
+        g = math.gcd(b, d)
+        n *= b // g
+        d //= g
+    else:
+        bn, bd = b
+        g1, g2 = math.gcd(n, bd), math.gcd(bn, d)
+        n = (n // g1) * (bn // g2)
+        d = (d // g2) * (bd // g1)
+    return n if d == 1 else (n, d)
+
+
+def _add(a: _Q, b: _Q) -> _Q:
+    if type(a) is int:
+        if type(b) is int:
+            return a + b
+        a, b = b, a
+    n, d = a
+    if type(b) is int:
+        return (n + b * d, d)   # gcd(n + b*d, d) = gcd(n, d) = 1
+    bn, bd = b
+    g = math.gcd(d, bd)
+    if g == 1:
+        return (n * bd + bn * d, d * bd)
+    t = n * (bd // g) + bn * (d // g)
+    g2 = math.gcd(t, g)
+    n, d = t // g2, (d // g) * (bd // g2)
+    return n if d == 1 else (n, d)
+
+
+def _div(a: _Q, b: _Q) -> _Q:
+    """a / b for a nonzero b: a times b's inverse, in the stored form."""
+    n, d = (b, 1) if type(b) is int else b
+    if n < 0:
+        n, d = -n, -d
+    return _mul(a, d if n == 1 else (d, n))
 
 
 class TruncatedSeries:
@@ -49,7 +122,7 @@ class TruncatedSeries:
         _check_shape(n, precision)
         if not isinstance(terms, Mapping):
             raise TypeError(f"terms must map monomials to coefficients, got {type(terms).__name__}")
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[tuple[int, ...], _Q] = {}
         for m, c in terms.items():
             if not isinstance(m, Monomial):
                 raise TypeError(f"term key {m!r} is not a Monomial")
@@ -57,17 +130,17 @@ class TruncatedSeries:
                 raise DimensionMismatchError(f"monomial over {m.n} variables in a {n}-variable series")
             c = _rational(c)
             if c != 0 and (precision is None or m.degree < precision):
-                clean[m] = c
+                clean[m.exponents] = c
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "precision", precision)
 
     @classmethod
-    def _from_clean(cls, n: int, terms: dict[Monomial, Fraction],
+    def _from_clean(cls, n: int, terms: dict[tuple[int, ...], _Q],
                     precision: Optional[int]) -> TruncatedSeries:
-        """Wrap a dict the caller guarantees is clean: n-variable keys,
-        nonzero `Fraction` values, every degree below the precision.  The
-        dict is stored, not copied, so the caller must not keep it."""
+        """Wrap a dict the caller guarantees is clean: n-long exponent tuples,
+        nonzero values in the stored form, every degree below the precision.
+        The dict is stored, not copied, so no one may change it afterwards."""
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_terms", terms)
@@ -79,7 +152,7 @@ class TruncatedSeries:
 
     def __reduce__(self):
         # `copy` and `pickle` would restore the slots through `__setattr__`.
-        return TruncatedSeries, (self.n, dict(self._terms), self.precision)
+        return TruncatedSeries, (self.n, dict(self.items()), self.precision)
 
     # -- constructors ----------------------------------------------------
 
@@ -91,14 +164,18 @@ class TruncatedSeries:
     # -- inspection ------------------------------------------------------
 
     def coefficient(self, m: Monomial) -> Fraction:
-        return self._terms.get(m, Fraction(0))
+        c = self._terms.get(m.exponents) if isinstance(m, Monomial) else None
+        return Fraction(0) if c is None else _fraction(c)
 
-    def items(self):
-        return self._terms.items()
+    def items(self) -> list[tuple[Monomial, Fraction]]:
+        """The stored terms as (Monomial, Fraction) pairs, built on each call."""
+        trusted = Monomial._trusted   # `_fraction` inlined: it is the hot read
+        return [(trusted(e), Fraction(c) if type(c) is int else Fraction(*c))
+                for e, c in self._terms.items()]
 
     @property
     def support(self) -> frozenset[Monomial]:
-        return frozenset(self._terms)
+        return frozenset(map(Monomial._trusted, self._terms))
 
     def known_zero(self) -> bool:
         """True when the stored polynomial part is zero."""
@@ -129,31 +206,32 @@ class TruncatedSeries:
 
     def add(self, other: TruncatedSeries) -> TruncatedSeries:
         self._check_compatible(other)
-        prec = _min_precision(self.precision, other.precision)
+        p1, p2 = self.precision, other.precision
+        prec = p2 if p1 is None else p1 if p2 is None else min(p1, p2)
         # An operand whose precision exceeds the result's may hold terms
         # at or above it; only then is a degree filter needed.
-        if self.precision == prec:
+        if p1 == prec:
             acc = dict(self._terms)
         else:
-            acc = {m: c for m, c in self._terms.items() if m.degree < prec}
-        cut = other.precision != prec
-        for m, c in other._terms.items():
-            if cut and m.degree >= prec:
+            acc = {e: c for e, c in self._terms.items() if sum(e) < prec}
+        cut = p2 != prec
+        for e, c in other._terms.items():
+            if cut and sum(e) >= prec:
                 continue
-            old = acc.get(m)
+            old = acc.get(e)
             if old is None:
-                acc[m] = c
+                acc[e] = c
             else:
-                s = old + c
+                s = old + c if type(old) is int and type(c) is int else _add(old, c)
                 if s:
-                    acc[m] = s
+                    acc[e] = s
                 else:
-                    del acc[m]
+                    del acc[e]
         return TruncatedSeries._from_clean(self.n, acc, prec)
 
     def negate(self) -> TruncatedSeries:
         return TruncatedSeries._from_clean(
-            self.n, {m: -c for m, c in self._terms.items()}, self.precision)
+            self.n, {e: _neg(c) for e, c in self._terms.items()}, self.precision)
 
     def subtract(self, other: TruncatedSeries) -> TruncatedSeries:
         return self.add(other.negate())
@@ -161,23 +239,25 @@ class TruncatedSeries:
     def multiply(self, other: TruncatedSeries) -> TruncatedSeries:
         self._check_compatible(other)
         prec = _product_precision(self, other)
-        right = [(m2, m2.degree, c2) for m2, c2 in other._terms.items()]
-        acc: dict[Monomial, Fraction] = {}
-        for m1, c1 in self._terms.items():
-            d1 = m1.degree
-            for m2, d2, c2 in right:
+        right = [(e2, sum(e2), c2) for e2, c2 in other._terms.items()]
+        add = operator.add
+        acc: dict[tuple[int, ...], _Q] = {}
+        for e1, c1 in self._terms.items():
+            d1 = sum(e1)
+            for e2, d2, c2 in right:
                 if prec is not None and d1 + d2 >= prec:
                     continue
-                m = m1.multiply(m2)
-                old = acc.get(m)
+                e = tuple(map(add, e1, e2))
+                p = c1 * c2 if type(c1) is int and type(c2) is int else _mul(c1, c2)
+                old = acc.get(e)
                 if old is None:
-                    acc[m] = c1 * c2
+                    acc[e] = p
                 else:
-                    s = old + c1 * c2
+                    s = old + p if type(old) is int and type(p) is int else _add(old, p)
                     if s:
-                        acc[m] = s
+                        acc[e] = s
                     else:
-                        del acc[m]
+                        del acc[e]
         return TruncatedSeries._from_clean(self.n, acc, prec)
 
     def scale_term(self, c, m: Monomial) -> TruncatedSeries:
@@ -190,8 +270,9 @@ class TruncatedSeries:
             return TruncatedSeries._from_clean(self.n, {}, prec)
         # m * m1 is injective in m1 and shifts every degree by exactly the
         # precision shift, so the terms stay distinct and below the bound.
+        em, add = m.exponents, operator.add
         return TruncatedSeries._from_clean(
-            self.n, {m1.multiply(m): c1 * c for m1, c1 in self._terms.items()}, prec)
+            self.n, {tuple(map(add, e, em)): _mul(c1, c) for e, c1 in self._terms.items()}, prec)
 
     def truncate(self, p: int) -> TruncatedSeries:
         """Forget everything at degree >= p (never raises precision)."""
@@ -199,7 +280,7 @@ class TruncatedSeries:
         if self.precision is not None and self.precision <= p:
             return self
         return TruncatedSeries._from_clean(
-            self.n, {m: c for m, c in self._terms.items() if m.degree < p}, p)
+            self.n, {e: c for e, c in self._terms.items() if sum(e) < p}, p)
 
     # -- leading data and valuation ---------------------------------------
 
@@ -208,7 +289,7 @@ class TruncatedSeries:
         the precision, a lower bound only, and the exact zero gives None
         (val(0) is infinite)."""
         if self._terms:
-            return min(m.degree for m in self._terms)
+            return min(map(sum, self._terms))
         return self.precision
 
     def leading(self) -> tuple[Monomial, Fraction]:
@@ -219,8 +300,8 @@ class TruncatedSeries:
             raise ZeroOrUnknownLeadingError(
                 "known support is empty; leading term undetermined"
                 if self.precision is not None else "zero series has no leading term")
-        m = min(self._terms, key=deglex_key)
-        return m, self._terms[m]
+        e = min((sum(e), e) for e in self._terms)[1]   # `deglex_key` on exponents
+        return Monomial._trusted(e), _fraction(self._terms[e])
 
 
 def _check_shape(n: int, precision: Optional[int]) -> None:
@@ -229,34 +310,19 @@ def _check_shape(n: int, precision: Optional[int]) -> None:
         require_int(precision, "precision", 0)
 
 
-def _rational(c) -> Fraction:
-    """c as a `Fraction`; anything that is not a rational number raises."""
-    if type(c) is Fraction:
-        return c
+def _rational(c) -> _Q:
+    """c in the stored form; anything that is not a rational number raises."""
     if not isinstance(c, Rational):
         raise TypeError(f"coefficient {c!r} is not a rational number")
-    return Fraction(c)
-
-
-def _min_precision(p1: Optional[int], p2: Optional[int]) -> Optional[int]:
-    if p1 is None:
-        return p2
-    if p2 is None:
-        return p1
-    return min(p1, p2)
+    return _narrow(Fraction(c))
 
 
 def _product_precision(f: TruncatedSeries, g: TruncatedSeries) -> Optional[int]:
-    # Sharpest sound bound: min(p_f + v_g, p_g + v_f), each side infinite
-    # when the factor is exact.  The valuation lower bound of the other
-    # factor shifts how far the unknown tail can reach down.
-    def side(p: Optional[int], other: TruncatedSeries) -> Optional[int]:
-        if p is None:
-            return None
-        v = other.valuation()
-        return None if v is None else p + v
-
-    return _min_precision(side(f.precision, g), side(g.precision, f))
+    # Sharpest sound bound: min(p_f + v_g, p_g + v_f), a side infinite when
+    # its factor is exact or the other one is the exact zero.  The valuation
+    # lower bound of the other factor shifts how far the unknown tail reaches.
+    return min((p + v for p, h in ((f.precision, g), (g.precision, f))
+                if p is not None and (v := h.valuation()) is not None), default=None)
 
 
 def delta(f: TruncatedSeries, g: TruncatedSeries) -> tuple[Fraction, bool]:

@@ -20,20 +20,21 @@ as the scanner `_TOKEN` defines them:
 
 Formatting is canonical (terms ascending for deglex, unit coefficients
 dropped), and parse(format(f)) == f; a coefficient past Python's
-int-to-str limit raises a `RewritingError` that names its term.
+int-to-str limit raises a `RewritingError` that names its term.  Both
+work on the stored form of `TruncatedSeries`, with no `Fraction`.
 """
 
 from __future__ import annotations
 
+import math
 import re
-from fractions import Fraction
 from typing import Optional
 
 from .ars import BACKWARD, FORWARD, Conversion, FiniteARS
 from .errors import ParseError, RewritingError
-from .monomials import Monomial, deglex_key, require_int
+from .monomials import exponent_text, require_int
 from .rewrite import ReductionTrace, RuleSet
-from .series import TruncatedSeries
+from .series import _Q, TruncatedSeries, _add
 
 _TOKEN = re.compile(r"(?P<int>\d+)|(?P<var>x\d+)|(?P<punct>[O+\-*/^()])|(?P<bad>\S)")
 _SIZE = re.compile(r"\s*n\s*=\s*(\d+)\s*")
@@ -79,7 +80,7 @@ def parse_series(text: str, n: int, line: int = 1) -> TruncatedSeries:
     if not tokens:
         raise ParseError("empty series", line, 1)
     tokens.append(("end", "", len(text) + 1))
-    terms: dict[Monomial, Fraction] = {}
+    terms: dict[tuple[int, ...], _Q] = {}   # the stored form of `TruncatedSeries`
     precision: Optional[int] = None
     i = 0
     while tokens[i][0] != "end":
@@ -135,20 +136,23 @@ def parse_series(text: str, n: int, line: int = 1) -> TruncatedSeries:
             monomial = tokens[i][1] == "*" and tokens[i + 1][0] == "var"
             if monomial:
                 i += 1
-        m = Monomial._trusted(tuple(exps))
-        terms[m] = terms.get(m, 0) + Fraction(num, den)
+        e, g = tuple(exps), math.gcd(num, den)
+        c = num // g if den == g else (num // g, den // g)
+        terms[e] = _add(terms.get(e, 0), c)
 
-    return TruncatedSeries(n, terms, precision)
+    # What the public constructor keeps: nonzero terms below the precision.
+    return TruncatedSeries._from_clean(n, {e: c for e, c in terms.items() if c and (
+        precision is None or sum(e) < precision)}, precision)
 
 
-def _coefficient(c: Fraction, m: Monomial, step: Optional[int] = None) -> str:
-    """str(c) for the coefficient of m (in a trace, of step `step`); one
-    past Python's int-to-str limit is an error that names its term."""
+def _coefficient(num, den: int, term: str, step: Optional[int] = None) -> str:
+    """num/den, or num alone when den is 1, as text for the coefficient of term
+    (in a trace, of step `step`); one past Python's int-to-str limit is an error."""
     try:
-        return str(c)
+        return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:
         where = "" if step is None else f" in step {step}"
-        raise RewritingError(f"the coefficient of {m}{where} is past Python's "
+        raise RewritingError(f"the coefficient of {term}{where} is past Python's "
                              "int-to-str limit") from None
 
 
@@ -156,18 +160,17 @@ def format_series(f: TruncatedSeries) -> str:
     if f.known_zero():
         return "0" if f.precision is None else f"O({f.precision})"
     parts = []
-    for k, (m, c) in enumerate(sorted(f.items(), key=lambda t: deglex_key(t[0]))):
-        mag = -c if c < 0 else c
-        if not m.degree:
-            body = _coefficient(mag, m)
-        elif mag == 1:
-            body = str(m)
+    for k, (d, e, c) in enumerate(sorted((sum(e), e, c) for e, c in f._terms.items())):
+        num, den = (c, 1) if type(c) is int else c
+        term = exponent_text(e)
+        if not d:
+            body = _coefficient(abs(num), den, term)
+        elif den == 1 and abs(num) == 1:
+            body = term
         else:
-            body = f"{_coefficient(mag, m)}*{m}"
-        if k == 0:
-            parts.append(f"-{body}" if c < 0 else body)
-        else:
-            parts.append(f"{' - ' if c < 0 else ' + '}{body}")
+            body = f"{_coefficient(abs(num), den, term)}*{term}"
+        sign = (" - " if num < 0 else " + ") if k else "-" if num < 0 else ""
+        parts.append(sign + body)
     out = "".join(parts)
     if f.precision is not None:
         out += f" + O({f.precision})"
@@ -192,7 +195,7 @@ def format_trace(trace: ReductionTrace) -> list[str]:
     """Line-oriented step records for diffing."""
     return [
         f"step {k}: M={s.monomial} rule={s.rule_index} m={s.quotient} "
-        f"c={_coefficient(s.coeff, s.quotient, k)}"
+        f"c={_coefficient(s.coeff, 1, str(s.quotient), k)}"
         for k, s in enumerate(trace.steps, start=1)
     ]
 

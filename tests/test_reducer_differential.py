@@ -65,9 +65,8 @@ from psrewrite import (
     reducible_monomials,
     translate,
 )
-from psrewrite.rewrite import (
-    _Compiled, _Reducer, _add, _div, _fraction, _mul, _narrow, _neg, _seed,
-)
+from psrewrite.rewrite import _Compiled, _Reducer, _seed
+from psrewrite.series import _add, _div, _fraction, _mul, _narrow, _neg
 
 COEFFS = st.sampled_from([-2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-3, 2)])
 

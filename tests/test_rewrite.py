@@ -407,8 +407,13 @@ def test_rule_leading_data_comes_from_the_body():
     (lambda: RuleSet(list(GEOMETRIC.rules), 0), TypeError, "^rule body RewriteRule.* is not a "),
     (lambda: RewriteRule(S("x1 - x1^2", 1), Monomial((1,)), Fraction(5)), TypeError, "argument"),
     (lambda: dataclasses.replace(GEOMETRIC, n=3), TypeError, "argument"),
+    (lambda: RuleSet(None), TypeError, "^bodies must be an iterable, got NoneType$"),
+    (lambda: RuleSet(5, 1), TypeError, "^bodies must be an iterable, got int$"),
+    (lambda: RewriteRule("x1"), TypeError, "^rule body 'x1' is not a TruncatedSeries$"),
+    (lambda: RewriteRule(None), TypeError, "^rule body None is not a TruncatedSeries$"),
 ], ids=["str-body", "rule-body", "rule-list-n0",
-        "rule-with-leading-data", "replace"])
+        "rule-with-leading-data", "replace", "none-bodies", "int-bodies",
+        "rule-str-body", "rule-none-body"])
 def test_rule_set_rejects(make, error, message):
     with pytest.raises(error, match=message):
         make()

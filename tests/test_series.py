@@ -1,11 +1,12 @@
 import copy
+import math
 import pickle
 import re
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from psrewrite import (
     DimensionMismatchError,
@@ -216,6 +217,54 @@ class TestCopyAndPickle:
             g.n = 3
 
 
+# `pickle.dumps(S(text, n), protocol=4).hex()` as recorded while series
+# stored `Monomial` keys and `Fraction` values, on CPython 3.11.
+PICKLES = [
+    ("x1 + 2*x2 - 3*x1*x2^2", 2,
+     "800495c9000000000000008c107073726577726974652e736572696573948c0f5472756e636174656453"
+     "65726965739493944b027d94288c137073726577726974652e6d6f6e6f6d69616c73948c084d6f6e6f6d"
+     "69616c9493942981947d948c096578706f6e656e7473944b014b00869473628c096672616374696f6e73"
+     "948c084672616374696f6e9493944b014b018694529468062981947d9468094b004b0186947362680d4b"
+     "024b018694529468062981947d9468094b014b0286947362680d4afdffffff4b0186945294754e879452"
+     "942e"),
+    ("1/3*x1^2 - x2 + 5/2", 2,
+     "800495c9000000000000008c107073726577726974652e736572696573948c0f5472756e636174656453"
+     "65726965739493944b027d94288c137073726577726974652e6d6f6e6f6d69616c73948c084d6f6e6f6d"
+     "69616c9493942981947d948c096578706f6e656e7473944b024b00869473628c096672616374696f6e73"
+     "948c084672616374696f6e9493944b014b038694529468062981947d9468094b004b0186947362680d4a"
+     "ffffffff4b018694529468062981947d9468094b004b0086947362680d4b054b0286945294754e879452"
+     "942e"),
+    ("x1 - 2/3*x2^2 + x1^3 + O(3)", 2,
+     "800495af000000000000008c107073726577726974652e736572696573948c0f5472756e636174656453"
+     "65726965739493944b027d94288c137073726577726974652e6d6f6e6f6d69616c73948c084d6f6e6f6d"
+     "69616c9493942981947d948c096578706f6e656e7473944b014b00869473628c096672616374696f6e73"
+     "948c084672616374696f6e9493944b014b018694529468062981947d9468094b004b0286947362680d4a"
+     "feffffff4b0386945294754b03879452942e"),
+    ("0", 2,
+     "80049531000000000000008c107073726577726974652e736572696573948c0f5472756e636174656453"
+     "65726965739493944b027d944e879452942e"),
+    ("O(4)", 3,
+     "80049532000000000000008c107073726577726974652e736572696573948c0f5472756e636174656453"
+     "65726965739493944b037d944b04879452942e"),
+]
+
+
+@pytest.mark.parametrize("text, n, golden", PICKLES,
+                         ids=["integral", "rational", "truncated", "zero", "unknown"])
+def test_pickle_is_unchanged(text, n, golden):
+    """The pickle payload stays (n, {Monomial: Fraction}, precision), so old
+    pickles load and new ones match them byte for byte."""
+    f = S(text, n)
+    assert pickle.loads(bytes.fromhex(golden)) == f
+    assert copy.deepcopy(f) == f and pickle.loads(pickle.dumps(f)) == f
+    cls, (n2, terms, p) = f.__reduce__()
+    assert (cls, n2, p) == (TruncatedSeries, n, f.precision)
+    assert list(terms.items()) == [(m, c) for m, c in f.items()]
+    assert {type(m) for m in terms} <= {Monomial} and {type(c) for c in terms.values()} <= {Fraction}
+    if Fraction(1, 3).__reduce__()[1] == (1, 3):   # Fraction's own pickle form since 3.11
+        assert pickle.dumps(f, protocol=4).hex() == golden
+
+
 def assert_clean(r):
     """What the constructor guarantees: r equals its re-validated copy,
     and every stored coefficient is a nonzero Fraction below the bound."""
@@ -319,3 +368,129 @@ class TestRepr:
         tiny = TruncatedSeries(N, {X: 3, Y: Fraction(1, 10 ** 5000)}, 4)
         assert repr(tiny) == ("<TruncatedSeries n=2 terms=2 precision=4: the coefficient "
                               "of x2 is past Python's int-to-str limit>")
+
+
+# -- differential: stored form against Fraction dicts ----------------------------
+#
+# The oracle keeps a series as ({exponents: Fraction}, precision) and redoes
+# every operation with `fractions` arithmetic.
+
+fractional = st.fractions(min_value=-3, max_value=3, max_denominator=4) | st.integers(-3, 3)
+exponents = st.tuples(st.integers(0, 3), st.integers(0, 3))
+term_dicts = st.dictionaries(exponents, fractional, max_size=5)
+maybe_precision = st.none() | st.integers(0, 7)
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two (terms, precision) pairs; g takes some of f's terms negated, so
+    that sums cancel exactly."""
+    f, g = draw(term_dicts), draw(term_dicts)
+    for e, c in f.items():
+        if draw(st.booleans()):
+            g[e] = -c
+    return (f, draw(maybe_precision)), (g, draw(maybe_precision))
+
+
+def o_series(terms, p):
+    """The oracle's clean form: nonzero Fractions below the precision."""
+    return {e: Fraction(c) for e, c in terms.items() if c and (p is None or sum(e) < p)}, p
+
+
+def o_min(p, q):
+    return q if p is None else p if q is None else min(p, q)
+
+
+def o_valuation(a):
+    terms, p = a
+    return min(map(sum, terms)) if terms else p
+
+
+def o_add(a, b):
+    acc = {}
+    for terms in (a[0], b[0]):
+        for e, c in terms.items():
+            acc[e] = acc.get(e, 0) + c
+    return o_series(acc, o_min(a[1], b[1]))
+
+
+def o_negate(a):
+    return {e: -c for e, c in a[0].items()}, a[1]
+
+
+def o_multiply(a, b):
+    acc = {}
+    for e1, c1 in a[0].items():
+        for e2, c2 in b[0].items():
+            e = (e1[0] + e2[0], e1[1] + e2[1])
+            acc[e] = acc.get(e, 0) + c1 * c2
+    # min(p_a + val(b), p_b + val(a)); a side is infinite when its factor
+    # is exact or the other one is the exact zero.
+    sides = [p + v for p, v in ((a[1], o_valuation(b)), (b[1], o_valuation(a)))
+             if p is not None and v is not None]
+    return o_series(acc, min(sides, default=None))
+
+
+def o_scale_term(a, c, e):
+    shifted = {(e1[0] + e[0], e1[1] + e[1]): c1 * c for e1, c1 in a[0].items()}
+    return o_series(shifted, None if a[1] is None else a[1] + sum(e))
+
+
+def view(f):
+    """f read through the public `items()`, in the oracle's form."""
+    pairs = f.items()
+    assert {type(c) for _m, c in pairs} <= {Fraction}
+    return {m.exponents: c for m, c in pairs}, f.precision
+
+
+def assert_stored(f):
+    """The storage invariant: exponent tuples below the precision, each
+    value a nonzero int or a reduced pair (num, den) with den > 1."""
+    for e, c in f._terms.items():
+        assert type(e) is tuple and len(e) == f.n and all(type(x) is int and x >= 0 for x in e)
+        assert f.precision is None or sum(e) < f.precision
+        if type(c) is int:
+            assert c != 0
+        else:
+            assert type(c) is tuple and len(c) == 2 and all(type(x) is int for x in c)
+            assert c[1] > 1 and math.gcd(*c) == 1
+
+
+def build(a):
+    return TruncatedSeries(N, {Monomial(e): c for e, c in a[0].items()}, a[1])
+
+
+@settings(max_examples=400, deadline=None)
+@given(operand_pairs(), fractional, exponents, st.integers(0, 7))
+# x1 - 1/2*x2 times x1 + 1/2*x2: the cross terms cancel in the product.
+@example((({(1, 0): 1, (0, 1): Fraction(-1, 2)}, None), ({(1, 0): 1, (0, 1): Fraction(1, 2)}, 5)),
+         Fraction(2, 3), (1, 1), 1)
+def test_stored_form_matches_fraction_dicts(pair, c, e, p):
+    a, b = (o_series(*x) for x in pair)
+    f, g = build(pair[0]), build(pair[1])
+    cases = [
+        (f, a), (g, b),
+        (f.add(g), o_add(a, b)),
+        (g.add(f), o_add(a, b)),
+        (f.subtract(g), o_add(a, o_negate(b))),
+        (f.add(f.negate()), o_series({}, a[1])),
+        (g.negate(), o_negate(b)),
+        (f.multiply(g), o_multiply(a, b)),
+        (g.multiply(f), o_multiply(a, b)),
+        (f.scale_term(c, Monomial(e)), o_scale_term(a, Fraction(c), e)),
+        (f.truncate(p), o_series(a[0], o_min(a[1], p))),
+    ]
+    for got, want in cases:
+        assert_stored(got)
+        assert view(got) == want
+        assert got.valuation() == o_valuation(want)
+        if want[0]:
+            lm = min(want[0], key=lambda x: (sum(x), x))
+            assert got.leading() == (Monomial(lm), want[0][lm])
+        else:
+            with pytest.raises(ZeroOrUnknownLeadingError):
+                got.leading()
+        rebuilt = build(want)
+        assert got == rebuilt and hash(got) == hash(rebuilt)
+    for (got, want), (got2, want2) in zip(cases, cases[1:]):
+        assert (got == got2) == (want == want2)
