@@ -8,14 +8,16 @@ Deglex is admissible (1 <= m for every m) and compatible with the degree,
 which is what every termination argument in the rewriting engine leans
 on; the reducer's pending list sorts by the same ``(degree, exponents)``
 key that `deglex_key` returns.
+
+The engine computes on bare exponent tuples.  A `Monomial` is the
+checked box it hands one out in: `exponents`, `n`, `degree` and its text
+in the series grammar, with no arithmetic of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
-
-from .errors import DimensionMismatchError
 
 
 @dataclass(frozen=True)
@@ -44,29 +46,9 @@ class Monomial:
     def degree(self) -> int:
         return sum(self.exponents)
 
-    def multiply(self, other: Monomial) -> Monomial:
-        _check_same_n(self, other)
-        return Monomial._trusted(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
-
-    def divides(self, other: Monomial) -> Optional[Monomial]:
-        """Quotient other/self when self divides other, else None."""
-        _check_same_n(self, other)
-        if all(a <= b for a, b in zip(self.exponents, other.exponents)):
-            return Monomial._trusted(tuple(b - a for a, b in zip(self.exponents, other.exponents)))
-        return None
-
-    def lcm(self, other: Monomial) -> Monomial:
-        _check_same_n(self, other)
-        return Monomial._trusted(tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)))
-
     def __str__(self) -> str:
+        from .textio import exponent_text   # textio imports this module
         return exponent_text(self.exponents)
-
-
-def exponent_text(exponents: tuple[int, ...]) -> str:
-    """The monomial's text in the series grammar: `x2*x3^4`, or `1`."""
-    return "*".join(f"x{i}" if e == 1 else f"x{i}^{e}"
-                    for i, e in enumerate(exponents, 1) if e) or "1"
 
 
 def require_int(value, what: str, least: Optional[int] = None) -> None:
@@ -76,13 +58,6 @@ def require_int(value, what: str, least: Optional[int] = None) -> None:
         raise TypeError(f"{what} {value!r} is not an int")
     if least is not None and value < least:
         raise ValueError(f"{what} must be >= {least}")
-
-
-def _check_same_n(m1: Monomial, m2: Monomial) -> None:
-    if m1.n != m2.n:
-        raise DimensionMismatchError(
-            f"monomials over {m1.n} and {m2.n} variables"
-        )
 
 
 def deglex_key(m: Monomial) -> tuple[int, tuple[int, ...]]:

@@ -154,6 +154,8 @@ class _Compiled:
     __slots__ = ("rules", "table", "memo")
 
     def __init__(self, rules: RuleSet):
+        if not isinstance(rules, RuleSet):
+            raise TypeError(f"rule set {rules!r} is not a RuleSet")
         self.rules = rules
         self.table = []
         for r in rules.rules:
@@ -170,24 +172,29 @@ class _Compiled:
                                        if all(map(operator.le, rule[0], e)))
         return hit
 
-
-def _seed(f: TruncatedSeries, rules: RuleSet) -> dict[tuple[int, ...], _Q]:
-    """A fresh copy of f's stored terms for a reducer over the rules."""
-    if f.n != rules.n:
-        raise DimensionMismatchError(f"series over {f.n} variables, rules over {rules.n}")
-    return dict(f._terms)
+    def reducible(self, f: TruncatedSeries) -> list[tuple[int, ...]]:
+        """The exponents of f's stored terms that some rule's leading
+        monomial divides; f must be a series over the rules' variables."""
+        if not isinstance(f, TruncatedSeries):
+            raise TypeError(f"series {f!r} is not a TruncatedSeries")
+        if f.n != self.rules.n:
+            raise DimensionMismatchError(f"series over {f.n} variables, rules over {self.rules.n}")
+        dividing = self.dividing
+        return [e for e in f._terms if dividing(e)]
 
 
 class _Reducer:
-    """One reduction run on an exponent-keyed term dict, which it takes over.
+    """One reduction run from a series, which `_Compiled.reducible` checks.
 
-    ``terms`` maps exponent tuples to the nonzero coefficients of degree
-    below ``precision`` and ``bound``; when a rule's truncation lowers the
-    precision, the terms and deferred products at or above the new
-    precision are dropped, as the series constructor would.  ``pending``
-    holds the ``(degree, exponents)`` keys of the reducible terms, sorted
-    in the order: the canonical strategy takes ``pending[0]``, and a
-    uniform draw over it is a draw over the sorted candidate list.
+    ``terms`` starts as a copy of the series' stored terms: it maps
+    exponent tuples to the nonzero coefficients of degree below
+    ``precision``, at first the series' own, and below ``bound``.  When a
+    rule's truncation lowers the precision, the terms and deferred products
+    at or above the new precision are dropped, as the series constructor
+    would.  ``pending`` holds the ``(degree, exponents)`` keys of the
+    reducible terms, sorted in the order: the canonical strategy takes
+    ``pending[0]``, and a uniform draw over it is a draw over the sorted
+    candidate list.
     ``quotients[i]`` accumulates the cofactor of rule i + 1 as the steps
     run, and ``steps`` the raw ``(M, i, m, coeff)`` records a trace is
     built from.
@@ -209,17 +216,17 @@ class _Reducer:
     __slots__ = ("rules", "bound", "terms", "deferred", "precision", "pending",
                  "steps", "quotients", "_table", "dividing")
 
-    def __init__(self, compiled: _Compiled, terms: dict[tuple[int, ...], _Q],
-                 precision: Optional[int], bound: float = math.inf):
+    def __init__(self, compiled: _Compiled, f: TruncatedSeries, bound: float = math.inf):
+        reducible = compiled.reducible(f)
         self.rules = rules = compiled.rules
         self.bound = bound
-        self.terms = terms
+        self.terms = terms = dict(f._terms)
         self.deferred: dict[tuple[int, ...], list[tuple[_Q, _Q]]] = {
             e: [(terms.pop(e), 1)] for e in [e for e in terms if sum(e) >= bound]}
-        self.precision = precision
+        self.precision = f.precision
         self._table = compiled.table
         self.dividing = compiled.dividing
-        self.pending = sorted((sum(e), e) for e in terms if self.dividing(e))
+        self.pending = sorted((sum(e), e) for e in reducible if e in terms)
         self.steps: list[tuple[tuple[int, ...], int, tuple[int, ...], _Q]] = []
         self.quotients: list[dict[tuple[int, ...], _Q]] = [{} for _ in rules.rules]
 
@@ -330,20 +337,18 @@ def _series(n: int, terms: dict[tuple[int, ...], _Q],
     return TruncatedSeries._from_clean(n, terms, precision)
 
 
-def _run(compiled: _Compiled, terms: dict[tuple[int, ...], _Q],
-         precision: Optional[int], target_precision: int,
+def _run(compiled: _Compiled, f: TruncatedSeries, target_precision: int,
          rng: Optional[random.Random] = None) -> tuple[_Reducer, TruncatedSeries, int]:
-    """Reduce the terms, known below the precision, below the target; the
-    reducer, end and end precision.  Without an rng each step takes the
-    smallest pending monomial and its first dividing rule, the canonical
-    strategy; with one it draws both uniformly.  Terms and products at or
-    above the target are deferred, and summed only as far as
-    `_Reducer.end` needs them."""
+    """Reduce the series f below the target; the reducer, end and end
+    precision.  Without an rng each step takes the smallest pending
+    monomial and its first dividing rule, the canonical strategy; with one
+    it draws both uniformly.  Terms and products at or above the target
+    are deferred, and summed only as far as `_Reducer.end` needs them."""
     require_int(target_precision, "target precision", 0)
-    if precision is not None and precision < target_precision:
+    r = _Reducer(compiled, f, target_precision)
+    if r.precision is not None and r.precision < target_precision:
         raise PrecisionUnattainableError(
-            f"input precision {precision} below target {target_precision}")
-    r = _Reducer(compiled, terms, precision, target_precision)
+            f"input precision {r.precision} below target {target_precision}")
     pending, dividing = r.pending, r.dividing
     while pending:
         if rng is None:
@@ -368,8 +373,7 @@ def normalize(f: TruncatedSeries, rules: RuleSet, target_precision: int) -> Redu
     (finitely many monomials under any bound) and leaves every coefficient
     below the last reduced monomial final.
     """
-    r, end, end_precision = _run(_Compiled(rules), _seed(f, rules), f.precision,
-                                 target_precision)
+    r, end, end_precision = _run(_Compiled(rules), f, target_precision)
     return r.trace(f, end, end_precision)
 
 
@@ -378,15 +382,13 @@ def normalize_random(f: TruncatedSeries, rules: RuleSet, target_precision: int,
     """Reduce f below the target degree, drawing the reducible monomial
     and the applicable rule uniformly at each step (reproducible per seed)."""
     require_int(seed, "seed")
-    r, end, end_precision = _run(_Compiled(rules), _seed(f, rules), f.precision,
-                                 target_precision, random.Random(seed))
+    r, end, end_precision = _run(_Compiled(rules), f, target_precision, random.Random(seed))
     return r.trace(f, end, end_precision)
 
 
 def reducible_monomials(f: TruncatedSeries, rules: RuleSet) -> set[Monomial]:
     """Stored monomials of f divisible by some rule's leading monomial."""
-    dividing = _Compiled(rules).dividing
-    return {Monomial._trusted(e) for e in _seed(f, rules) if dividing(e)}
+    return set(map(Monomial._trusted, _Compiled(rules).reducible(f)))
 
 
 def reduce_step(f: TruncatedSeries, rules: RuleSet, M: Monomial,
@@ -401,7 +403,7 @@ def reduce_step(f: TruncatedSeries, rules: RuleSet, M: Monomial,
     rules.rule(i)   # the index checks
     if not f.coefficient(M):
         raise NotReducibleError(f"monomial {M} not in the known support")
-    r = _Reducer(_Compiled(rules), _seed(f, rules), f.precision)
+    r = _Reducer(_Compiled(rules), f)
     e = M.exponents
     if i not in r.dividing(e):
         raise NotReducibleError(f"leading monomial of rule {i} does not divide {M}")
@@ -413,13 +415,15 @@ def reduce_step(f: TruncatedSeries, rules: RuleSet, M: Monomial,
 def _replay(trace: ReductionTrace, compiled: _Compiled) -> _Reducer:
     """Rerun the steps of the trace on a reducer, validating each one."""
     rules = compiled.rules
-    start = trace.start
-    r = _Reducer(compiled, _seed(start, rules), start.precision)
+    r = _Reducer(compiled, trace.start)
     for k, step in enumerate(trace.steps):
-        if step.quotient.multiply(rules.rule(step.rule_index).leading_monomial) != step.monomial:
+        lm, m = rules.rule(step.rule_index).leading_monomial.exponents, step.quotient.exponents
+        if len(m) != len(lm):   # `map` would stop at the shorter one
+            raise DimensionMismatchError(f"monomials over {len(m)} and {len(lm)} variables")
+        M = step.monomial.exponents
+        if tuple(map(operator.add, m, lm)) != M:
             raise InvalidTraceError(
                 f"step {k + 1}: quotient * LM(rule {step.rule_index}) != {step.monomial}")
-        M = step.monomial.exponents
         actual = _fraction(r.terms.get(M, 0))
         if actual != step.coeff or actual == 0:
             raise InvalidTraceError(
@@ -437,6 +441,8 @@ def cofactors(trace: ReductionTrace, rules: RuleSet) -> tuple[TruncatedSeries, .
 
     A trace the engine made for these rules carries the quotients its run
     collected; any other trace is replayed and validated step by step."""
+    if not isinstance(trace, ReductionTrace):
+        raise TypeError(f"trace {trace!r} is not a ReductionTrace")
     collected = trace._collected
     if collected is None or collected[0] != rules:
         collected = (rules, _replay(trace, _Compiled(rules)).quotients)
@@ -454,7 +460,7 @@ def multiple_to_zero_chain(q: TruncatedSeries, i: int, rules: RuleSet,
     if start.precision is not None and start.precision < precision:
         raise PrecisionUnattainableError(
             f"product precision {start.precision} below target {precision}")
-    r = _Reducer(_Compiled(rules), _seed(start, rules), start.precision)
+    r = _Reducer(_Compiled(rules), start)
     lm = rule.leading_monomial.exponents
     for _d, m in sorted((sum(e), e) for e in q._terms):   # increasing in deglex
         M = tuple(map(operator.add, m, lm))
@@ -478,7 +484,7 @@ def translate(f: TruncatedSeries, g: TruncatedSeries, trace: ReductionTrace,
         raise InvalidTraceError("trace does not start at f - g")
     compiled = _Compiled(rules)
     _replay(trace, compiled)
-    sides = tuple(_Reducer(compiled, _seed(h, rules), h.precision) for h in (f, g))
+    sides = tuple(_Reducer(compiled, h) for h in (f, g))
     for step in trace.steps:
         M = step.monomial.exponents
         for r in sides:
@@ -528,7 +534,7 @@ def congruence_test(f: TruncatedSeries, g: TruncatedSeries, rules: RuleSet,
     UnknownAtPrecision.
     """
     d = f.subtract(g)
-    r, end, _ = _run(_Compiled(rules), _seed(d, rules), d.precision, precision)
+    r, end, _ = _run(_Compiled(rules), d, precision)
     if end.truncate(precision).known_zero():
         return Member(tuple(_series(rules.n, q) for q in r.quotients))
     if assume_standard_basis:
@@ -588,20 +594,21 @@ def falsify_standard_basis(rules: RuleSet, precision: int, trials: int,
     require_int(trials, "trials", 1)
     require_int(precision, "target precision", 0)
     require_int(seed, "seed")
-    n = rules.n
     compiled = _Compiled(rules)
+    n = rules.n
 
     def check(qs: list[dict[tuple[int, ...], _Q]], phase: str, trial: int
               ) -> Optional[StandardBasisCounterexample]:
+        combination = _combine(compiled, qs)
         try:
-            end = _run(compiled, *_combine(compiled, qs), precision)[1]
+            end = _run(compiled, combination, precision)[1]
         except PrecisionUnattainableError:
             return None  # rule truncations make this combination untestable
         residual = end.truncate(precision)
         if residual.known_zero():
             return None
         return StandardBasisCounterexample(phase, trial, tuple(_series(n, q) for q in qs),
-                                           _series(n, *_combine(compiled, qs)), residual)
+                                           combination, residual)
 
     table = compiled.table
     for trial, (a, b) in enumerate(combinations(range(len(table)), 2), 1):
@@ -618,7 +625,7 @@ def falsify_standard_basis(rules: RuleSet, precision: int, trials: int,
 
     rng = random.Random(seed)
     for t in range(1, trials + 1):
-        qs = [_seed(random_polynomial(rng, n, 3), rules) for _ in rules.rules]
+        qs = [random_polynomial(rng, n, 3)._terms for _ in rules.rules]
         found = check(qs, "random", t)
         if found is not None:
             return found
@@ -626,14 +633,14 @@ def falsify_standard_basis(rules: RuleSet, precision: int, trials: int,
 
 
 def _combine(compiled: _Compiled, qs: Sequence[dict[tuple[int, ...], _Q]]
-             ) -> tuple[dict[tuple[int, ...], _Q], Optional[int]]:
-    """The exponent-keyed terms and the precision of sum q_i * s_i, for exact
-    cofactors q_i (nonzero terms only) and the compiled rule bodies s_i.
+             ) -> TruncatedSeries:
+    """The series sum q_i * s_i, for exact cofactors q_i given as stored-form
+    term dicts (nonzero terms only) and the compiled rule bodies s_i.
 
     The precision is min over the nonzero q_i of p_i + val(q_i), as
     `TruncatedSeries.multiply` and `add` compute it, and the terms are
     those below it; a leading term that cancels, as in a critical pair,
-    cancels in the sum."""
+    cancels in the sum.  The falsifier both runs and returns the result."""
     precision = None
     for q, (_lm, _d, _lc, _tail, body_precision) in zip(qs, compiled.table):
         if q and body_precision is not None:
@@ -647,7 +654,7 @@ def _combine(compiled: _Compiled, qs: Sequence[dict[tuple[int, ...], _Q]]
                 if precision is None or de + dq < precision:
                     e2 = tuple(map(operator.add, e, mq))
                     acc[e2] = _add(acc.get(e2, 0), _mul(cq, c))
-    return {e: c for e, c in acc.items() if c}, precision
+    return _series(compiled.rules.n, acc, precision)
 
 
 # -- confluence probing ------------------------------------------------------
@@ -684,8 +691,7 @@ def confluence_probe(f: TruncatedSeries, rules: RuleSet, precision: int,
     for s in strategy_seeds:
         require_int(s, "seed")
     compiled = _Compiled(rules)
-    ends = [_run(compiled, _seed(f, rules), f.precision, precision, random.Random(s))[1]
-            for s in strategy_seeds]
+    ends = [_run(compiled, f, precision, random.Random(s))[1] for s in strategy_seeds]
     pairs = []
     for a in range(len(ends)):
         for b in range(a + 1, len(ends)):
@@ -715,10 +721,10 @@ def attractivity_check(f: TruncatedSeries, rules: RuleSet,
     require_int(steps, "steps", 0)
     require_int(seed, "seed")
     compiled = _Compiled(rules)
-    if any(map(compiled.dividing, _seed(alpha, rules))):
+    if compiled.reducible(alpha):
         raise PreconditionFailedError("alpha contains a reducible monomial")
     rng = random.Random(seed)
-    r = _Reducer(compiled, _seed(f, rules), f.precision)
+    r = _Reducer(compiled, f)
     dists = [delta(f, alpha)[0]]
     taken = 0
     for k in range(1, steps + 1):

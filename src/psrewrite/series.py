@@ -201,6 +201,8 @@ class TruncatedSeries:
     # -- arithmetic ------------------------------------------------------
 
     def _check_compatible(self, other: TruncatedSeries) -> None:
+        if not isinstance(other, TruncatedSeries):
+            raise TypeError(f"operand {other!r} is not a TruncatedSeries")
         if self.n != other.n:
             raise DimensionMismatchError(f"series over {self.n} and {other.n} variables")
 
@@ -234,6 +236,7 @@ class TruncatedSeries:
             self.n, {e: _neg(c) for e, c in self._terms.items()}, self.precision)
 
     def subtract(self, other: TruncatedSeries) -> TruncatedSeries:
+        self._check_compatible(other)
         return self.add(other.negate())
 
     def multiply(self, other: TruncatedSeries) -> TruncatedSeries:

@@ -19,9 +19,10 @@ as the scanner `_TOKEN` defines them:
 - a character that starts no token is reported before any grammar error.
 
 Formatting is canonical (terms ascending for deglex, unit coefficients
-dropped), and parse(format(f)) == f; a coefficient past Python's
-int-to-str limit raises a `RewritingError` that names its term.  Both
-work on the stored form of `TruncatedSeries`, with no `Fraction`.
+dropped), and parse(format(f)) == f; a coefficient or an exponent past
+Python's int-to-str limit raises a `RewritingError` that names its term
+or variable.  Both work on the stored form of `TruncatedSeries`, with no
+`Fraction`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Optional
 
 from .ars import BACKWARD, FORWARD, Conversion, FiniteARS
 from .errors import ParseError, RewritingError
-from .monomials import exponent_text, require_int
+from .monomials import require_int
 from .rewrite import ReductionTrace, RuleSet
 from .series import _Q, TruncatedSeries, _add
 
@@ -154,6 +155,17 @@ def _coefficient(num, den: int, term: str, step: Optional[int] = None) -> str:
         where = "" if step is None else f" in step {step}"
         raise RewritingError(f"the coefficient of {term}{where} is past Python's "
                              "int-to-str limit") from None
+
+
+def exponent_text(exponents: tuple[int, ...]) -> str:
+    """The monomial's text in the series grammar: `x2*x3^4`, or `1`.  An
+    exponent past Python's int-to-str limit is an error naming its variable."""
+    try:
+        return "*".join(f"x{i}" if e == 1 else f"x{i}^{e}"
+                        for i, e in enumerate(exponents, 1) if e) or "1"
+    except ValueError:   # then the largest exponent is past the limit
+        i = 1 + max(range(len(exponents)), key=exponents.__getitem__)
+        raise RewritingError(f"the exponent of x{i} is past Python's int-to-str limit") from None
 
 
 def format_series(f: TruncatedSeries) -> str:

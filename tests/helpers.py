@@ -1,8 +1,33 @@
-"""Shared generators for seeded random rewriting instances."""
+"""Shared generators for seeded random rewriting instances, and the
+monomial arithmetic of the test oracles, computed on exponent tuples
+independently of the engine."""
 
 from itertools import combinations
 
-from psrewrite import Monomial, RuleSet, TruncatedSeries, random_polynomial
+from psrewrite import DimensionMismatchError, Monomial, RuleSet, TruncatedSeries, random_polynomial
+
+
+def _exponent_pairs(a, b):
+    """Zip the exponents of two monomials over the same variables."""
+    if a.n != b.n:
+        raise DimensionMismatchError(f"monomials over {a.n} and {b.n} variables")
+    return zip(a.exponents, b.exponents)
+
+
+def monomial_product(a, b):
+    """a * b: the exponents add."""
+    return Monomial(tuple(x + y for x, y in _exponent_pairs(a, b)))
+
+
+def monomial_quotient(a, b):
+    """b / a when a divides b, else None."""
+    q = tuple(y - x for x, y in _exponent_pairs(a, b))
+    return Monomial(q) if all(e >= 0 for e in q) else None
+
+
+def monomial_lcm(a, b):
+    """The least common multiple: the larger exponent of each variable."""
+    return Monomial(tuple(max(x, y) for x, y in _exponent_pairs(a, b)))
 
 
 def monomials_of_degree(n, d):

@@ -1,7 +1,8 @@
 """Slow reference reductions kept as differential oracles.
 
 These are the straightforward forms of the engine's reducer, written in
-series arithmetic and independent of it.  One step is `reduce_step`:
+series arithmetic and independent of it; their monomial arithmetic is the
+exponent-tuple helpers of `helpers`.  One step is `reduce_step`:
 f - (coeff / LC) * m * s_i, with `scale_term` and `subtract`, after the
 divisor test of `dividing_rules`.  Every reduction rescans the whole
 support against every rule with `reducible_monomials`, re-sorts the
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from helpers import monomial_lcm, monomial_product, monomial_quotient
 from psrewrite import (
     DimensionMismatchError,
     InvalidTraceError,
@@ -40,7 +42,7 @@ from psrewrite.rewrite import AttractivityReport
 def dividing_rules(rules, m):
     """1-based indices of the rules whose leading monomial divides m."""
     return [i + 1 for i, r in enumerate(rules.rules)
-            if r.leading_monomial.divides(m) is not None]
+            if monomial_quotient(r.leading_monomial, m) is not None]
 
 
 def reducible_monomials(f, rules):
@@ -56,7 +58,7 @@ def reduce_step(f, rules, M, i):
     coeff = f.coefficient(M)
     if coeff == 0:
         raise NotReducibleError(f"monomial {M} not in the known support")
-    m = rule.leading_monomial.divides(M)
+    m = monomial_quotient(rule.leading_monomial, M)
     if m is None:
         raise NotReducibleError(f"leading monomial of rule {i} does not divide {M}")
     g = f.subtract(rule.body.scale_term(coeff / rule.leading_coefficient, m))
@@ -146,7 +148,7 @@ def multiple_to_zero_chain(q, i, rules, precision):
     h = start
     steps = []
     for m in sorted(q.support, key=deglex_key):
-        M = m.multiply(lm)
+        M = monomial_product(m, lm)
         if h.coefficient(M) == 0:
             continue
         h, step = reduce_step(h, rules, M, i)
@@ -225,11 +227,11 @@ def falsify_standard_basis(rules, precision, trials, seed):
     for a in range(r):
         for b in range(a + 1, r):
             ra, rb = rules.rule(a + 1), rules.rule(b + 1)
-            lcm = ra.leading_monomial.lcm(rb.leading_monomial)
+            lcm = monomial_lcm(ra.leading_monomial, rb.leading_monomial)
             qs = [TruncatedSeries.zero(n) for _ in range(r)]
-            qs[a] = TruncatedSeries(n, {ra.leading_monomial.divides(lcm):
+            qs[a] = TruncatedSeries(n, {monomial_quotient(ra.leading_monomial, lcm):
                                         1 / ra.leading_coefficient})
-            qs[b] = TruncatedSeries(n, {rb.leading_monomial.divides(lcm):
+            qs[b] = TruncatedSeries(n, {monomial_quotient(rb.leading_monomial, lcm):
                                         -1 / rb.leading_coefficient})
             trial += 1
             found = check(qs, "pairwise", trial)

@@ -38,7 +38,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import naive_reduction as naive
-from helpers import monomials_of_degree, random_instance
+from helpers import monomial_product, monomials_of_degree, random_instance
 from psrewrite import (
     DimensionMismatchError,
     Member,
@@ -65,7 +65,7 @@ from psrewrite import (
     reducible_monomials,
     translate,
 )
-from psrewrite.rewrite import _Compiled, _Reducer, _seed
+from psrewrite.rewrite import _Compiled, _Reducer
 from psrewrite.series import _add, _div, _fraction, _mul, _narrow, _neg
 
 COEFFS = st.sampled_from([-2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-3, 2)])
@@ -280,7 +280,7 @@ FACTORS = [
 def test_factor_branches_match_oracle(rules_text, f_text, prec, factor):
     rules = parse_rules(rules_text, 2)
     f = parse_series(f_text, 2)
-    r = _Reducer(_Compiled(rules), _seed(f, rules), f.precision, prec)
+    r = _Reducer(_Compiled(rules), f, prec)
     r.step(r.pending[0], 1)
     (got,) = r.quotients[0].values()
     assert got == factor and type(got) is type(factor)
@@ -366,7 +366,7 @@ def test_terms_stay_below_the_bound(instance, seed):
     """Start terms and products at or above the bound go to `deferred`
     alone, so `pending` is every reducible term, from construction on."""
     f, rules, target = instance
-    r = _Reducer(_Compiled(rules), _seed(f, rules), f.precision, target)
+    r = _Reducer(_Compiled(rules), f, target)
     rng = random.Random(seed)
 
     def check():
@@ -506,7 +506,8 @@ def step_pool(f, rules):
     pool = set(f.support)
     for rule in rules.rules:
         for d in range(2):
-            pool.update(rule.leading_monomial.multiply(m) for m in monomials_of_degree(rules.n, d))
+            pool.update(monomial_product(rule.leading_monomial, m)
+                        for m in monomials_of_degree(rules.n, d))
     for d in range(1, 3):
         pool.update(monomials_of_degree(rules.n, d))
     return sorted(pool, key=deglex_key)

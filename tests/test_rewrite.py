@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from psrewrite import (
+    DimensionMismatchError,
     InvalidTraceError,
     Member,
     Monomial,
@@ -248,6 +249,21 @@ class TestCofactorTrustBoundary:
                            match=r"^step 1: quotient \* LM\(rule 1\) != x2$"):
             cofactors(bad, GEOMETRIC)
 
+    @pytest.mark.parametrize("quotient, message", [
+        (Monomial((0, 0, 7)), "^monomials over 3 and 2 variables$"),
+        (Monomial((0,)), "^monomials over 1 and 2 variables$"),
+    ])
+    def test_hand_built_trace_with_quotient_of_other_variable_count_rejected(
+            self, quotient, message):
+        # Summing exponents with `map` would stop at the shorter vector and
+        # accept the longer quotient: x2 = (0, 0, 7) * x2 on two variables.
+        trace = normalize(S("x2"), GEOMETRIC, 5)
+        first = dataclasses.replace(trace.steps[0], quotient=quotient)
+        bad = ReductionTrace(trace.start, (first,) + trace.steps[1:], trace.end,
+                             trace.end_precision)
+        with pytest.raises(DimensionMismatchError, match=message):
+            cofactors(bad, GEOMETRIC)
+
     def test_replaced_trace_with_tampered_step_rejected(self, replays):
         trace = normalize(S("x2"), GEOMETRIC, 5)
         last = dataclasses.replace(trace.steps[-1], rule_index=1, coeff=Fraction(3))
@@ -417,6 +433,33 @@ def test_rule_leading_data_comes_from_the_body():
 def test_rule_set_rejects(make, error, message):
     with pytest.raises(error, match=message):
         make()
+
+
+# An argument of the wrong type is a TypeError that names it, not an
+# AttributeError from deep inside the engine.
+@pytest.mark.parametrize("call, message", [
+    (lambda: normalize("x1", GEOMETRIC, 4), "series 'x1' is not a TruncatedSeries"),
+    (lambda: normalize_random(None, GEOMETRIC, 4, 0), "series None is not a TruncatedSeries"),
+    (lambda: reducible_monomials("x1", GEOMETRIC), "series 'x1' is not a TruncatedSeries"),
+    (lambda: confluence_probe("x1", GEOMETRIC, 4, [0, 1]),
+     "series 'x1' is not a TruncatedSeries"),
+    (lambda: attractivity_check(S("x2"), GEOMETRIC, "x1", 3),
+     "series 'x1' is not a TruncatedSeries"),
+    (lambda: falsify_standard_basis("r", 4, 1, 0), "rule set 'r' is not a RuleSet"),
+    (lambda: normalize(S("x2"), ["x1"], 4), r"rule set \['x1'\] is not a RuleSet"),
+    (lambda: cofactors(None, GEOMETRIC), "trace None is not a ReductionTrace"),
+    (lambda: congruence_test(S("x2"), "x1", GEOMETRIC, 4),
+     "operand 'x1' is not a TruncatedSeries"),
+    (lambda: delta(S("x2"), "x1"), "operand 'x1' is not a TruncatedSeries"),
+    (lambda: S("x2").add("x1"), "operand 'x1' is not a TruncatedSeries"),
+    (lambda: S("x2").subtract(None), "operand None is not a TruncatedSeries"),
+    (lambda: S("x2").multiply("x1"), "operand 'x1' is not a TruncatedSeries"),
+], ids=["normalize-series", "normalize-random-series", "reducible-series", "probe-series",
+        "attractivity-alpha", "falsify-rules", "normalize-rules", "cofactors-trace",
+        "congruence-g", "delta-g", "add", "subtract", "multiply"])
+def test_wrong_argument_type_rejected(call, message):
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        call()
 
 
 class TestStandardRepresentation:

@@ -11,6 +11,8 @@ from psrewrite import (
     DimensionMismatchError,
     Monomial,
     ParseError,
+    ReductionStep,
+    ReductionTrace,
     RewritingError,
     RuleSet,
     TruncatedSeries,
@@ -236,6 +238,22 @@ class TestUnprintableCoefficients:
         with pytest.raises(RewritingError, match="^the coefficient of x1\\^2 in step 3 is past "
                                                  "Python's int-to-str limit$"):
             format_trace(trace)
+
+
+@pytest.mark.parametrize("text, n, name", [
+    ("x1^{E}*x1^{E}", 1, "x1"),
+    ("x1*x2^{E}*x2^{E}", 2, "x2"),
+])
+def test_an_exponent_past_the_int_to_str_limit(text, n, name):
+    # Each literal is within the parser's digit limit, but their sum is not.
+    f = parse_series(text.replace("{E}", "9" * 4300), n)
+    (m,) = f.support
+    trace = ReductionTrace(f, (ReductionStep(m, 1, m, Fraction(1)),), f, 0)
+    message = f"the exponent of {name} is past Python's int-to-str limit"
+    for show in (lambda: format_series(f), lambda: str(m), lambda: format_trace(trace)):
+        with pytest.raises(RewritingError, match=f"^{message}$"):
+            show()
+    assert repr(f) == f"<TruncatedSeries n={n} terms=1 precision=None: {message}>"
 
 
 class TestArsFormats:
