@@ -86,9 +86,9 @@ class RuleSet:
         return self.rules[i - 1]
 
 
-def _require_series(body) -> None:
-    if not isinstance(body, TruncatedSeries):
-        raise TypeError(f"rule body {body!r} is not a TruncatedSeries")
+def _require_series(value, what: str = "rule body") -> None:
+    if not isinstance(value, TruncatedSeries):
+        raise TypeError(f"{what} {value!r} is not a TruncatedSeries")
 
 
 @dataclass(frozen=True)
@@ -145,38 +145,85 @@ def _box(raw: Sequence[tuple[tuple[int, ...], int, tuple[int, ...], _Q]]
 _Key = tuple[int, tuple[int, ...]]   # (degree, exponents): `deglex_key` of a monomial
 
 
+# A leading exponent above this is tested rule by rule, so no divisor
+# mask table holds more than this many entries plus one.
+_MASK_LIMIT = 64
+
+
 class _Compiled:
     """Per rule: LM exponents, deg LM, LC, the other terms with their
-    degrees, and the body precision; plus a divisor memo, all read from the
-    bodies' stored terms.  Built once per public call and shared by its
-    reducers, never kept on the `RuleSet`."""
+    degrees, and the body precision; plus the divisor masks and memo, all
+    read from the bodies' stored terms.  Built once per public call and
+    shared by its reducers, never kept on the `RuleSet`.
 
-    __slots__ = ("rules", "table", "memo")
+    ``masks`` holds ``(k, cap, below)`` for each variable k that some
+    leading monomial uses, with cap its largest exponent there but at most
+    `_MASK_LIMIT`: bit j - 1 of ``below[v]`` is set when rule j's leading
+    exponent in k is at most v (each rule sets its bit at its own exponent,
+    and each entry is OR-ed into the next).  A monomial's dividing rules
+    are the ``short`` rules' bits left in the AND of its variables'
+    entries, an exponent above the cap read at the cap, plus each of the
+    ``tall`` rules, whose leading exponents pass the limit, that divides
+    it exponent by exponent.  ``indices`` maps each bit set to its
+    ascending 1-based rule indices, built once per distinct set."""
+
+    __slots__ = ("rules", "table", "short", "tall", "masks", "indices", "memo")
 
     def __init__(self, rules: RuleSet):
         if not isinstance(rules, RuleSet):
             raise TypeError(f"rule set {rules!r} is not a RuleSet")
         self.rules = rules
         self.table = []
+        lms = []
         for r in rules.rules:
             lm, terms = r.leading_monomial.exponents, r.body._terms
             tail = [(e, sum(e), c) for e, c in terms.items() if e != lm]
             self.table.append((lm, sum(lm), terms[lm], tail, r.body.precision))
+            lms.append(lm)
+        self.masks = []
+        tall = 0
+        for k, column in enumerate(zip(*lms)):
+            cap = max(column)
+            if cap:
+                if cap > _MASK_LIMIT:
+                    cap = _MASK_LIMIT
+                    tall |= sum(1 << j for j, v in enumerate(column) if v > cap)
+                    column = [min(v, cap) for v in column]
+                below = [0] * (cap + 1)
+                bit = 1
+                for v in column:
+                    below[v] |= bit
+                    bit <<= 1
+                for v in range(cap):
+                    below[v + 1] |= below[v]
+                self.masks.append((k, cap, below))
+        self.short = (1 << len(lms)) - 1 & ~tall
+        self.tall = [(1 << j, lm) for j, lm in enumerate(lms) if tall >> j & 1] if tall else []
+        self.indices: dict[int, tuple[int, ...]] = {}
         self.memo: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def dividing(self, e: tuple[int, ...]) -> tuple[int, ...]:
         """1-based indices of the rules whose leading monomial divides e."""
         hit = self.memo.get(e)
         if hit is None:
-            hit = self.memo[e] = tuple(i for i, rule in enumerate(self.table, 1)
-                                       if all(map(operator.le, rule[0], e)))
+            bits = self.short
+            for k, cap, below in self.masks:
+                v = e[k]
+                bits &= below[v if v < cap else cap]
+            for bit, lm in self.tall:
+                if all(map(operator.le, lm, e)):
+                    bits |= bit
+            hit = self.indices.get(bits)
+            if hit is None:
+                hit = self.indices[bits] = tuple(
+                    j for j in range(1, bits.bit_length() + 1) if bits >> (j - 1) & 1)
+            self.memo[e] = hit
         return hit
 
     def reducible(self, f: TruncatedSeries) -> list[tuple[int, ...]]:
         """The exponents of f's stored terms that some rule's leading
         monomial divides; f must be a series over the rules' variables."""
-        if not isinstance(f, TruncatedSeries):
-            raise TypeError(f"series {f!r} is not a TruncatedSeries")
+        _require_series(f, "series")
         if f.n != self.rules.n:
             raise DimensionMismatchError(f"series over {f.n} variables, rules over {self.rules.n}")
         dividing = self.dividing
@@ -194,7 +241,11 @@ class _Reducer:
     would.  ``pending`` holds the ``(degree, exponents)`` keys of the
     reducible terms, sorted in the order: the canonical strategy takes
     ``pending[0]``, and a uniform draw over it is a draw over the sorted
-    candidate list.
+    candidate list.  ``memo`` is the compiled divisor memo: a step looks a
+    new term up there once and runs the divisor test only on a miss, so
+    every pending key is in it and `_run` reads its pick's rules there.  A
+    step on ``pending[0]``, the canonical pick, deletes the head; any other
+    key is found by bisection.
     ``quotients[i]`` accumulates the cofactor of rule i + 1 as the steps
     run, and ``steps`` the raw ``(M, i, m, coeff)`` records a trace is
     built from.
@@ -214,7 +265,7 @@ class _Reducer:
     """
 
     __slots__ = ("rules", "bound", "terms", "deferred", "precision", "pending",
-                 "steps", "quotients", "_table", "dividing")
+                 "steps", "quotients", "_table", "memo", "dividing")
 
     def __init__(self, compiled: _Compiled, f: TruncatedSeries, bound: float = math.inf):
         reducible = compiled.reducible(f)
@@ -225,6 +276,7 @@ class _Reducer:
             e: [(terms.pop(e), 1)] for e in [e for e in terms if sum(e) >= bound]}
         self.precision = f.precision
         self._table = compiled.table
+        self.memo = compiled.memo
         self.dividing = compiled.dividing
         self.pending = sorted((sum(e), e) for e in reducible if e in terms)
         self.steps: list[tuple[tuple[int, ...], int, tuple[int, ...], _Q]] = []
@@ -244,8 +296,12 @@ class _Reducer:
         m = tuple(map(operator.sub, M, lm))
         dm = d - lm_degree
         terms, pending, deferred, bound = self.terms, self.pending, self.deferred, self.bound
+        memo = self.memo
         coeff = terms.pop(M)
-        self._unpend(key)
+        if pending and pending[0] is key:   # the canonical pick
+            del pending[0]
+        else:
+            self._unpend(key)
         prec = self.precision
         if body_precision is not None and (prec is None or body_precision + dm < prec):
             prec = self.precision = body_precision + dm
@@ -275,7 +331,10 @@ class _Reducer:
             old = terms.get(e2)
             if old is None:
                 terms[e2] = p
-                if self.dividing(e2):
+                hit = memo.get(e2)
+                if hit is None:
+                    hit = self.dividing(e2)
+                if hit:
                     insort(pending, (d2, e2))
                 continue
             new = old + p if type(old) is int and type(p) is int else _add(old, p)
@@ -349,14 +408,14 @@ def _run(compiled: _Compiled, f: TruncatedSeries, target_precision: int,
     if r.precision is not None and r.precision < target_precision:
         raise PrecisionUnattainableError(
             f"input precision {r.precision} below target {target_precision}")
-    pending, dividing = r.pending, r.dividing
+    pending, memo = r.pending, r.memo   # every pending key is in the memo
     while pending:
         if rng is None:
             key = pending[0]
-            i = dividing(key[1])[0]
+            i = memo[key[1]][0]
         else:
             key = rng.choice(pending)
-            i = rng.choice(dividing(key[1]))
+            i = rng.choice(memo[key[1]])
         r.step(key, i)
         if r.precision is not None and r.precision < target_precision:
             raise PrecisionUnattainableError(
@@ -400,10 +459,12 @@ def reduce_step(f: TruncatedSeries, rules: RuleSet, M: Monomial,
     min(p_f, deg(m) + p_rule).  It is one `_Reducer.step`, the step that
     every reduction here runs.
     """
+    compiled = _Compiled(rules)
     rules.rule(i)   # the index checks
+    _require_series(f, "series")
     if not f.coefficient(M):
         raise NotReducibleError(f"monomial {M} not in the known support")
-    r = _Reducer(_Compiled(rules), f)
+    r = _Reducer(compiled, f)
     e = M.exponents
     if i not in r.dividing(e):
         raise NotReducibleError(f"leading monomial of rule {i} does not divide {M}")
@@ -455,12 +516,14 @@ def multiple_to_zero_chain(q: TruncatedSeries, i: int, rules: RuleSet,
     in increasing order; every quotient monomial is a support element of q
     and the whole known part telescopes away."""
     require_int(precision, "target precision", 0)
+    compiled = _Compiled(rules)
     rule = rules.rule(i)
+    _require_series(q, "series")
     start = q.multiply(rule.body)
     if start.precision is not None and start.precision < precision:
         raise PrecisionUnattainableError(
             f"product precision {start.precision} below target {precision}")
-    r = _Reducer(_Compiled(rules), start)
+    r = _Reducer(compiled, start)
     lm = rule.leading_monomial.exponents
     for _d, m in sorted((sum(e), e) for e in q._terms):   # increasing in deglex
         M = tuple(map(operator.add, m, lm))
@@ -480,6 +543,7 @@ def translate(f: TruncatedSeries, g: TruncatedSeries, trace: ReductionTrace,
     contains M and skipped on the other, so f' - g' equals the chain's end
     below the common precision.  The lifted traces carry their cofactors.
     """
+    _require_series(f, "series")
     if trace.start != f.subtract(g):
         raise InvalidTraceError("trace does not start at f - g")
     compiled = _Compiled(rules)

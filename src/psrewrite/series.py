@@ -265,6 +265,8 @@ class TruncatedSeries:
 
     def scale_term(self, c, m: Monomial) -> TruncatedSeries:
         """The series c * m * self; precision shifts by deg(m)."""
+        if not isinstance(m, Monomial):
+            raise TypeError(f"monomial {m!r} is not a Monomial")
         if m.n != self.n:
             raise DimensionMismatchError(f"monomial over {m.n} variables, series over {self.n}")
         c = _rational(c)

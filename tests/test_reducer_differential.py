@@ -474,6 +474,70 @@ def test_random_phase_matches_oracle(instance, seed):
         assert_fractions(cert.combination, cert.normal_form, *cert.cofactors)
 
 
+def test_a_pair_with_coprime_leading_monomials_can_be_the_certificate():
+    # Rules 1 and 3 lead with x1^2 and x2*x3: Buchberger's product
+    # criterion would skip their pair, trial 2, yet on these non-standard
+    # rules its combination keeps a nonzero normal form below 8.
+    rules = parse_rules("x1^2 + x1^2*x2 - 2*x1*x2^3\n3*x1*x3 + x1*x2^2 + 2*x2*x3^3\n"
+                        "x2*x3 - 2*x2*x3^2 - 3*x2^3*x3\n", 3)
+    a, b = (rules.rule(i).leading_monomial.exponents for i in (1, 3))
+    assert (a, b) == ((2, 0, 0), (0, 1, 1))
+    cert = falsify_standard_basis(rules, precision=8, trials=100, seed=1)
+    assert (cert.phase, cert.trial) == ("pairwise", 2)
+    assert [format_series(q) for q in cert.cofactors] == ["x2*x3", "0", "-x1^2"]
+    assert format_series(cert.normal_form) == "2/3*x1*x2^6 + O(8)"
+    assert cert == naive.falsify_standard_basis(rules, 8, 100, 1)
+
+
+# -- the divisor test ---------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_divisor_masks_match_the_naive_test(data):
+    # Up to 70 rules, so the masks pass 64 bits; leading monomial 1 and
+    # repeats; exponents above every cap and variables no rule uses.
+    n = data.draw(st.integers(1, 6))
+    unused = data.draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+
+    def exponents(values):
+        return st.lists(values, min_size=n, max_size=n).map(
+            lambda e: tuple(0 if k in unused else x for k, x in enumerate(e)))
+
+    r = data.draw(st.one_of(st.integers(0, 8), st.integers(60, 70)))
+    lms = data.draw(st.lists(st.one_of(st.just((0,) * n), exponents(st.integers(0, 3))),
+                             min_size=r, max_size=r))
+    # leading exponents past the mask tables' limit, tested rule by rule
+    lms += data.draw(st.lists(exponents(st.sampled_from([0, 1, 64, 65, 10**30])), max_size=2))
+    lms += data.draw(st.lists(st.sampled_from(lms), max_size=3)) if lms else []
+    rules = RuleSet([TruncatedSeries(n, {Monomial(lm): 1, Monomial(lm[:-1] + (lm[-1] + 1,)): 2})
+                     for lm in lms], n)
+    compiled = _Compiled(rules)
+    big = st.sampled_from([64, 65, 10**30])
+    for e in data.draw(st.lists(st.lists(st.integers(0, 5) | big, min_size=n, max_size=n).map(tuple),
+                                min_size=1, max_size=8)):
+        hit = compiled.dividing(e)
+        assert hit == tuple(naive.dividing_rules(rules, Monomial(e)))
+        compiled.memo[e] = ("memo",)   # a second call reads the memo, not the masks
+        assert compiled.dividing(e) == ("memo",)
+        compiled.memo[e] = hit
+    # equal index tuples are one object: each is built once per distinct mask
+    assert len(set(map(id, compiled.memo.values()))) == len(set(compiled.memo.values()))
+
+
+def test_a_tall_leading_exponent_keeps_the_mask_tables_small():
+    compiled = _Compiled(parse_rules("x1^1000000000000\nx1^2*x2", 2))
+    assert max(len(below) for _k, _cap, below in compiled.masks) <= 65
+    es = [(10**12, 1), (10**12 - 1, 1), (2, 1), (10**13, 0)]
+    assert [compiled.dividing(e) for e in es] == [(1, 2), (2,), (2,), (1,)]
+
+
+def test_no_rules_divide_nothing():
+    for n in (1, 3):
+        compiled = _Compiled(RuleSet([], n))
+        for e in [(0,) * n, (5,) * n, tuple(range(n))]:
+            assert compiled.dividing(e) == ()
+
+
 # -- one step ----------------------------------------------------------------
 
 def step_outcome(fn, f, rules, M, i):

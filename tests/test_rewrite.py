@@ -454,9 +454,19 @@ def test_rule_set_rejects(make, error, message):
     (lambda: S("x2").add("x1"), "operand 'x1' is not a TruncatedSeries"),
     (lambda: S("x2").subtract(None), "operand None is not a TruncatedSeries"),
     (lambda: S("x2").multiply("x1"), "operand 'x1' is not a TruncatedSeries"),
+    (lambda: reduce_step("x1", GEOMETRIC, Y, 1), "series 'x1' is not a TruncatedSeries"),
+    (lambda: reduce_step(S("x2"), ["x1"], Y, 1), r"rule set \['x1'\] is not a RuleSet"),
+    (lambda: multiple_to_zero_chain(S("x1"), 1, ["x1"], 4),
+     r"rule set \['x1'\] is not a RuleSet"),
+    (lambda: multiple_to_zero_chain("x1", 1, GEOMETRIC, 4),
+     "series 'x1' is not a TruncatedSeries"),
+    (lambda: translate("x1", LIFT_G, LIFT_TRACE, GEOMETRIC),
+     "series 'x1' is not a TruncatedSeries"),
+    (lambda: S("x2").scale_term(1, "x1"), "monomial 'x1' is not a Monomial"),
 ], ids=["normalize-series", "normalize-random-series", "reducible-series", "probe-series",
         "attractivity-alpha", "falsify-rules", "normalize-rules", "cofactors-trace",
-        "congruence-g", "delta-g", "add", "subtract", "multiply"])
+        "congruence-g", "delta-g", "add", "subtract", "multiply", "reduce-step-series",
+        "reduce-step-rules", "chain-rules", "chain-series", "translate-f", "scale-term"])
 def test_wrong_argument_type_rejected(call, message):
     with pytest.raises(TypeError, match=f"^{message}$"):
         call()
