@@ -50,8 +50,9 @@ class FiniteARS:
             if type(edge) is not tuple or len(edge) != 2:
                 raise TypeError(f"edge {edge!r} is not an (a, b) pair")
             a, b = edge
-            require_int(a, "element")
-            require_int(b, "element")
+            if type(a) is not int or type(b) is not int:   # a bool is an error too
+                require_int(a, "element")
+                require_int(b, "element")
             if not (0 <= a < self.size and 0 <= b < self.size):
                 raise ValueError(f"edge ({a}, {b}) outside 0..{self.size - 1}")
         object.__setattr__(self, "edges", frozenset(edges))

@@ -68,9 +68,9 @@ class SessionConfig:
 
 def _load(path: str, parse: Callable[[str], object]):
     """Parse the file at path; an error in its text names the file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb", buffering=0) as fh:
         try:
-            return parse(fh.read())
+            return parse(fh.read().decode("utf-8"))
         except RewritingError as exc:
             raise RewritingError(f"{path}: {exc}") from exc
 

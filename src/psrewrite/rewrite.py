@@ -544,6 +544,8 @@ def translate(f: TruncatedSeries, g: TruncatedSeries, trace: ReductionTrace,
     below the common precision.  The lifted traces carry their cofactors.
     """
     _require_series(f, "series")
+    if not isinstance(trace, ReductionTrace):
+        raise TypeError(f"trace {trace!r} is not a ReductionTrace")
     if trace.start != f.subtract(g):
         raise InvalidTraceError("trace does not start at f - g")
     compiled = _Compiled(rules)
@@ -597,6 +599,7 @@ def congruence_test(f: TruncatedSeries, g: TruncatedSeries, rules: RuleSet,
     NotMember only under the caller's standard-basis assumption, otherwise
     UnknownAtPrecision.
     """
+    _require_series(f, "series")
     d = f.subtract(g)
     r, end, _ = _run(_Compiled(rules), d, precision)
     if end.truncate(precision).known_zero():

@@ -338,6 +338,8 @@ def delta(f: TruncatedSeries, g: TruncatedSeries) -> tuple[Fraction, bool]:
     bound is all the data shows, so the true distance is only known to be
     at most 2^(-p).
     """
+    if not isinstance(f, TruncatedSeries):
+        raise TypeError(f"operand {f!r} is not a TruncatedSeries")
     d = f.subtract(g)
     v = d.valuation()
     if v is None:

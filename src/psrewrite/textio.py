@@ -57,84 +57,95 @@ def _int(digits: str, line: int, column: int) -> int:
                          line, column) from None
 
 
-def _number(tokens: list, i: int, line: int) -> int:
-    kind, value, col = tokens[i]
-    if kind != "int":
-        raise ParseError("expected a number", line, col)
-    return _int(value, line, col)
+def _column(text: str, k: int, scanner: re.Pattern = _TOKEN) -> int:
+    """Token k's column in text, or the one past the text; found only for errors."""
+    return [*(m.start() + 1 for m in scanner.finditer(text)), len(text) + 1][k]
 
 
-def _expect(tokens: list, i: int, punct: str, line: int) -> None:
-    kind, value, col = tokens[i]
-    if value != punct:
-        raise ParseError("unexpected end of input" if kind == "end" else
-                         f"expected {punct!r}, found {value!r}", line, col)
+def _number(text: str, tokens: list, i: int, line: int, field: int = 0) -> int:
+    """Token i's digits as an int: field 0 reads a number, 1 a variable's index."""
+    digits = tokens[i][field][field:]
+    if not digits:
+        raise ParseError("expected a number", line, _column(text, i))
+    try:
+        return int(digits)
+    except ValueError:   # past the digit limit: the parse error at the digits
+        return _int(digits, line, _column(text, i) + field)
+
+
+def _unexpected(text: str, tokens: list, i: int, line: int, expected: str) -> ParseError:
+    value = "".join(tokens[i])   # the one nonempty group of a token, "" at the end
+    return ParseError(f"expected {expected}, found {value!r}" if value else
+                      "unexpected end of input", line, _column(text, i))
 
 
 def parse_series(text: str, n: int, line: int = 1) -> TruncatedSeries:
     """Parse one series in the grammar above over variables x1..xn."""
     require_int(n, "variable count", 1)
-    tokens = [(m.lastgroup, m.group(), m.start() + 1) for m in _TOKEN.finditer(text)]
-    for kind, value, col in tokens:
-        if kind == "bad":
-            raise ParseError(f"unexpected character {value!r}", line, col)
+    tokens = _TOKEN.findall(text)
+    for token in tokens:
+        if token[3]:   # the first bad token, so the first equal to it
+            raise ParseError(f"unexpected character {token[3]!r}", line,
+                             _column(text, tokens.index(token)))
     if not tokens:
         raise ParseError("empty series", line, 1)
-    tokens.append(("end", "", len(text) + 1))
+    end = len(tokens)
+    tokens.append(("", "", "", ""))   # the end: its (int, var, punct, bad) groups are empty
     terms: dict[tuple[int, ...], _Q] = {}   # the stored form of `TruncatedSeries`
     precision: Optional[int] = None
     i = 0
-    while tokens[i][0] != "end":
-        kind, value, col = tokens[i]
+    while i < end:
         if precision is not None:
-            raise ParseError("O(...) must be the last addend", line, col)
-        sign = -1 if value == "-" else 1
-        if value in ("+", "-"):
+            raise ParseError("O(...) must be the last addend", line, _column(text, i))
+        punct = tokens[i][2]
+        sign = -1 if punct == "-" else 1
+        if punct == "+" or punct == "-":
             i += 1
-            kind, value, col = tokens[i]
-            if kind == "end":
-                raise ParseError("dangling sign", line, col)
+            if i == end:
+                raise ParseError("dangling sign", line, len(text) + 1)
+            punct = tokens[i][2]
         elif i:
-            raise ParseError(f"expected '+' or '-', found {value!r}", line, col)
+            raise _unexpected(text, tokens, i, line, "'+' or '-'")
 
-        if value == "O":
+        if punct == "O":
             if sign < 0:
-                raise ParseError("O(...) cannot be subtracted", line, col)
-            _expect(tokens, i + 1, "(", line)
-            precision = _number(tokens, i + 2, line)
-            _expect(tokens, i + 3, ")", line)
+                raise ParseError("O(...) cannot be subtracted", line, _column(text, i))
+            if tokens[i + 1][2] != "(":
+                raise _unexpected(text, tokens, i + 1, line, "'('")
+            precision = _number(text, tokens, i + 2, line)
+            if tokens[i + 3][2] != ")":
+                raise _unexpected(text, tokens, i + 3, line, "')'")
             i += 4
             continue
 
         num, den, exps = sign, 1, [0] * n
-        monomial = kind == "var"
-        if kind == "int":
-            num *= _number(tokens, i, line)
+        monomial = bool(tokens[i][1])
+        if tokens[i][0]:
+            num *= _number(text, tokens, i, line)
             i += 1
-            if tokens[i][1] == "/":
-                den = _number(tokens, i + 1, line)
+            if tokens[i][2] == "/":
+                den = _number(text, tokens, i + 1, line)
                 if den == 0:
-                    raise ParseError("zero denominator", line, tokens[i + 1][2])
+                    raise ParseError("zero denominator", line, _column(text, i + 1))
                 i += 2
-            if tokens[i][1] == "*":
+            if tokens[i][2] == "*":
                 i, monomial = i + 1, True
         elif not monomial:
-            raise ParseError(f"expected a term, found {value!r}", line, col)
+            raise _unexpected(text, tokens, i, line, "a term")
         while monomial:   # factor ('*' factor)*, from tokens[i]
-            kind, value, col = tokens[i]
-            if kind != "var":
-                raise ParseError("unexpected end of input" if kind == "end" else
-                                 f"expected a variable, found {value!r}", line, col)
-            k = _int(value[1:], line, col + 1)
+            if not tokens[i][1]:
+                raise _unexpected(text, tokens, i, line, "a variable")
+            k = _number(text, tokens, i, line, 1)
             if not 1 <= k <= n:
-                raise ParseError(f"unknown variable {value} (have x1..x{n})", line, col)
-            if tokens[i + 1][1] == "^":
-                exps[k - 1] += _number(tokens, i + 2, line)
+                raise ParseError(f"unknown variable {tokens[i][1]} (have x1..x{n})",
+                                 line, _column(text, i))
+            if tokens[i + 1][2] == "^":
+                exps[k - 1] += _number(text, tokens, i + 2, line)
                 i += 3
             else:
                 exps[k - 1] += 1
                 i += 1
-            monomial = tokens[i][1] == "*" and tokens[i + 1][0] == "var"
+            monomial = tokens[i][2] == "*" and bool(tokens[i + 1][1])
             if monomial:
                 i += 1
         e, g = tuple(exps), math.gcd(num, den)
@@ -205,11 +216,9 @@ def parse_rules(text: str, n: int) -> RuleSet:
 
 def format_trace(trace: ReductionTrace) -> list[str]:
     """Line-oriented step records for diffing."""
-    return [
-        f"step {k}: M={s.monomial} rule={s.rule_index} m={s.quotient} "
-        f"c={_coefficient(s.coeff, 1, str(s.quotient), k)}"
-        for k, s in enumerate(trace.steps, start=1)
-    ]
+    return [f"step {k}: M={exponent_text(s.monomial.exponents)} rule={s.rule_index} "
+            f"m={(m := exponent_text(s.quotient.exponents))} c={_coefficient(s.coeff, 1, m, k)}"
+            for k, s in enumerate(trace.steps, start=1)]
 
 
 # -- finite-system text formats ----------------------------------------------
@@ -229,8 +238,10 @@ def parse_ars_system(text: str) -> FiniteARS:
         m = _EDGE.fullmatch(ln)
         if m is None:
             raise ParseError("expected <a> -> <b>", lineno, _EDGE_PREFIX.match(ln).end() + 1)
-        a = _int(m.group(1), lineno, m.start(1) + 1)
-        b = _int(m.group(2), lineno, m.start(2) + 1)
+        try:
+            a, b = int(m.group(1)), int(m.group(2))
+        except ValueError:   # past the digit limit: the parse error at the label
+            a, b = (_int(m.group(k), lineno, m.start(k) + 1) for k in (1, 2))
         if not (0 <= a < size and 0 <= b < size):
             column = m.start(1) + 1 if a >= size else m.start(2) + 1
             raise ParseError(f"edge {a} -> {b} outside 0..{size - 1}", lineno, column)
@@ -244,25 +255,21 @@ def parse_conversion(text: str) -> Conversion:
     if not tokens:
         raise ParseError("empty conversion", 1, 1)
 
-    def column(k: int) -> int:
-        """Token k's column, or the one past the text; found only for errors."""
-        starts = [m.start() + 1 for m in _WORD.finditer(text)]
-        return starts[k] if k < len(starts) else len(text) + 1
-
     def element(k: int, message: str) -> int:
         token = tokens[k] if k < len(tokens) else ""
         if not token.isdecimal():
-            raise ParseError(message, 1, column(k))
+            raise ParseError(message, 1, _column(text, k, _WORD))
         try:
             return int(token)
         except ValueError:   # past the digit limit: the parse error at the token
-            return _int(token, 1, column(k))
+            return _int(token, 1, _column(text, k, _WORD))
 
     start = element(0, f"expected an element, found {tokens[0]!r}")
     steps = []
     for k in range(1, len(tokens), 2):
         if tokens[k] not in ("->", "<-"):
-            raise ParseError(f"expected '->' or '<-', found {tokens[k]!r}", 1, column(k))
+            raise ParseError(f"expected '->' or '<-', found {tokens[k]!r}",
+                             1, _column(text, k, _WORD))
         steps.append((element(k + 1, "arrow must be followed by an element"),
                       FORWARD if tokens[k] == "->" else BACKWARD))
     return Conversion(start, tuple(steps))

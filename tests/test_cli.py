@@ -249,6 +249,68 @@ class TestArgumentChecks:
             cfg, command, dict(args, **{option: default}))
 
 
+NF_X1_X2 = """
+    command=nf
+    normal_form=O(3)
+    steps=4
+    end_precision=3
+    step_1=M=x2 rule=1 m=1 c=1
+    step_2=M=x1 rule=2 m=1 c=1
+    step_3=M=x2^2 rule=1 m=x2 c=1
+    step_4=M=x1^2 rule=2 m=x1 c=1"""
+
+CHECK_3 = """
+    command=ars check
+    size=3
+    edges=2
+    normalising=true
+    nf_property=true
+    unique_nf_property=true
+    unique_nf_reached=true
+    confluent=true"""
+
+# Rule and system files are decoded as UTF-8, and `\n`, `\r\n` and a lone
+# `\r` each end one line; a byte-order mark is a character of line 1.  Each
+# case is the file's bytes and its whole report, or its `error:` line.
+DECODING = [
+    ("nf", b"x2 - x2^2\r\nx1 - x1^2\r\n", NF_X1_X2),
+    ("nf", b"x2 - x2^2\rx1 - x1^2\r", NF_X1_X2),
+    ("nf", b"x2\r\n\r\nx1 + x3\r\n", "{path}: line 3, column 6: unknown variable x3 (have x1..x2)"),
+    ("nf", b"x2\r\rx1 + x3\r", "{path}: line 3, column 6: unknown variable x3 (have x1..x2)"),
+    ("nf", b"\xef\xbb\xbfx2 - x2^2\n", "{path}: line 1, column 1: unexpected character '\\ufeff'"),
+    ("nf", b"x2 - x2^2\n\xff\n",
+     "'utf-8' codec can't decode byte 0xff in position 10: invalid start byte"),
+    ("nf", b"x2 - x2^2\n" * 1000 + b"\xff\n",
+     "'utf-8' codec can't decode byte 0xff in position 10000: invalid start byte"),
+    ("nf", b"x2 - x2^2\n\xe2\x82",
+     "'utf-8' codec can't decode bytes in position 10-11: unexpected end of data"),
+    ("ars", b"n=3\r\n0 -> 2\r\n1 -> 2\r\n", CHECK_3),
+    ("ars", b"n=3\r0 -> 2\r1 -> 2\r", CHECK_3),
+    ("ars", b"n=2\r\n0 -> 1\r\n1 -> 5\r\n", "{path}: line 3, column 6: edge 1 -> 5 outside 0..1"),
+    ("ars", b"\xef\xbb\xbfn=3\n0 -> 2\n", "{path}: line 1, column 1: expected n=<size>"),
+    ("ars", b"n=3\n0 -> \xff\n",
+     "'utf-8' codec can't decode byte 0xff in position 9: invalid start byte"),
+]
+
+
+@pytest.mark.parametrize("mode", ["kv", "plain"])
+@pytest.mark.parametrize("command, data, golden", DECODING)
+def test_file_decoding(tmp_path, mode, command, data, golden):
+    path = tmp_path / "input.txt"
+    path.write_bytes(data)
+    if command == "nf":
+        cfg = SessionConfig(n=2, precision=3, rules_path=str(path), report=mode)
+        status, text = run_command(cfg, "nf", {"series": "x1 + x2"})
+    else:
+        status, text = run_command(SessionConfig(report=mode), "ars",
+                                   {"action": "check", "system": str(path)})
+    if golden.startswith("\n"):
+        kv_text, plain_text = rows(golden)
+        assert (status, text) == (0, kv_text if mode == "kv" else plain_text)
+    else:
+        assert (status, text) == (1, f"error: {golden.format(path=path)}\n")
+
+
 class TestArsCommands:
     def test_check(self, tmp_path):
         path = tmp_path / "sys.txt"

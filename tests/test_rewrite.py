@@ -462,11 +462,15 @@ def test_rule_set_rejects(make, error, message):
      "series 'x1' is not a TruncatedSeries"),
     (lambda: translate("x1", LIFT_G, LIFT_TRACE, GEOMETRIC),
      "series 'x1' is not a TruncatedSeries"),
+    (lambda: translate(LIFT_F, LIFT_G, None, GEOMETRIC), "trace None is not a ReductionTrace"),
+    (lambda: congruence_test("x1", S("x2"), GEOMETRIC, 4),
+     "series 'x1' is not a TruncatedSeries"),
     (lambda: S("x2").scale_term(1, "x1"), "monomial 'x1' is not a Monomial"),
 ], ids=["normalize-series", "normalize-random-series", "reducible-series", "probe-series",
         "attractivity-alpha", "falsify-rules", "normalize-rules", "cofactors-trace",
         "congruence-g", "delta-g", "add", "subtract", "multiply", "reduce-step-series",
-        "reduce-step-rules", "chain-rules", "chain-series", "translate-f", "scale-term"])
+        "reduce-step-rules", "chain-rules", "chain-series", "translate-f", "translate-trace",
+        "congruence-f", "scale-term"])
 def test_wrong_argument_type_rejected(call, message):
     with pytest.raises(TypeError, match=f"^{message}$"):
         call()

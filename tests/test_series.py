@@ -171,6 +171,11 @@ class TestDelta:
         value, upper = delta(f, TruncatedSeries.zero(N))
         assert value == Fraction(1, 8) and upper
 
+    def test_a_first_operand_that_is_not_a_series(self):
+        # A TypeError naming it, as for the second operand, not an AttributeError.
+        with pytest.raises(TypeError, match="^operand 'x1' is not a TruncatedSeries$"):
+            delta("x1", S("x2"))
+
     @given(polys, polys, polys)
     def test_ultrametric(self, f, g, h):
         assert delta(f, h)[0] <= max(delta(f, g)[0], delta(g, h)[0])

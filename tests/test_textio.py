@@ -146,6 +146,23 @@ def outcome(parse, text, n):
 @example("x1 + 2 $", 2)            # the unknown character beats the grammar error
 @example("-3/4*x2^2*x1 + x3 - O(4)", 3)
 @example("2*x1*x2^3 + 1/\u0663 + O(5)", 2)
+# An error at the end of the input, whose column is the one past the text.
+@example("x1 +", 2)
+@example("O(3", 2)
+@example("2/", 2)
+@example("x1^", 2)
+@example("x1 - \t ", 2)
+# Errors after runs of spaces and tabs, and bad characters after a valid prefix.
+@example("x1 \t  \t x2", 2)
+@example("3  *\t\t/x1", 2)
+@example("x1 + 2*x2^3 \t $", 2)
+@example("1/2*x1*x2?", 2)
+# A literal one digit past Python's int-conversion limit, in each place.
+@example("x1 + " + "7" * 4301 + "*x2", 2)
+@example("x1 - 1/" + "7" * 4301, 2)
+@example("2*x1*x" + "7" * 4301, 2)
+@example("x1 + x2^" + "7" * 4301, 2)
+@example("x1 + O(" + "7" * 4301 + ")", 2)
 def test_parser_matches_the_naive_parser(text, n):
     assert outcome(parse_series, text, n) == outcome(naive_textio.parse_series, text, n)
 
