@@ -27,7 +27,7 @@ from itertools import chain, count
 from typing import Iterable, Optional
 
 from .errors import InvalidConversionError, InvariantViolationError, PreconditionFailedError
-from .monomials import require_int
+from .monomials import require_int, require_type
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -64,6 +64,7 @@ class FiniteARS:
 
 
 def normal_forms(sys: FiniteARS) -> set[int]:
+    require_type(sys, FiniteARS, "system")
     out = {a for (a, _b) in sys.edges}
     return {a for a in range(sys.size) if a not in out}
 
@@ -75,6 +76,7 @@ def _adjacency(sys: FiniteARS) -> tuple[dict[int, int], list[list[int]]]:
     Every other element is a normal form alone in its component, and
     changes no flag, so nothing here grows with `sys.size`.
     """
+    require_type(sys, FiniteARS, "system")
     labels = sorted(set(chain.from_iterable(sys.edges)))
     pos = dict(zip(labels, range(len(labels))))
     succ: list[list[int]] = [[] for _ in labels]
@@ -235,6 +237,8 @@ class Conversion:
 
 
 def validate_conversion(sys: FiniteARS, conv: Conversion) -> None:
+    require_type(sys, FiniteARS, "system")
+    require_type(conv, Conversion, "conversion")
     prev = conv.start
     sys._check(prev)
     for step in conv.steps:
@@ -288,6 +292,7 @@ def eliminate_valleys(sys: FiniteARS, conv: Conversion) -> Conversion:
     shape a <-* c ->* b, and the endpoints then necessarily coincide.
     """
     pos, succ = _adjacency(sys)
+    require_type(conv, Conversion, "conversion")
     nf, _bottom = _reach(succ)
     if None in nf or _MANY in nf:
         raise PreconditionFailedError(

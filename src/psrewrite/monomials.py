@@ -60,6 +60,12 @@ def require_int(value, what: str, least: Optional[int] = None) -> None:
         raise ValueError(f"{what} must be >= {least}")
 
 
+def require_type(value, cls: type, what: str) -> None:
+    """A TypeError naming `value` unless it is an instance of `cls`."""
+    if not isinstance(value, cls):
+        raise TypeError(f"{what} {value!r} is not a {cls.__name__}")
+
+
 def deglex_key(m: Monomial) -> tuple[int, tuple[int, ...]]:
     """Sort key of the deglex order: tuple comparison puts the degree
     first, then the raw exponent vector left to right (x1 most significant)."""

@@ -33,7 +33,7 @@ from .errors import (
     PreconditionFailedError,
     PrecisionUnattainableError,
 )
-from .monomials import Monomial, require_int
+from .monomials import Monomial, require_int, require_type
 from .series import _Q, TruncatedSeries, _add, _div, _fraction, _mul, _neg, delta
 
 
@@ -46,7 +46,7 @@ class RewriteRule:
     leading_coefficient: Fraction = field(init=False)
 
     def __post_init__(self):
-        _require_series(self.body)
+        require_type(self.body, TruncatedSeries, "rule body")
         for name, value in zip(("leading_monomial", "leading_coefficient"), self.body.leading()):
             object.__setattr__(self, name, value)
 
@@ -64,7 +64,7 @@ class RuleSet:
             raise TypeError(f"bodies must be an iterable, got {type(bodies).__name__}")
         bodies = tuple(bodies)
         for b in bodies:
-            _require_series(b)
+            require_type(b, TruncatedSeries, "rule body")
         if n is None and not bodies:
             raise ValueError("variable count required for an empty rule set")
         n = bodies[0].n if n is None else n
@@ -86,17 +86,20 @@ class RuleSet:
         return self.rules[i - 1]
 
 
-def _require_series(value, what: str = "rule body") -> None:
-    if not isinstance(value, TruncatedSeries):
-        raise TypeError(f"{what} {value!r} is not a TruncatedSeries")
-
-
 @dataclass(frozen=True)
 class ReductionStep:
     monomial: Monomial       # the reduced monomial M
     rule_index: int          # 1-based index i
     quotient: Monomial       # m with M = m * LM(s_i)
     coeff: Fraction          # coefficient of M at the time of reduction
+
+
+def _checked_step(step: ReductionStep) -> ReductionStep:
+    """The step, once its `monomial` and `quotient` are checked to be
+    `Monomial`s; `_box` builds the engine's own steps without this check."""
+    for what in ("monomial", "quotient"):
+        require_type(getattr(step, what), Monomial, what)
+    return step
 
 
 @dataclass(frozen=True)
@@ -153,8 +156,9 @@ _MASK_LIMIT = 64
 class _Compiled:
     """Per rule: LM exponents, deg LM, LC, the other terms with their
     degrees, and the body precision; plus the divisor masks and memo, all
-    read from the bodies' stored terms.  Built once per public call and
-    shared by its reducers, never kept on the `RuleSet`.
+    read from the bodies' stored terms.  Built by `_compile` only, shared
+    by every reducer of the calls on one `RuleSet` in a row, never kept on
+    the `RuleSet`.
 
     ``masks`` holds ``(k, cap, below)`` for each variable k that some
     leading monomial uses, with cap its largest exponent there but at most
@@ -170,8 +174,7 @@ class _Compiled:
     __slots__ = ("rules", "table", "short", "tall", "masks", "indices", "memo")
 
     def __init__(self, rules: RuleSet):
-        if not isinstance(rules, RuleSet):
-            raise TypeError(f"rule set {rules!r} is not a RuleSet")
+        require_type(rules, RuleSet, "rule set")
         self.rules = rules
         self.table = []
         lms = []
@@ -223,11 +226,29 @@ class _Compiled:
     def reducible(self, f: TruncatedSeries) -> list[tuple[int, ...]]:
         """The exponents of f's stored terms that some rule's leading
         monomial divides; f must be a series over the rules' variables."""
-        _require_series(f, "series")
+        require_type(f, TruncatedSeries, "series")
         if f.n != self.rules.n:
             raise DimensionMismatchError(f"series over {f.n} variables, rules over {self.rules.n}")
         dividing = self.dividing
         return [e for e in f._terms if dividing(e)]
+
+
+# (rules, compiled), at first a sentinel that no argument `is`
+_slot: tuple[object, Optional[_Compiled]] = (object(), None)
+
+
+def _compile(rules: RuleSet) -> _Compiled:
+    """The rule set's `_Compiled`, kept in `_slot` until a call with another
+    rule set replaces it; the memo is a function of the rule set, so it
+    carries over.  The pair is swapped in one assignment, so a thread never
+    reads one rule set's table with another's, and a race between threads
+    costs at most a second compile."""
+    global _slot
+    cached, compiled = _slot
+    if cached is not rules:
+        compiled = _Compiled(rules)
+        _slot = (rules, compiled)
+    return compiled
 
 
 class _Reducer:
@@ -241,7 +262,8 @@ class _Reducer:
     would.  ``pending`` holds the ``(degree, exponents)`` keys of the
     reducible terms, sorted in the order: the canonical strategy takes
     ``pending[0]``, and a uniform draw over it is a draw over the sorted
-    candidate list.  ``memo`` is the compiled divisor memo: a step looks a
+    candidate list.  ``memo`` is the compiled divisor memo, shared with
+    every run on the same rule set while `_compile` keeps it: a step looks a
     new term up there once and runs the divisor test only on a miss, so
     every pending key is in it and `_run` reads its pick's rules there.  A
     step on ``pending[0]``, the canonical pick, deletes the head; any other
@@ -432,7 +454,7 @@ def normalize(f: TruncatedSeries, rules: RuleSet, target_precision: int) -> Redu
     (finitely many monomials under any bound) and leaves every coefficient
     below the last reduced monomial final.
     """
-    r, end, end_precision = _run(_Compiled(rules), f, target_precision)
+    r, end, end_precision = _run(_compile(rules), f, target_precision)
     return r.trace(f, end, end_precision)
 
 
@@ -441,13 +463,13 @@ def normalize_random(f: TruncatedSeries, rules: RuleSet, target_precision: int,
     """Reduce f below the target degree, drawing the reducible monomial
     and the applicable rule uniformly at each step (reproducible per seed)."""
     require_int(seed, "seed")
-    r, end, end_precision = _run(_Compiled(rules), f, target_precision, random.Random(seed))
+    r, end, end_precision = _run(_compile(rules), f, target_precision, random.Random(seed))
     return r.trace(f, end, end_precision)
 
 
 def reducible_monomials(f: TruncatedSeries, rules: RuleSet) -> set[Monomial]:
     """Stored monomials of f divisible by some rule's leading monomial."""
-    return set(map(Monomial._trusted, _Compiled(rules).reducible(f)))
+    return set(map(Monomial._trusted, _compile(rules).reducible(f)))
 
 
 def reduce_step(f: TruncatedSeries, rules: RuleSet, M: Monomial,
@@ -459,9 +481,10 @@ def reduce_step(f: TruncatedSeries, rules: RuleSet, M: Monomial,
     min(p_f, deg(m) + p_rule).  It is one `_Reducer.step`, the step that
     every reduction here runs.
     """
-    compiled = _Compiled(rules)
+    compiled = _compile(rules)
     rules.rule(i)   # the index checks
-    _require_series(f, "series")
+    require_type(f, TruncatedSeries, "series")
+    require_type(M, Monomial, "monomial")
     if not f.coefficient(M):
         raise NotReducibleError(f"monomial {M} not in the known support")
     r = _Reducer(compiled, f)
@@ -477,7 +500,7 @@ def _replay(trace: ReductionTrace, compiled: _Compiled) -> _Reducer:
     """Rerun the steps of the trace on a reducer, validating each one."""
     rules = compiled.rules
     r = _Reducer(compiled, trace.start)
-    for k, step in enumerate(trace.steps):
+    for k, step in enumerate(map(_checked_step, trace.steps)):
         lm, m = rules.rule(step.rule_index).leading_monomial.exponents, step.quotient.exponents
         if len(m) != len(lm):   # `map` would stop at the shorter one
             raise DimensionMismatchError(f"monomials over {len(m)} and {len(lm)} variables")
@@ -502,11 +525,10 @@ def cofactors(trace: ReductionTrace, rules: RuleSet) -> tuple[TruncatedSeries, .
 
     A trace the engine made for these rules carries the quotients its run
     collected; any other trace is replayed and validated step by step."""
-    if not isinstance(trace, ReductionTrace):
-        raise TypeError(f"trace {trace!r} is not a ReductionTrace")
+    require_type(trace, ReductionTrace, "trace")
     collected = trace._collected
     if collected is None or collected[0] != rules:
-        collected = (rules, _replay(trace, _Compiled(rules)).quotients)
+        collected = (rules, _replay(trace, _compile(rules)).quotients)
     return tuple(_series(rules.n, q) for q in collected[1])
 
 
@@ -516,9 +538,9 @@ def multiple_to_zero_chain(q: TruncatedSeries, i: int, rules: RuleSet,
     in increasing order; every quotient monomial is a support element of q
     and the whole known part telescopes away."""
     require_int(precision, "target precision", 0)
-    compiled = _Compiled(rules)
+    compiled = _compile(rules)
     rule = rules.rule(i)
-    _require_series(q, "series")
+    require_type(q, TruncatedSeries, "series")
     start = q.multiply(rule.body)
     if start.precision is not None and start.precision < precision:
         raise PrecisionUnattainableError(
@@ -543,12 +565,11 @@ def translate(f: TruncatedSeries, g: TruncatedSeries, trace: ReductionTrace,
     contains M and skipped on the other, so f' - g' equals the chain's end
     below the common precision.  The lifted traces carry their cofactors.
     """
-    _require_series(f, "series")
-    if not isinstance(trace, ReductionTrace):
-        raise TypeError(f"trace {trace!r} is not a ReductionTrace")
+    require_type(f, TruncatedSeries, "series")
+    require_type(trace, ReductionTrace, "trace")
     if trace.start != f.subtract(g):
         raise InvalidTraceError("trace does not start at f - g")
-    compiled = _Compiled(rules)
+    compiled = _compile(rules)
     _replay(trace, compiled)
     sides = tuple(_Reducer(compiled, h) for h in (f, g))
     for step in trace.steps:
@@ -599,9 +620,9 @@ def congruence_test(f: TruncatedSeries, g: TruncatedSeries, rules: RuleSet,
     NotMember only under the caller's standard-basis assumption, otherwise
     UnknownAtPrecision.
     """
-    _require_series(f, "series")
+    require_type(f, TruncatedSeries, "series")
     d = f.subtract(g)
-    r, end, _ = _run(_Compiled(rules), d, precision)
+    r, end, _ = _run(_compile(rules), d, precision)
     if end.truncate(precision).known_zero():
         return Member(tuple(_series(rules.n, q) for q in r.quotients))
     if assume_standard_basis:
@@ -661,7 +682,7 @@ def falsify_standard_basis(rules: RuleSet, precision: int, trials: int,
     require_int(trials, "trials", 1)
     require_int(precision, "target precision", 0)
     require_int(seed, "seed")
-    compiled = _Compiled(rules)
+    compiled = _compile(rules)
     n = rules.n
 
     def check(qs: list[dict[tuple[int, ...], _Q]], phase: str, trial: int
@@ -752,12 +773,14 @@ class ConfluenceProbeReport:
 
 def confluence_probe(f: TruncatedSeries, rules: RuleSet, precision: int,
                      strategy_seeds: Iterable[int]) -> ConfluenceProbeReport:
+    if not isinstance(strategy_seeds, Iterable):
+        raise TypeError(f"strategy_seeds must be an iterable, got {type(strategy_seeds).__name__}")
     strategy_seeds = tuple(strategy_seeds)
     if not strategy_seeds:
         raise ValueError("strategy_seeds must be nonempty")
     for s in strategy_seeds:
         require_int(s, "seed")
-    compiled = _Compiled(rules)
+    compiled = _compile(rules)
     ends = [_run(compiled, f, precision, random.Random(s))[1] for s in strategy_seeds]
     pairs = []
     for a in range(len(ends)):
@@ -787,7 +810,7 @@ def attractivity_check(f: TruncatedSeries, rules: RuleSet,
     the distance to the normal form alpha never increases."""
     require_int(steps, "steps", 0)
     require_int(seed, "seed")
-    compiled = _Compiled(rules)
+    compiled = _compile(rules)
     if compiled.reducible(alpha):
         raise PreconditionFailedError("alpha contains a reducible monomial")
     rng = random.Random(seed)

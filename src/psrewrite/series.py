@@ -45,7 +45,7 @@ from numbers import Rational
 from typing import Mapping, Optional
 
 from .errors import DimensionMismatchError, RewritingError, ZeroOrUnknownLeadingError
-from .monomials import Monomial, require_int
+from .monomials import Monomial, require_int, require_type
 
 # The helpers keep the stored form of a rational, cancelling gcds across
 # operands before they multiply (Knuth, TAOCP vol. 2, 4.5.1).  Hot loops
@@ -265,8 +265,7 @@ class TruncatedSeries:
 
     def scale_term(self, c, m: Monomial) -> TruncatedSeries:
         """The series c * m * self; precision shifts by deg(m)."""
-        if not isinstance(m, Monomial):
-            raise TypeError(f"monomial {m!r} is not a Monomial")
+        require_type(m, Monomial, "monomial")
         if m.n != self.n:
             raise DimensionMismatchError(f"monomial over {m.n} variables, series over {self.n}")
         c = _rational(c)
@@ -338,8 +337,7 @@ def delta(f: TruncatedSeries, g: TruncatedSeries) -> tuple[Fraction, bool]:
     bound is all the data shows, so the true distance is only known to be
     at most 2^(-p).
     """
-    if not isinstance(f, TruncatedSeries):
-        raise TypeError(f"operand {f!r} is not a TruncatedSeries")
+    require_type(f, TruncatedSeries, "operand")
     d = f.subtract(g)
     v = d.valuation()
     if v is None:

@@ -33,8 +33,8 @@ from typing import Optional
 
 from .ars import BACKWARD, FORWARD, Conversion, FiniteARS
 from .errors import ParseError, RewritingError
-from .monomials import require_int
-from .rewrite import ReductionTrace, RuleSet
+from .monomials import require_int, require_type
+from .rewrite import ReductionTrace, RuleSet, _checked_step
 from .series import _Q, TruncatedSeries, _add
 
 _TOKEN = re.compile(r"(?P<int>\d+)|(?P<var>x\d+)|(?P<punct>[O+\-*/^()])|(?P<bad>\S)")
@@ -180,6 +180,7 @@ def exponent_text(exponents: tuple[int, ...]) -> str:
 
 
 def format_series(f: TruncatedSeries) -> str:
+    require_type(f, TruncatedSeries, "series")
     if f.known_zero():
         return "0" if f.precision is None else f"O({f.precision})"
     parts = []
@@ -216,9 +217,10 @@ def parse_rules(text: str, n: int) -> RuleSet:
 
 def format_trace(trace: ReductionTrace) -> list[str]:
     """Line-oriented step records for diffing."""
+    require_type(trace, ReductionTrace, "trace")
     return [f"step {k}: M={exponent_text(s.monomial.exponents)} rule={s.rule_index} "
             f"m={(m := exponent_text(s.quotient.exponents))} c={_coefficient(s.coeff, 1, m, k)}"
-            for k, s in enumerate(trace.steps, start=1)]
+            for k, s in enumerate(map(_checked_step, trace.steps), start=1)]
 
 
 # -- finite-system text formats ----------------------------------------------
@@ -276,6 +278,7 @@ def parse_conversion(text: str) -> Conversion:
 
 
 def format_conversion(conv: Conversion) -> str:
+    require_type(conv, Conversion, "conversion")
     parts = [str(conv.start)]
     for e, d in conv.steps:
         parts.append("->" if d == FORWARD else "<-")

@@ -176,7 +176,17 @@ class TestShapeChecked:
         (lambda: FiniteARS(3, [[0, 1]]), r"^edge \[0, 1\] is not an \(a, b\) pair$"),
         (lambda: FiniteARS(3, None), "^edges must be an iterable, got NoneType$"),
         (lambda: Conversion(0, None), "^steps must be an iterable, got NoneType$"),
-    ], ids=["one-tuple", "triple", "bare-int", "list-pair", "no-edges", "no-steps"])
+        (lambda: check_properties(None), "^system None is not a FiniteARS$"),
+        (lambda: eliminate_valleys(None, Conversion(0, ())), "^system None is not a FiniteARS$"),
+        (lambda: eliminate_valleys(FiniteARS(2, [(0, 1)]), None),
+         "^conversion None is not a Conversion$"),
+        (lambda: validate_conversion(None, Conversion(0, ())), "^system None is not a FiniteARS$"),
+        (lambda: validate_conversion(FiniteARS(2, [(0, 1)]), None),
+         "^conversion None is not a Conversion$"),
+        (lambda: normal_forms(None), "^system None is not a FiniteARS$"),
+    ], ids=["one-tuple", "triple", "bare-int", "list-pair", "no-edges", "no-steps",
+            "check-no-system", "valleys-no-system", "valleys-no-conversion",
+            "validate-no-system", "validate-no-conversion", "normal-forms-no-system"])
     def test_malformed_argument_rejected(self, make, message):
         with pytest.raises(TypeError, match=message):
             make()

@@ -616,8 +616,11 @@ def test_one_step_dimension_errors():
             fn(f, rules)
     with pytest.raises(DimensionMismatchError, match=message):
         reduce_step(f, rules, Monomial((1,)), 1)
-    # a monomial outside f's support is not reducible, whatever its shape
-    for M in (Monomial((1, 0)), (1,)):
-        assert (step_outcome(reduce_step, f, rules, M, 1)
-                == step_outcome(naive.reduce_step, f, rules, M, 1)
-                == ("error", NotReducibleError, f"monomial {M} not in the known support"))
+    # a monomial outside f's support is not reducible, whatever its shape,
+    # and an exponent tuple is no monomial at all
+    M = Monomial((1, 0))
+    assert (step_outcome(reduce_step, f, rules, M, 1)
+            == step_outcome(naive.reduce_step, f, rules, M, 1)
+            == ("error", NotReducibleError, f"monomial {M} not in the known support"))
+    with pytest.raises(TypeError, match=r"^monomial \(1,\) is not a Monomial$"):
+        reduce_step(f, rules, (1,), 1)

@@ -19,6 +19,7 @@ from psrewrite import (
     NotReducibleError,
     PreconditionFailedError,
     PrecisionUnattainableError,
+    ReductionStep,
     ReductionTrace,
     RewriteRule,
     RuleSet,
@@ -31,6 +32,7 @@ from psrewrite import (
     deglex_key,
     delta,
     falsify_standard_basis,
+    format_trace,
     multiple_to_zero_chain,
     normalize,
     normalize_random,
@@ -435,6 +437,11 @@ def test_rule_set_rejects(make, error, message):
         make()
 
 
+def _hand_trace(step):
+    """A one-step trace built by hand on the geometric rule, from x2."""
+    return ReductionTrace(S("x2"), (step,), S("x2^2"), 4)
+
+
 # An argument of the wrong type is a TypeError that names it, not an
 # AttributeError from deep inside the engine.
 @pytest.mark.parametrize("call, message", [
@@ -466,11 +473,24 @@ def test_rule_set_rejects(make, error, message):
     (lambda: congruence_test("x1", S("x2"), GEOMETRIC, 4),
      "series 'x1' is not a TruncatedSeries"),
     (lambda: S("x2").scale_term(1, "x1"), "monomial 'x1' is not a Monomial"),
+    (lambda: cofactors(_hand_trace(ReductionStep("x1", 1, "1", Fraction(1))), GEOMETRIC),
+     "monomial 'x1' is not a Monomial"),
+    (lambda: format_trace(_hand_trace(ReductionStep("x1", 1, "1", Fraction(1)))),
+     "monomial 'x1' is not a Monomial"),
+    (lambda: cofactors(_hand_trace(ReductionStep(Y, 1, "1", Fraction(1))), GEOMETRIC),
+     "quotient '1' is not a Monomial"),
+    (lambda: format_trace(_hand_trace(ReductionStep(Y, 1, "1", Fraction(1)))),
+     "quotient '1' is not a Monomial"),
+    (lambda: reduce_step(S("x2"), GEOMETRIC, "x1", 1), "monomial 'x1' is not a Monomial"),
+    (lambda: confluence_probe(S("x2"), GEOMETRIC, 4, None),
+     "strategy_seeds must be an iterable, got NoneType"),
 ], ids=["normalize-series", "normalize-random-series", "reducible-series", "probe-series",
         "attractivity-alpha", "falsify-rules", "normalize-rules", "cofactors-trace",
         "congruence-g", "delta-g", "add", "subtract", "multiply", "reduce-step-series",
         "reduce-step-rules", "chain-rules", "chain-series", "translate-f", "translate-trace",
-        "congruence-f", "scale-term"])
+        "congruence-f", "scale-term", "cofactors-step-monomial", "format-trace-step-monomial",
+        "cofactors-step-quotient", "format-trace-step-quotient", "reduce-step-monomial",
+        "probe-seeds"])
 def test_wrong_argument_type_rejected(call, message):
     with pytest.raises(TypeError, match=f"^{message}$"):
         call()

@@ -129,3 +129,19 @@ def test_no_unused_imports_or_private_names():
         found += [f"{name}:{node.lineno} {d}" for node in tree.body for d in defined(node)
                   if d.startswith("_") and not d.startswith("__") and d not in referenced]
     assert SOURCES and not found, f"unused imports or private names: {found}"
+
+
+def test_rule_sets_compile_only_through_the_slot():
+    # `_compile` keeps the last rule set's `_Compiled` for the next call on
+    # it; an entry point that called `_Compiled(...)` itself would skip it.
+    def calls(tree):
+        return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name) and node.func.id == "_Compiled"]
+
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    (helper,) = [top for top in trees["rewrite.py"].body
+                 if isinstance(top, ast.FunctionDef) and top.name == "_compile"]
+    inside = {id(node) for node in calls(helper)}
+    found = [f"{name}:{node.lineno}" for name, tree in trees.items()
+             for node in calls(tree) if id(node) not in inside]
+    assert inside and not found, f"_Compiled built outside _compile: {found}"

@@ -236,6 +236,19 @@ class TestTraceFormat:
         ]
 
 
+# Formatting something else is a TypeError naming the argument, not an
+# AttributeError from inside the formatter.
+@pytest.mark.parametrize("call, message", [
+    (lambda: format_series(None), "^series None is not a TruncatedSeries$"),
+    (lambda: format_series("x1"), "^series 'x1' is not a TruncatedSeries$"),
+    (lambda: format_trace(None), "^trace None is not a ReductionTrace$"),
+    (lambda: format_conversion(None), "^conversion None is not a Conversion$"),
+], ids=["series-none", "series-str", "trace-none", "conversion-none"])
+def test_format_rejects_wrong_argument_type(call, message):
+    with pytest.raises(TypeError, match=message):
+        call()
+
+
 class TestUnprintableCoefficients:
     """A coefficient past Python's int-to-str limit is an error naming its
     term, not Python's own message."""
