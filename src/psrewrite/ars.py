@@ -24,10 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, count
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import InvalidConversionError, InvariantViolationError, PreconditionFailedError
-from .monomials import require_int, require_type
+from .monomials import require_int, require_iterable, require_type
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -43,9 +43,7 @@ class FiniteARS:
 
     def __post_init__(self):
         require_int(self.size, "size", 0)
-        if not isinstance(self.edges, Iterable):
-            raise TypeError(f"edges must be an iterable, got {type(self.edges).__name__}")
-        edges = tuple(self.edges)
+        edges = require_iterable(self.edges, "edges")
         for edge in edges:
             if type(edge) is not tuple or len(edge) != 2:
                 raise TypeError(f"edge {edge!r} is not an (a, b) pair")
@@ -56,11 +54,6 @@ class FiniteARS:
             if not (0 <= a < self.size and 0 <= b < self.size):
                 raise ValueError(f"edge ({a}, {b}) outside 0..{self.size - 1}")
         object.__setattr__(self, "edges", frozenset(edges))
-
-    def _check(self, a: int) -> None:
-        require_int(a, "element")
-        if not 0 <= a < self.size:
-            raise ValueError(f"element {a} outside 0..{self.size - 1}")
 
 
 def normal_forms(sys: FiniteARS) -> set[int]:
@@ -214,16 +207,23 @@ class Conversion:
     """A zig-zag chain a <-> c1 <-> ... <-> b of one-step hops.
 
     Each step is (next element, direction): FORWARD means the previous
-    element rewrites to the next one, BACKWARD the reverse.
+    element rewrites to the next one, BACKWARD the reverse.  The steps are
+    read once, from any iterable; `validate_conversion` checks them on a system.
     """
 
     start: int
     steps: tuple[tuple[int, str], ...]
 
     def __post_init__(self):
-        if not isinstance(self.steps, Iterable):
-            raise TypeError(f"steps must be an iterable, got {type(self.steps).__name__}")
-        object.__setattr__(self, "steps", tuple(self.steps))
+        require_int(self.start, "element")
+        steps = require_iterable(self.steps, "steps")
+        for step in steps:
+            if type(step) is not tuple or len(step) != 2:
+                raise InvalidConversionError(f"step {step!r} is not an (element, direction) pair")
+            require_int(step[0], "element")
+            if step[1] not in (FORWARD, BACKWARD):
+                raise InvalidConversionError(f"unknown direction {step[1]!r}")
+        object.__setattr__(self, "steps", steps)
 
     @property
     def end(self) -> int:
@@ -239,22 +239,14 @@ class Conversion:
 def validate_conversion(sys: FiniteARS, conv: Conversion) -> None:
     require_type(sys, FiniteARS, "system")
     require_type(conv, Conversion, "conversion")
-    prev = conv.start
-    sys._check(prev)
-    for step in conv.steps:
-        if type(step) is not tuple or len(step) != 2:
-            raise InvalidConversionError(f"step {step!r} is not an (element, direction) pair")
-        e, d = step
-        sys._check(e)
-        if d == FORWARD:
-            edge = (prev, e)
-        elif d == BACKWARD:
-            edge = (e, prev)
-        else:
-            raise InvalidConversionError(f"unknown direction {d!r}")
+    elements = (conv.start, *(e for e, _d in conv.steps))
+    for e in elements:
+        if not 0 <= e < sys.size:
+            raise ValueError(f"element {e} outside 0..{sys.size - 1}")
+    for prev, (e, d) in zip(elements, conv.steps):
+        edge = (prev, e) if d == FORWARD else (e, prev)
         if edge not in sys.edges:
             raise InvalidConversionError(f"missing edge {edge[0]} -> {edge[1]}")
-        prev = e
 
 
 def _path_to_normal_form(labels: list[int], succ: list[list[int]], i: int) -> list[int]:

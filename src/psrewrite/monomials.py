@@ -17,7 +17,7 @@ in the series grammar, with no arithmetic of its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 
 @dataclass(frozen=True)
@@ -64,6 +64,13 @@ def require_type(value, cls: type, what: str) -> None:
     """A TypeError naming `value` unless it is an instance of `cls`."""
     if not isinstance(value, cls):
         raise TypeError(f"{what} {value!r} is not a {cls.__name__}")
+
+
+def require_iterable(value, what: str) -> tuple:
+    """`value` read once into a tuple; a TypeError naming `what` unless it is iterable."""
+    if not isinstance(value, Iterable):
+        raise TypeError(f"{what} must be an iterable, got {type(value).__name__}")
+    return tuple(value)
 
 
 def deglex_key(m: Monomial) -> tuple[int, tuple[int, ...]]:

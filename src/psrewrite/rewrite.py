@@ -33,7 +33,7 @@ from .errors import (
     PreconditionFailedError,
     PrecisionUnattainableError,
 )
-from .monomials import Monomial, require_int, require_type
+from .monomials import Monomial, require_int, require_iterable, require_type
 from .series import _Q, TruncatedSeries, _add, _div, _fraction, _mul, _neg, delta
 
 
@@ -60,9 +60,7 @@ class RuleSet:
     n: int
 
     def __init__(self, bodies: Iterable[TruncatedSeries], n: Optional[int] = None):
-        if not isinstance(bodies, Iterable):
-            raise TypeError(f"bodies must be an iterable, got {type(bodies).__name__}")
-        bodies = tuple(bodies)
+        bodies = require_iterable(bodies, "bodies")
         for b in bodies:
             require_type(b, TruncatedSeries, "rule body")
         if n is None and not bodies:
@@ -94,14 +92,6 @@ class ReductionStep:
     coeff: Fraction          # coefficient of M at the time of reduction
 
 
-def _checked_step(step: ReductionStep) -> ReductionStep:
-    """The step, once its `monomial` and `quotient` are checked to be
-    `Monomial`s; `_box` builds the engine's own steps without this check."""
-    for what in ("monomial", "quotient"):
-        require_type(getattr(step, what), Monomial, what)
-    return step
-
-
 @dataclass(frozen=True)
 class ReductionTrace:
     """A finite reduction chain prefix: replaying the steps from `start`
@@ -109,7 +99,8 @@ class ReductionTrace:
 
     A trace made by the engine also holds the rule set and the cofactor
     accumulators of its run, which `cofactors` returns without a replay.
-    Traces built by hand or by `dataclasses.replace` hold none.
+    Traces built by hand or by `dataclasses.replace` hold none, and only
+    they run the checks of `__post_init__`: the engine skips `__init__`.
 
     An engine-made trace holds its run's raw ``(M, i, m, coeff)`` records
     instead of `steps`, and builds the `steps` tuple from them on the first
@@ -122,6 +113,16 @@ class ReductionTrace:
     end_precision: int
     _collected: Optional[tuple[RuleSet, list[dict]]] = field(
         default=None, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        for what in ("start", "end"):
+            require_type(getattr(self, what), TruncatedSeries, what)
+        steps = require_iterable(self.steps, "steps")
+        for step in steps:
+            require_type(step, ReductionStep, "step")
+            require_type(step.monomial, Monomial, "monomial")
+            require_type(step.quotient, Monomial, "quotient")
+        object.__setattr__(self, "steps", steps)
 
     def __getattr__(self, name: str):
         # `copy` and `pickle` probe a half-built instance without `_raw`:
@@ -235,17 +236,19 @@ class _Compiled:
 
 # (rules, compiled), at first a sentinel that no argument `is`
 _slot: tuple[object, Optional[_Compiled]] = (object(), None)
+_MEMO_LIMIT = 1 << 16   # a kept memo past this many entries is dropped
 
 
 def _compile(rules: RuleSet) -> _Compiled:
     """The rule set's `_Compiled`, kept in `_slot` until a call with another
-    rule set replaces it; the memo is a function of the rule set, so it
-    carries over.  The pair is swapped in one assignment, so a thread never
-    reads one rule set's table with another's, and a race between threads
-    costs at most a second compile."""
+    rule set replaces it, or one that finds its memo past `_MEMO_LIMIT` (never
+    a run, which reads the memo for every pending key); the memo is a function
+    of the rule set, so it carries over.  The pair is swapped in one assignment,
+    so a thread never reads one rule set's table with another's, and a race
+    between threads costs at most a second compile."""
     global _slot
     cached, compiled = _slot
-    if cached is not rules:
+    if cached is not rules or len(compiled.memo) > _MEMO_LIMIT:
         compiled = _Compiled(rules)
         _slot = (rules, compiled)
     return compiled
@@ -500,7 +503,7 @@ def _replay(trace: ReductionTrace, compiled: _Compiled) -> _Reducer:
     """Rerun the steps of the trace on a reducer, validating each one."""
     rules = compiled.rules
     r = _Reducer(compiled, trace.start)
-    for k, step in enumerate(map(_checked_step, trace.steps)):
+    for k, step in enumerate(trace.steps):
         lm, m = rules.rule(step.rule_index).leading_monomial.exponents, step.quotient.exponents
         if len(m) != len(lm):   # `map` would stop at the shorter one
             raise DimensionMismatchError(f"monomials over {len(m)} and {len(lm)} variables")
@@ -773,9 +776,7 @@ class ConfluenceProbeReport:
 
 def confluence_probe(f: TruncatedSeries, rules: RuleSet, precision: int,
                      strategy_seeds: Iterable[int]) -> ConfluenceProbeReport:
-    if not isinstance(strategy_seeds, Iterable):
-        raise TypeError(f"strategy_seeds must be an iterable, got {type(strategy_seeds).__name__}")
-    strategy_seeds = tuple(strategy_seeds)
+    strategy_seeds = require_iterable(strategy_seeds, "strategy_seeds")
     if not strategy_seeds:
         raise ValueError("strategy_seeds must be nonempty")
     for s in strategy_seeds:

@@ -34,7 +34,7 @@ from typing import Optional
 from .ars import BACKWARD, FORWARD, Conversion, FiniteARS
 from .errors import ParseError, RewritingError
 from .monomials import require_int, require_type
-from .rewrite import ReductionTrace, RuleSet, _checked_step
+from .rewrite import ReductionTrace, RuleSet
 from .series import _Q, TruncatedSeries, _add
 
 _TOKEN = re.compile(r"(?P<int>\d+)|(?P<var>x\d+)|(?P<punct>[O+\-*/^()])|(?P<bad>\S)")
@@ -220,7 +220,7 @@ def format_trace(trace: ReductionTrace) -> list[str]:
     require_type(trace, ReductionTrace, "trace")
     return [f"step {k}: M={exponent_text(s.monomial.exponents)} rule={s.rule_index} "
             f"m={(m := exponent_text(s.quotient.exponents))} c={_coefficient(s.coeff, 1, m, k)}"
-            for k, s in enumerate(map(_checked_step, trace.steps), start=1)]
+            for k, s in enumerate(trace.steps, start=1)]
 
 
 # -- finite-system text formats ----------------------------------------------

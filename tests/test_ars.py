@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -205,14 +206,16 @@ class TestShapeChecked:
         edges.append((1, 5))
         assert sys.edges == {(0, 1)} and normal_forms(sys) == {1}
 
-    @pytest.mark.parametrize("conv, message", [
-        (Conversion(0.0, ((1, FORWARD),)), "^element 0.0 is not an int$"),
-        (Conversion(True, ((1, FORWARD),)), "^element True is not an int$"),
-        (Conversion(0, ((1.0, FORWARD),)), "^element 1.0 is not an int$"),
+    @pytest.mark.parametrize("start, steps, message", [
+        (0.0, ((1, FORWARD),), "^element 0.0 is not an int$"),
+        (True, ((1, FORWARD),), "^element True is not an int$"),
+        (0, ((1.0, FORWARD),), "^element 1.0 is not an int$"),
+        ("a", ((1, "sideways"),), "^element 'a' is not an int$"),
     ])
-    def test_conversion_elements_rejected(self, conv, message):
+    def test_conversion_elements_rejected(self, start, steps, message):
+        # A conversion checks its elements' type when it is built.
         with pytest.raises(TypeError, match=message):
-            validate_conversion(sys_of(3, (0, 1), (1, 2)), conv)
+            Conversion(start, steps)
 
     @pytest.mark.parametrize("start, message", [
         (2.0, "^element 2.0 is not an int$"),
@@ -468,16 +471,22 @@ class TestConversions:
         assert conv.steps == steps and conv.end == 2
         assert conv == Conversion(0, steps) and hash(conv) == hash(Conversion(0, steps))
 
-    @pytest.mark.parametrize("steps", [((1,),), (1,), ((1, FORWARD, 0),), ([1, FORWARD],)],
-                             ids=["one-tuple", "bare-int", "triple", "list-pair"])
+    # A malformed step fails where the conversion is built, so nothing that
+    # reads one (`end`, `format_conversion`, `validate_conversion`) sees it.
+    @pytest.mark.parametrize("steps", [((1,),), (1,), ((1, FORWARD, 0),), ([1, FORWARD],),
+                                       [(1,)], [5]],
+                             ids=["one-tuple", "bare-int", "triple", "list-pair",
+                                  "list-of-one-tuple", "list-of-int"])
     def test_malformed_step_rejected(self, steps):
         with pytest.raises(InvalidConversionError,
                            match=r"^step .* is not an \(element, direction\) pair$"):
-            validate_conversion(sys_of(2, (0, 1)), Conversion(0, steps))
+            Conversion(0, steps)
 
-    def test_unknown_direction_rejected(self):
-        with pytest.raises(InvalidConversionError, match="^unknown direction 'up'$"):
-            validate_conversion(sys_of(2, (0, 1)), Conversion(0, ((1, "up"),)))
+    @pytest.mark.parametrize("direction", ["up", "sideways", None, 1])
+    def test_unknown_direction_rejected(self, direction):
+        with pytest.raises(InvalidConversionError,
+                           match=f"^unknown direction {re.escape(repr(direction))}$"):
+            Conversion(0, ((1, direction),))
 
     def test_valley_detection(self):
         conv = Conversion(0, ((1, BACKWARD), (2, FORWARD), (3, BACKWARD), (0, FORWARD)))

@@ -266,6 +266,14 @@ class TestCofactorTrustBoundary:
         with pytest.raises(DimensionMismatchError, match=message):
             cofactors(bad, GEOMETRIC)
 
+    def test_hand_built_steps_are_read_once(self):
+        # `translate` reads the steps twice: to replay them, then to lift them.
+        f, g = S("x2 + x1"), S("x1")
+        trace = normalize(f.subtract(g), GEOMETRIC, 5)
+        hand = ReductionTrace(trace.start, iter(trace.steps), trace.end, trace.end_precision)
+        assert type(hand.steps) is tuple and hand.steps == trace.steps
+        assert translate(f, g, hand, GEOMETRIC)[:2] == translate(f, g, trace, GEOMETRIC)[:2]
+
     def test_replaced_trace_with_tampered_step_rejected(self, replays):
         trace = normalize(S("x2"), GEOMETRIC, 5)
         last = dataclasses.replace(trace.steps[-1], rule_index=1, coeff=Fraction(3))
@@ -336,13 +344,16 @@ class TestStepsBuiltOnFirstRead:
 
     @pytest.fixture
     def built(self, monkeypatch):
+        # Every step the engine builds comes from `_box`; wrapping it keeps
+        # `ReductionStep` a class, which `isinstance` checks need.
         made = []
-        original = rewrite_module.ReductionStep
+        original = rewrite_module._box
 
-        def counting(*args):
-            made.append(args)
-            return original(*args)
-        monkeypatch.setattr(rewrite_module, "ReductionStep", counting)
+        def counting(raw):
+            steps = original(raw)
+            made.extend(steps)
+            return steps
+        monkeypatch.setattr(rewrite_module, "_box", counting)
         return made
 
     def test_len_and_cofactors_build_no_step(self, make, built):
@@ -484,13 +495,29 @@ def _hand_trace(step):
     (lambda: reduce_step(S("x2"), GEOMETRIC, "x1", 1), "monomial 'x1' is not a Monomial"),
     (lambda: confluence_probe(S("x2"), GEOMETRIC, 4, None),
      "strategy_seeds must be an iterable, got NoneType"),
+    (lambda: cofactors(ReductionTrace(S("x2"), (), None, 4), GEOMETRIC),
+     "end None is not a TruncatedSeries"),
+    (lambda: translate(LIFT_F, LIFT_G, ReductionTrace(S("x2"), (), None, 4), GEOMETRIC),
+     "end None is not a TruncatedSeries"),
+    (lambda: cofactors(ReductionTrace("x2", (), S("x2"), 4), GEOMETRIC),
+     "start 'x2' is not a TruncatedSeries"),
+    (lambda: cofactors(_hand_trace((1, 1, 1, 1)), GEOMETRIC),
+     r"step \(1, 1, 1, 1\) is not a ReductionStep"),
+    (lambda: translate(LIFT_F, LIFT_G, _hand_trace((1, 1, 1, 1)), GEOMETRIC),
+     r"step \(1, 1, 1, 1\) is not a ReductionStep"),
+    (lambda: format_trace(_hand_trace((1, 1, 1, 1))),
+     r"step \(1, 1, 1, 1\) is not a ReductionStep"),
+    (lambda: format_trace(ReductionTrace(S("x2"), None, S("x2"), 4)),
+     "steps must be an iterable, got NoneType"),
 ], ids=["normalize-series", "normalize-random-series", "reducible-series", "probe-series",
         "attractivity-alpha", "falsify-rules", "normalize-rules", "cofactors-trace",
         "congruence-g", "delta-g", "add", "subtract", "multiply", "reduce-step-series",
         "reduce-step-rules", "chain-rules", "chain-series", "translate-f", "translate-trace",
         "congruence-f", "scale-term", "cofactors-step-monomial", "format-trace-step-monomial",
         "cofactors-step-quotient", "format-trace-step-quotient", "reduce-step-monomial",
-        "probe-seeds"])
+        "probe-seeds", "cofactors-no-end", "translate-no-end", "cofactors-str-start",
+        "cofactors-tuple-step", "translate-tuple-step", "format-trace-tuple-step",
+        "format-trace-no-steps"])
 def test_wrong_argument_type_rejected(call, message):
     with pytest.raises(TypeError, match=f"^{message}$"):
         call()

@@ -121,6 +121,27 @@ def test_the_slot_keeps_only_the_last_rule_set():
     assert rewrite._slot[0] is again
 
 
+def test_the_kept_memo_stays_bounded(monkeypatch):
+    # A call that finds the memo past the limit compiles anew before its
+    # run starts; a run itself only adds to the memo it began with.
+    limit = 20
+    monkeypatch.setattr(rewrite, "_MEMO_LIMIT", limit)
+    rules, f = parse_rules("x1 - x1^2", 1), parse_series("x1", 1)
+    targets = [3, 9, 15, 6, 30, 4, 12, 25, 2, 18]
+    results, dropped = [], 0
+    for p in targets:
+        before = rewrite._slot[1]
+        kept = before is not None and len(before.memo) <= limit
+        results.append(outcome(lambda: normalize(f, rules, p)))
+        after = rewrite._slot[1]
+        assert (after is before) == kept
+        dropped += before is not None and not kept
+        # A run of x1 below degree p tests the monomials x1^0..x1^p at most.
+        assert len(after.memo) <= (limit if kept else 0) + p + 1
+    assert dropped >= 2
+    assert results == [fresh(lambda: outcome(lambda: normalize(f, rules, p))) for p in targets]
+
+
 def test_a_failed_compile_leaves_the_slot():
     normalize(F, A, 5)
     slot = rewrite._slot

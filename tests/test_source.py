@@ -61,6 +61,41 @@ def test_int_checks_go_through_require_int():
     assert SOURCES and not found, f"int checks outside require_int: {found}"
 
 
+def test_iterable_checks_go_through_require_iterable():
+    # One rule for an iterable parameter: `monomials.require_iterable`,
+    # which reads it once into a tuple and names it when it is not one.
+    def names_iterable(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2
+                and any(isinstance(t, ast.Name) and t.id == "Iterable"
+                        or isinstance(t, ast.Attribute) and t.attr == "Iterable"
+                        for t in ast.walk(node.args[1])))
+
+    kept, found = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        inside = set()
+        if path.name == "monomials.py":
+            inside = {id(n) for fn in tree.body
+                      if isinstance(fn, ast.FunctionDef) and fn.name == "require_iterable"
+                      for n in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if names_iterable(node):
+                (kept if id(node) in inside else found).append(f"{path.name}:{node.lineno}")
+    assert len(kept) == 1 and not found, f"iterable checks outside require_iterable: {found}"
+
+
+def test_no_module_imports_a_private_name_of_rewrite():
+    # A trace checks itself when it is built, so no consumer of one needs
+    # the reducer's internals.
+    found = [f"{path.name}:{node.lineno} {a.name}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.ImportFrom) and node.module == "rewrite"
+             for a in node.names if a.name.startswith("_")]
+    assert SOURCES and not found, f"private names of rewrite imported: {found}"
+
+
 def test_one_reduction_step_in_package():
     # `_Reducer.step` is the package's one reduction step and
     # `_Compiled.dividing` its one divisor test: no module steps in series
