@@ -17,6 +17,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from . import ars as ars_mod
 from .errors import RewritingError
+from .monomials import require_type
 from .rewrite import (
     Member,
     NotMember,
@@ -66,19 +67,37 @@ class SessionConfig:
             raise ValueError(f"unknown report mode {self.report!r}")
 
 
-def _load(path: str, parse: Callable[[str], object]):
-    """Parse the file at path; an error in its text names the file."""
+# ((parser, extra arguments), file bytes, parsed value) of the last file
+# `_load` parsed, at first with a key that no call's key equals
+_slot: tuple[object, bytes, object] = (object(), b"", None)
+
+
+def _load(path: str, parse: Callable[..., object], *extra):
+    """`parse(text, *extra)` of the file at path; an error in its text names
+    the file.  The file is read on every call, and its bytes are parsed
+    only when they or the parser and its arguments differ from the ones
+    `_slot` keeps: then the same frozen value returns, so `rewrite._compile`
+    finds the same rule set.  A parse error is never kept, and the slot is
+    swapped in one assignment, as `rewrite._slot` is."""
+    global _slot
     with open(path, "rb", buffering=0) as fh:
-        try:
-            return parse(fh.read().decode("utf-8"))
-        except RewritingError as exc:
-            raise RewritingError(f"{path}: {exc}") from exc
+        data = fh.read()
+    key = (parse, extra)
+    cached_key, cached_data, value = _slot
+    if cached_key == key and cached_data == data:
+        return value
+    try:
+        value = parse(data.decode("utf-8"), *extra)
+    except RewritingError as exc:
+        raise RewritingError(f"{path}: {exc}") from exc
+    _slot = (key, data, value)
+    return value
 
 
 def _load_rules(cfg: SessionConfig) -> RuleSet:
     if cfg.rules_path is None:
         raise RewritingError("this command needs --rules <path>")
-    return _load(cfg.rules_path, lambda text: parse_rules(text, cfg.n))
+    return _load(cfg.rules_path, parse_rules, cfg.n)
 
 
 def _require_seed(cfg: SessionConfig) -> int:
@@ -260,7 +279,11 @@ def run_command(cfg: SessionConfig, command: str, args: dict) -> tuple[int, str]
     A nonzero status carries the diagnostic as the report text.  Only declared
     arguments are read; a missing option takes its default, a missing positional
     is an error, and so is a value of another type than argparse would give.
+    A `cfg`, `command` or `args` of another type is a TypeError naming it.
     """
+    require_type(cfg, SessionConfig, "config")
+    require_type(command, str, "command")
+    require_type(args, dict, "args")
     try:
         if command not in COMMANDS:
             raise RewritingError(f"unknown command {command!r}")

@@ -17,6 +17,7 @@ witnesses) are stated "below degree p".
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import random
 from bisect import bisect_left, insort
@@ -121,7 +122,10 @@ class ReductionTrace:
         for step in steps:
             require_type(step, ReductionStep, "step")
             require_type(step.monomial, Monomial, "monomial")
+            require_int(step.rule_index, "rule index", 1)
             require_type(step.quotient, Monomial, "quotient")
+            require_type(step.coeff, numbers.Rational, "coeff")
+        require_int(self.end_precision, "end precision", 0)
         object.__setattr__(self, "steps", steps)
 
     def __getattr__(self, name: str):

@@ -187,6 +187,20 @@ class TestArgumentChecks:
         with pytest.raises(ValueError, match="^rules_path must be a str or os.PathLike"):
             SessionConfig(rules_path=value)
 
+    @pytest.mark.parametrize("config, command, args, message", [
+        (None, "delta", {"series": "x1", "series2": "x2"}, "config None is not a SessionConfig"),
+        ({"n": 2}, "nf", {"series": "x1"}, r"config \{'n': 2\} is not a SessionConfig"),
+        ("cfg", ["nf"], {}, r"command \['nf'\] is not a str"),
+        ("cfg", None, {}, "command None is not a str"),
+        ("cfg", "nf", None, "args None is not a dict"),
+        ("cfg", "nf", [("series", "x1")], r"args \[\('series', 'x1'\)\] is not a dict"),
+    ], ids=["no-config", "dict-config", "list-command", "no-command", "no-args", "list-args"])
+    def test_run_command_rejects_a_caller_bug(self, cfg, config, command, args, message):
+        # Not a report line: a malformed call is the caller's bug, and it
+        # is caught before any argument is read.
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            run_command(cfg if config == "cfg" else config, command, args)
+
     def test_session_config_cannot_be_changed_past_its_checks(self):
         from dataclasses import FrozenInstanceError
         cfg = SessionConfig()

@@ -7,8 +7,11 @@ errors with its own message, never a Python internal such as an
 `AttributeError`, an unpacking error or "object is not iterable".
 """
 
+import dataclasses
 from fractions import Fraction
+from numbers import Rational
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from psrewrite import (
@@ -86,9 +89,46 @@ def test_hand_built_traces(start, trace_steps, end, end_precision):
         trace = ReductionTrace(start, trace_steps, end, end_precision)
     except TYPED:
         return
+    # What is built has a valid value in every field that a consumer
+    # prints or computes with.
+    assert is_int(trace.end_precision, 0)
+    for step in trace.steps:
+        assert is_int(step.rule_index, 1) and isinstance(step.coeff, Rational)
     typed_or_nothing(lambda: cofactors(trace, RULES))
     typed_or_nothing(lambda: translate(F, G, trace, RULES))
     typed_or_nothing(lambda: format_trace(trace))
+
+
+def is_int(value, least):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def one_step(end_precision=TRACE.end_precision, **change):
+    """A trace of the first step of TRACE, with the given fields changed."""
+    step = dataclasses.replace(STEPS[0], **change)
+    return ReductionTrace(TRACE.start, (step,), TRACE.end, end_precision)
+
+
+# The types of these fields are checked in `test_wrong_argument_type_rejected`.
+@pytest.mark.parametrize("change, error, message", [
+    ({"rule_index": 0}, ValueError, "rule index must be >= 1"),
+    ({"rule_index": -2}, ValueError, "rule index must be >= 1"),
+    ({"coeff": None}, TypeError, "coeff None is not a Rational"),
+    ({"end_precision": -3}, ValueError, "end precision must be >= 0"),
+    ({"end_precision": True}, TypeError, "end precision True is not an int"),
+], ids=["zero-rule-index", "negative-rule-index", "no-coeff", "negative-end-precision",
+        "bool-end-precision"])
+def test_step_values_are_checked_where_built(change, error, message):
+    # Where the trace is built, not in a consumer: `format_trace` would
+    # print these values as they are.
+    with pytest.raises(error, match=f"^{message}$"):
+        one_step(**change)
+
+
+def test_any_rational_coeff_and_zero_end_precision_are_taken():
+    for coeff in (STEPS[0].coeff, int(STEPS[0].coeff)):
+        trace = one_step(0, coeff=coeff)
+        assert trace.steps[0].coeff == coeff and trace.end_precision == 0
 
 
 # 0 <- 1 -> 2 and 3 -> 2: normalising with unique normal forms reached.

@@ -509,6 +509,16 @@ def _hand_trace(step):
      r"step \(1, 1, 1, 1\) is not a ReductionStep"),
     (lambda: format_trace(ReductionTrace(S("x2"), None, S("x2"), 4)),
      "steps must be an iterable, got NoneType"),
+    (lambda: format_trace(_hand_trace(ReductionStep(Y, "one", ONE, Fraction(1)))),
+     "rule index 'one' is not an int"),
+    (lambda: cofactors(_hand_trace(ReductionStep(Y, True, ONE, Fraction(1))), GEOMETRIC),
+     "rule index True is not an int"),
+    (lambda: format_trace(_hand_trace(ReductionStep(Y, 1, ONE, "abc"))),
+     "coeff 'abc' is not a Rational"),
+    (lambda: cofactors(_hand_trace(ReductionStep(Y, 1, ONE, 1.0)), GEOMETRIC),
+     "coeff 1.0 is not a Rational"),
+    (lambda: format_trace(ReductionTrace(S("x2"), (), S("x2"), 4.0)),
+     "end precision 4.0 is not an int"),
 ], ids=["normalize-series", "normalize-random-series", "reducible-series", "probe-series",
         "attractivity-alpha", "falsify-rules", "normalize-rules", "cofactors-trace",
         "congruence-g", "delta-g", "add", "subtract", "multiply", "reduce-step-series",
@@ -517,7 +527,8 @@ def _hand_trace(step):
         "cofactors-step-quotient", "format-trace-step-quotient", "reduce-step-monomial",
         "probe-seeds", "cofactors-no-end", "translate-no-end", "cofactors-str-start",
         "cofactors-tuple-step", "translate-tuple-step", "format-trace-tuple-step",
-        "format-trace-no-steps"])
+        "format-trace-no-steps", "format-trace-str-rule-index", "cofactors-bool-rule-index",
+        "format-trace-str-coeff", "cofactors-float-coeff", "format-trace-float-end-precision"])
 def test_wrong_argument_type_rejected(call, message):
     with pytest.raises(TypeError, match=f"^{message}$"):
         call()

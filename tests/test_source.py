@@ -180,3 +180,29 @@ def test_rule_sets_compile_only_through_the_slot():
     found = [f"{name}:{node.lineno}" for name, tree in trees.items()
              for node in calls(tree) if id(node) not in inside]
     assert inside and not found, f"_Compiled built outside _compile: {found}"
+
+
+def test_cli_reads_files_only_through_the_slot():
+    # `cli._load` keeps the last file it parsed for the next call on the
+    # same bytes; a command that opened or parsed a file itself would skip
+    # it, and so would a parser passed as a new lambda on every call.  So
+    # `open` and the file parsers are named only inside `_load`, or as the
+    # parser a `_load` call passes.
+    readers = {"open", "parse_rules", "parse_ars_system"}
+    tree = ast.parse((Path(psrewrite.__file__).parent / "cli.py").read_text())
+    (load,) = [top for top in tree.body
+               if isinstance(top, ast.FunctionDef) and top.name == "_load"]
+    inside = {id(node) for node in ast.walk(load)}
+    loads = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "_load"]
+    passed = {id(node.args[1]) for node in loads if len(node.args) > 1}
+    found = [f"cli.py:{node.lineno} {node.id}" for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id in readers
+             and id(node) not in inside and id(node) not in passed]
+    found += [f"cli.py:{node.lineno} parser" for node in loads
+              if len(node.args) < 2 or not isinstance(node.args[1], ast.Name)
+              or node.args[1].id not in readers]
+    found += [f"cli.py:{node.lineno} .{node.attr}" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)
+              and node.attr in {"open", "read_text", "read_bytes"}]
+    assert len(loads) == 2 and not found, f"files read outside _load: {found}"
