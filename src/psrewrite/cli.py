@@ -10,6 +10,7 @@ Each command is one row of COMMANDS: argparse specs and a row handler.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -17,7 +18,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from . import ars as ars_mod
 from .errors import RewritingError
-from .monomials import require_type
+from .monomials import require_int, require_type
 from .rewrite import (
     Member,
     NotMember,
@@ -67,31 +68,24 @@ class SessionConfig:
             raise ValueError(f"unknown report mode {self.report!r}")
 
 
-# ((parser, extra arguments), file bytes, parsed value) of the last file
-# `_load` parsed, at first with a key that no call's key equals
-_slot: tuple[object, bytes, object] = (object(), b"", None)
+@functools.lru_cache(maxsize=1)
+def _parsed(data: bytes, parse: Callable[..., object], *extra):
+    """`parse(text, *extra)` of the UTF-8 text `data`.  The last value is
+    kept: a call with equal bytes, the same parser and equal arguments gets
+    the same frozen value back, so `rewrite._compile` finds the same rule
+    set.  An error is never kept."""
+    return parse(data.decode("utf-8"), *extra)
 
 
 def _load(path: str, parse: Callable[..., object], *extra):
-    """`parse(text, *extra)` of the file at path; an error in its text names
-    the file.  The file is read on every call, and its bytes are parsed
-    only when they or the parser and its arguments differ from the ones
-    `_slot` keeps: then the same frozen value returns, so `rewrite._compile`
-    finds the same rule set.  A parse error is never kept, and the slot is
-    swapped in one assignment, as `rewrite._slot` is."""
-    global _slot
+    """`_parsed` of the file at path, which is read on every call; an error
+    in its bytes or its text names the file."""
     with open(path, "rb", buffering=0) as fh:
         data = fh.read()
-    key = (parse, extra)
-    cached_key, cached_data, value = _slot
-    if cached_key == key and cached_data == data:
-        return value
     try:
-        value = parse(data.decode("utf-8"), *extra)
-    except RewritingError as exc:
+        return _parsed(data, parse, *extra)
+    except (RewritingError, UnicodeDecodeError) as exc:
         raise RewritingError(f"{path}: {exc}") from exc
-    _slot = (key, data, value)
-    return value
 
 
 def _load_rules(cfg: SessionConfig) -> RuleSet:
@@ -106,13 +100,6 @@ def _require_seed(cfg: SessionConfig) -> int:
     return cfg.seed
 
 
-def _count(args: dict, option: str) -> int:
-    value = args[option]
-    if value < 1:
-        raise RewritingError(f"--{option} must be >= 1")
-    return value
-
-
 def _bool(b: bool) -> str:
     return "true" if b else "false"
 
@@ -125,14 +112,7 @@ def _distance(d) -> str:
         return f"2^-{d.denominator.bit_length() - 1}"
 
 
-class _Args(dict):
-    """The arguments `command` declares; reading a missing one is an error."""
-
-    def __missing__(self, dest: str):
-        raise RewritingError(f"{self.command} needs <{dest}>")
-
-
-def _nf(cfg: SessionConfig, args: _Args) -> Rows:
+def _nf(cfg: SessionConfig, args: dict) -> Rows:
     rules = _load_rules(cfg)
     trace = normalize(parse_series(args["series"], cfg.n), rules, cfg.precision)
     yield "normal_form", format_series(trace.end)
@@ -142,7 +122,7 @@ def _nf(cfg: SessionConfig, args: _Args) -> Rows:
         yield f"step_{k}", line.split(": ", 1)[1]
 
 
-def _cofactors(cfg: SessionConfig, args: _Args) -> Rows:
+def _cofactors(cfg: SessionConfig, args: dict) -> Rows:
     rules = _load_rules(cfg)
     trace = normalize(parse_series(args["series"], cfg.n), rules, cfg.precision)
     yield "residual", format_series(trace.end)
@@ -151,11 +131,11 @@ def _cofactors(cfg: SessionConfig, args: _Args) -> Rows:
         yield f"cofactor_{i}", format_series(q)
 
 
-def _verdict(cfg: SessionConfig, args: _Args) -> Rows:
+def _verdict(cfg: SessionConfig, args: dict) -> Rows:
     """`member` tests the series against 0, `congruent` against series2."""
     rules = _load_rules(cfg)
     f = parse_series(args["series"], cfg.n)
-    g = (parse_series(args["series2"], cfg.n) if args.command == "congruent"
+    g = (parse_series(args["series2"], cfg.n) if "series2" in args
          else TruncatedSeries.zero(cfg.n))
     verdict = congruence_test(f, g, rules, cfg.precision,
                               assume_standard_basis=args["assume_sb"])
@@ -171,16 +151,16 @@ def _verdict(cfg: SessionConfig, args: _Args) -> Rows:
         yield "residual", format_series(verdict.residual)
 
 
-def _delta(cfg: SessionConfig, args: _Args) -> Rows:
+def _delta(cfg: SessionConfig, args: dict) -> Rows:
     f = parse_series(args["series"], cfg.n)
     value, upper = delta_metric(f, parse_series(args["series2"], cfg.n))
     yield "delta", _distance(value)
     yield "upper_bound_only", _bool(upper)
 
 
-def _check_sb(cfg: SessionConfig, args: _Args) -> Rows:
-    trials = _count(args, "trials")
-    cert = falsify_standard_basis(_load_rules(cfg), cfg.precision, trials=trials,
+def _check_sb(cfg: SessionConfig, args: dict) -> Rows:
+    require_int(args["trials"], "--trials", 1)
+    cert = falsify_standard_basis(_load_rules(cfg), cfg.precision, trials=args["trials"],
                                   seed=_require_seed(cfg))
     yield "certificate", "none" if cert is None else "found"
     if cert is not None:
@@ -192,11 +172,11 @@ def _check_sb(cfg: SessionConfig, args: _Args) -> Rows:
             yield f"cofactor_{i}", format_series(q)
 
 
-def _probe(cfg: SessionConfig, args: _Args) -> Rows:
-    strategies = _count(args, "strategies")
+def _probe(cfg: SessionConfig, args: dict) -> Rows:
+    require_int(args["strategies"], "--strategies", 1)
     rules = _load_rules(cfg)
     seed = _require_seed(cfg)
-    seeds = [seed + t for t in range(strategies)]
+    seeds = [seed + t for t in range(args["strategies"])]
     report = confluence_probe(parse_series(args["series"], cfg.n), rules, cfg.precision, seeds)
     yield "strategies", len(seeds)
     yield "threshold", _distance(report.threshold)
@@ -206,11 +186,11 @@ def _probe(cfg: SessionConfig, args: _Args) -> Rows:
         yield f"delta_{a}_{b}", f"<={_distance(d)}" if upper else _distance(d)
 
 
-def _ars(cfg: SessionConfig, args: _Args) -> Rows:
+def _ars(cfg: SessionConfig, args: dict) -> Rows:
     if args["system"] is None:
         raise RewritingError("ars commands need --system <path>")
     system = _load(args["system"], parse_ars_system)
-    action = args.get("action")  # a missing action is an unknown one
+    action = args["action"]
     if action == "check":
         props = ars_mod.check_properties(system)
         yield "size", system.size
@@ -288,12 +268,12 @@ def run_command(cfg: SessionConfig, command: str, args: dict) -> tuple[int, str]
         if command not in COMMANDS:
             raise RewritingError(f"unknown command {command!r}")
         _help, specs, handler = COMMANDS[command]
-        values = _Args()
-        values.command = command
+        values = {}
         for dest, flags, kwargs in specs:
-            if dest in args or flags[0].startswith("-"):
-                values[dest] = _checked(dest, flags, kwargs, args.get(dest, kwargs.get("default")))
-        name = f"ars {args.get('action')}" if command == "ars" else command
+            if dest not in args and not flags[0].startswith("-"):
+                raise RewritingError(f"{command} needs <{dest}>")
+            values[dest] = _checked(dest, flags, kwargs, args.get(dest, kwargs.get("default")))
+        name = f"ars {values['action']}" if command == "ars" else command
         rows = [("command", name), *handler(cfg, values)]
     except (RewritingError, OSError, ValueError) as exc:
         return 1, f"error: {exc}\n"

@@ -76,4 +76,5 @@ def require_iterable(value, what: str) -> tuple:
 def deglex_key(m: Monomial) -> tuple[int, tuple[int, ...]]:
     """Sort key of the deglex order: tuple comparison puts the degree
     first, then the raw exponent vector left to right (x1 most significant)."""
+    require_type(m, Monomial, "monomial")
     return (m.degree, m.exponents)

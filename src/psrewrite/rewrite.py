@@ -643,7 +643,9 @@ def random_polynomial(rng: random.Random, n: int, max_degree: int,
                       zero_ok: bool = True) -> TruncatedSeries:
     """A reproducible random exact polynomial with at most 4 terms, small
     integer coefficients and total degree <= max_degree."""
+    require_type(rng, random.Random, "rng")
     require_int(n, "variable count", 1)
+    require_int(max_degree, "max degree", 0)
     terms: dict[tuple[int, ...], int] = {}
     for _ in range(rng.randint(0 if zero_ok else 1, 4)):
         d = rng.randint(0, max_degree)

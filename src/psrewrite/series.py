@@ -164,7 +164,8 @@ class TruncatedSeries:
     # -- inspection ------------------------------------------------------
 
     def coefficient(self, m: Monomial) -> Fraction:
-        c = self._terms.get(m.exponents) if isinstance(m, Monomial) else None
+        require_type(m, Monomial, "monomial")
+        c = self._terms.get(m.exponents)
         return Fraction(0) if c is None else _fraction(c)
 
     def items(self) -> list[tuple[Monomial, Fraction]]:

@@ -81,6 +81,7 @@ def _unexpected(text: str, tokens: list, i: int, line: int, expected: str) -> Pa
 
 def parse_series(text: str, n: int, line: int = 1) -> TruncatedSeries:
     """Parse one series in the grammar above over variables x1..xn."""
+    require_type(text, str, "text")
     require_int(n, "variable count", 1)
     tokens = _TOKEN.findall(text)
     for token in tokens:
@@ -204,6 +205,7 @@ def format_series(f: TruncatedSeries) -> str:
 def parse_rules(text: str, n: int) -> RuleSet:
     """One series per non-blank line; position among non-blank lines fixes
     the 1-based rule index."""
+    require_type(text, str, "text")
     bodies = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
@@ -227,6 +229,7 @@ def format_trace(trace: ReductionTrace) -> list[str]:
 
 def parse_ars_system(text: str) -> FiniteARS:
     """First non-blank line `n=<size>`, then one `a -> b` edge per line."""
+    require_type(text, str, "text")
     lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ParseError("empty system", 1, 1)
@@ -253,6 +256,7 @@ def parse_ars_system(text: str) -> FiniteARS:
 
 def parse_conversion(text: str) -> Conversion:
     """Alternating element / arrow tokens: `0 <- 1 -> 2`."""
+    require_type(text, str, "text")
     tokens = text.split()
     if not tokens:
         raise ParseError("empty conversion", 1, 1)

@@ -1,12 +1,13 @@
 """The parsed input file kept between `run_command` calls.
 
-`cli._load` keeps the last file it parsed: the parser with its extra
-arguments, the file's bytes and the parsed value.  It reads the file on
-every call and parses it again only when the bytes or the key differ, so
-consecutive calls on one unchanged file get one `RuleSet`, and
-`rewrite._compile` then compiles it once.  Content alone decides a hit:
-no output may depend on what either slot held before a call, so every
-output here must equal the same call made with both slots emptied first.
+`cli._load` reads the file on every call and hands its bytes, the parser
+and the parser's extra arguments to `cli._parsed`, a one-entry
+`functools.lru_cache`: the file is parsed again only when the bytes or the
+parser and its arguments differ, so consecutive calls on one unchanged
+file get one `RuleSet`, and `rewrite._compile` then compiles it once.
+Content alone decides a hit: no output may depend on what either slot
+held before a call, so every output here must equal the same call made
+with both slots emptied first.
 """
 
 import os
@@ -66,7 +67,7 @@ def calls(file):
 
 
 def empty_slots():
-    cli._slot = (object(), b"", None)
+    cli._parsed.cache_clear()
     rewrite._slot = (object(), None)
 
 
@@ -130,9 +131,13 @@ def test_the_same_bytes_under_another_n_are_parsed_again(tmp_path):
     got, expected = run_in_a_row(sequence)
     assert got == expected
     assert got[2] == (1, f"error: {path}: line 1, column 1: unknown variable x2 (have x1..x1)\n")
-    for n in (2, 3):
+    # The slot holds n=2's rule set now: each call hits only when n is
+    # the one before it.
+    for n, parsed in ((2, 0), (3, 1), (3, 0), (2, 1)):
+        before = cli._parsed.cache_info()
         run_command(config(str(path), n), "nf", {"series": "x1"})
-        assert cli._slot[2].n == n
+        after = cli._parsed.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (parsed, 1 - parsed)
 
 
 def test_a_parse_error_is_never_kept(tmp_path, files):
@@ -143,9 +148,13 @@ def test_a_parse_error_is_never_kept(tmp_path, files):
     message = f"error: {bad}: line 2, column 8: expected a number\n"
     assert nf(bad) == (1, message)
     assert nf(files["A"][0])[0] == 0
-    slot = cli._slot
+    before = cli._parsed.cache_info()
     assert nf(bad) == (1, message)
-    assert cli._slot is slot
+    # The failed parse is a miss that left file A in the slot.
+    assert nf(files["A"][0])[0] == 0
+    after = cli._parsed.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+    assert after.currsize == 1
     # The same bad bytes under another path name that path.
     assert nf(other) == (1, message.replace(str(bad), str(other)))
 

@@ -519,6 +519,11 @@ def _hand_trace(step):
      "coeff 1.0 is not a Rational"),
     (lambda: format_trace(ReductionTrace(S("x2"), (), S("x2"), 4.0)),
      "end precision 4.0 is not an int"),
+    (lambda: S("x1 + 2*x2").coefficient((1, 0)), r"monomial \(1, 0\) is not a Monomial"),
+    (lambda: S("x1 + 2*x2").coefficient("x1"), "monomial 'x1' is not a Monomial"),
+    (lambda: deglex_key(None), "monomial None is not a Monomial"),
+    (lambda: random_polynomial(None, 2, 3), "rng None is not a Random"),
+    (lambda: random_polynomial(random.Random(0), 2, "3"), "max degree '3' is not an int"),
 ], ids=["normalize-series", "normalize-random-series", "reducible-series", "probe-series",
         "attractivity-alpha", "falsify-rules", "normalize-rules", "cofactors-trace",
         "congruence-g", "delta-g", "add", "subtract", "multiply", "reduce-step-series",
@@ -528,7 +533,9 @@ def _hand_trace(step):
         "probe-seeds", "cofactors-no-end", "translate-no-end", "cofactors-str-start",
         "cofactors-tuple-step", "translate-tuple-step", "format-trace-tuple-step",
         "format-trace-no-steps", "format-trace-str-rule-index", "cofactors-bool-rule-index",
-        "format-trace-str-coeff", "cofactors-float-coeff", "format-trace-float-end-precision"])
+        "format-trace-str-coeff", "cofactors-float-coeff", "format-trace-float-end-precision",
+        "coefficient-tuple", "coefficient-str", "deglex-key-none", "random-polynomial-rng",
+        "random-polynomial-str-max-degree"])
 def test_wrong_argument_type_rejected(call, message):
     with pytest.raises(TypeError, match=f"^{message}$"):
         call()

@@ -183,11 +183,13 @@ def test_rule_sets_compile_only_through_the_slot():
 
 
 def test_cli_reads_files_only_through_the_slot():
-    # `cli._load` keeps the last file it parsed for the next call on the
+    # `cli._load` reads a file and `cli._parsed`, a one-entry
+    # `functools.lru_cache`, keeps what it parsed for the next call on the
     # same bytes; a command that opened or parsed a file itself would skip
     # it, and so would a parser passed as a new lambda on every call.  So
     # `open` and the file parsers are named only inside `_load`, or as the
-    # parser a `_load` call passes.
+    # parser a `_load` call passes.  Nor does any hand-kept module state
+    # stand in for the memo: `cli.py` has no `global` statement.
     readers = {"open", "parse_rules", "parse_ars_system"}
     tree = ast.parse((Path(psrewrite.__file__).parent / "cli.py").read_text())
     (load,) = [top for top in tree.body
@@ -206,3 +208,5 @@ def test_cli_reads_files_only_through_the_slot():
               if isinstance(node, ast.Attribute)
               and node.attr in {"open", "read_text", "read_bytes"}]
     assert len(loads) == 2 and not found, f"files read outside _load: {found}"
+    found = [f"cli.py:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Global)]
+    assert not found, f"global statements: {found}"

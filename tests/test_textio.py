@@ -236,14 +236,22 @@ class TestTraceFormat:
         ]
 
 
-# Formatting something else is a TypeError naming the argument, not an
-# AttributeError from inside the formatter.
+# Formatting something else, or parsing something that is not a str, is a
+# TypeError naming the argument, not an error from inside the formatter,
+# the parser or `re`.
 @pytest.mark.parametrize("call, message", [
     (lambda: format_series(None), "^series None is not a TruncatedSeries$"),
     (lambda: format_series("x1"), "^series 'x1' is not a TruncatedSeries$"),
     (lambda: format_trace(None), "^trace None is not a ReductionTrace$"),
     (lambda: format_conversion(None), "^conversion None is not a Conversion$"),
-], ids=["series-none", "series-str", "trace-none", "conversion-none"])
+    (lambda: parse_series(None, N), "^text None is not a str$"),
+    (lambda: parse_series(b"x1", N), "^text b'x1' is not a str$"),
+    (lambda: parse_rules(None, N), "^text None is not a str$"),
+    (lambda: parse_ars_system(None), "^text None is not a str$"),
+    (lambda: parse_conversion(None), "^text None is not a str$"),
+], ids=["series-none", "series-str", "trace-none", "conversion-none", "parse-series-none",
+        "parse-series-bytes", "parse-rules-none", "parse-ars-system-none",
+        "parse-conversion-none"])
 def test_format_rejects_wrong_argument_type(call, message):
     with pytest.raises(TypeError, match=message):
         call()
