@@ -22,9 +22,10 @@ arbitrary conversion between normal forms into a single-peak one.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, count
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidConversionError, InvariantViolationError, PreconditionFailedError
 from .monomials import require_int, require_iterable, require_type
@@ -33,17 +34,19 @@ FORWARD = "forward"
 BACKWARD = "backward"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class FiniteARS:
-    """Elements 0..size-1 with a one-step relation given by edge pairs,
-    from any iterable of them, kept as a frozenset."""
+    """Elements 0..size-1 with a one-step relation given by edge pairs from any
+    iterable, kept as the adjacency every analysis reads: `labels`, the ascending
+    elements in an edge, and `succ`, the ascending successor positions of each."""
 
     size: int
-    edges: frozenset[tuple[int, int]]
+    labels: tuple[int, ...]
+    succ: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        require_int(self.size, "size", 0)
-        edges = require_iterable(self.edges, "edges")
+    def __init__(self, size: int, edges: Iterable[tuple[int, int]]):
+        require_int(size, "size", 0)
+        edges = require_iterable(edges, "edges")
         for edge in edges:
             if type(edge) is not tuple or len(edge) != 2:
                 raise TypeError(f"edge {edge!r} is not an (a, b) pair")
@@ -51,33 +54,48 @@ class FiniteARS:
             if type(a) is not int or type(b) is not int:   # a bool is an error too
                 require_int(a, "element")
                 require_int(b, "element")
-            if not (0 <= a < self.size and 0 <= b < self.size):
-                raise ValueError(f"edge ({a}, {b}) outside 0..{self.size - 1}")
-        object.__setattr__(self, "edges", frozenset(edges))
+            if not (0 <= a < size and 0 <= b < size):
+                raise ValueError(f"edge ({a}, {b}) outside 0..{size - 1}")
+        self._build(size, edges)
+
+    @classmethod
+    def _from_clean(cls, size: int, edges: Sequence[tuple[int, int]]) -> FiniteARS:
+        """Unchecked: for int pairs the caller guarantees lie in 0..size-1."""
+        self = object.__new__(cls)
+        self._build(size, edges)
+        return self
+
+    def _build(self, size: int, edges: Sequence[tuple[int, int]]) -> None:
+        labels = sorted(set(chain.from_iterable(edges)))
+        pos = dict(zip(labels, range(len(labels))))
+        succ: list[list[int]] = [[] for _ in labels]
+        for a, b in set(edges):
+            succ[pos[a]].append(pos[b])
+        for targets in succ:
+            targets.sort()
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "labels", tuple(labels))
+        object.__setattr__(self, "succ", tuple(map(tuple, succ)))
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The distinct (a, b) pairs, built on each read."""
+        return frozenset((self.labels[x], self.labels[y]) for x, t in enumerate(self.succ) for y in t)
+
+    def __repr__(self) -> str:
+        return f"FiniteARS(size={self.size!r}, edges={self.edges!r})"
+
+
+def _position(labels: Sequence[int], a: int) -> int:
+    """The position of element a in `labels`, or -1 when a is in no edge."""
+    i = bisect_left(labels, a)
+    return i if i < len(labels) and labels[i] == a else -1
 
 
 def normal_forms(sys: FiniteARS) -> set[int]:
     require_type(sys, FiniteARS, "system")
-    out = {a for (a, _b) in sys.edges}
+    out = {a for a, targets in zip(sys.labels, sys.succ) if targets}
     return {a for a in range(sys.size) if a not in out}
-
-
-def _adjacency(sys: FiniteARS) -> tuple[dict[int, int], list[list[int]]]:
-    """The position of each element that occurs in an edge, in ascending
-    label order, and the ascending successor positions of each position.
-
-    Every other element is a normal form alone in its component, and
-    changes no flag, so nothing here grows with `sys.size`.
-    """
-    require_type(sys, FiniteARS, "system")
-    labels = sorted(set(chain.from_iterable(sys.edges)))
-    pos = dict(zip(labels, range(len(labels))))
-    succ: list[list[int]] = [[] for _ in labels]
-    for a, b in sys.edges:
-        succ[pos[a]].append(pos[b])
-    for targets in succ:
-        targets.sort()
-    return pos, succ
 
 
 @dataclass(frozen=True)
@@ -94,7 +112,7 @@ class SystemProperties:
 _MANY = -1
 
 
-def _reach(succ: list[list[int]]) -> tuple[list[Optional[int]], list[Optional[int]]]:
+def _reach(succ: Sequence[Sequence[int]]) -> tuple[list[Optional[int]], list[Optional[int]]]:
     """Per position, the normal forms and the bottom SCCs (SCCs no edge
     leaves) it reaches, as reach summaries, by one iterative Tarjan pass.
 
@@ -170,7 +188,8 @@ def check_properties(sys: FiniteARS) -> SystemProperties:
     closure; many-step reduction stands in for the topological relation,
     which is exact under the discrete topology.
     """
-    _pos, succ = _adjacency(sys)
+    require_type(sys, FiniteARS, "system")
+    succ = sys.succ
     nf, bottom = _reach(succ)
     normalising, unique_nf_reached = None not in nf, _MANY not in nf
     # Two normal forms reached from one element share its component.  If
@@ -244,12 +263,13 @@ def validate_conversion(sys: FiniteARS, conv: Conversion) -> None:
         if not 0 <= e < sys.size:
             raise ValueError(f"element {e} outside 0..{sys.size - 1}")
     for prev, (e, d) in zip(elements, conv.steps):
-        edge = (prev, e) if d == FORWARD else (e, prev)
-        if edge not in sys.edges:
-            raise InvalidConversionError(f"missing edge {edge[0]} -> {edge[1]}")
+        a, b = (prev, e) if d == FORWARD else (e, prev)
+        x = _position(sys.labels, a)
+        if x < 0 or _position(sys.labels, b) not in sys.succ[x]:
+            raise InvalidConversionError(f"missing edge {a} -> {b}")
 
 
-def _path_to_normal_form(labels: list[int], succ: list[list[int]], i: int) -> list[int]:
+def _path_to_normal_form(labels: Sequence[int], succ: Sequence[Sequence[int]], i: int) -> list[int]:
     """A shortest reduction path from position i to some normal form, as
     labels (BFS with ascending successors, so deterministic)."""
     parent = [-1] * len(succ)
@@ -283,20 +303,20 @@ def eliminate_valleys(sys: FiniteARS, conv: Conversion) -> Conversion:
     pass touched.  That is computed here in one pass.  The result has
     shape a <-* c ->* b, and the endpoints then necessarily coincide.
     """
-    pos, succ = _adjacency(sys)
+    require_type(sys, FiniteARS, "system")
     require_type(conv, Conversion, "conversion")
-    nf, _bottom = _reach(succ)
+    nf, _bottom = _reach(sys.succ)
     if None in nf or _MANY in nf:
         raise PreconditionFailedError(
             "system must be normalising with unique normal forms reached")
     validate_conversion(sys, conv)
-    if any(a in pos and succ[pos[a]] for a in (conv.start, conv.end)):
+    if any((i := _position(sys.labels, a)) >= 0 and sys.succ[i] for a in (conv.start, conv.end)):
         raise PreconditionFailedError("conversion endpoints must be normal forms")
 
     valleys = conv.valley_indices()
     if valleys:
         v = valleys[0]
-        path = _path_to_normal_form(list(pos), succ, pos[conv.steps[v - 1][0]])
+        path = _path_to_normal_form(sys.labels, sys.succ, _position(sys.labels, conv.steps[v - 1][0]))
         if path[-1] != conv.end:
             raise InvariantViolationError("unique normal forms force the same endpoint")
         conv = Conversion(conv.start, conv.steps[:v] + tuple((e, FORWARD) for e in path[1:]))

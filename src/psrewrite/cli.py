@@ -190,22 +190,19 @@ def _ars(cfg: SessionConfig, args: dict) -> Rows:
     if args["system"] is None:
         raise RewritingError("ars commands need --system <path>")
     system = _load(args["system"], parse_ars_system)
-    action = args["action"]
-    if action == "check":
+    if args["action"] == "check":
         props = ars_mod.check_properties(system)
         yield "size", system.size
-        yield "edges", len(system.edges)
+        yield "edges", sum(map(len, system.succ))
         for field in fields(props):
             yield field.name, _bool(getattr(props, field.name))
-    elif action == "valleys":
+    else:
         if args["conversion"] is None:
             raise RewritingError("ars valleys needs --conversion <text>")
         out = ars_mod.eliminate_valleys(system, parse_conversion(args["conversion"]))
         yield "conversion", format_conversion(out)
         yield "valleys", len(out.valley_indices())
         yield "endpoints_equal", _bool(out.start == out.end)
-    else:
-        raise RewritingError(f"unknown ars action {action!r}")
 
 
 def _arg(*flags: str, **kwargs) -> tuple[str, tuple[str, ...], dict]:
@@ -216,15 +213,21 @@ def _arg(*flags: str, **kwargs) -> tuple[str, tuple[str, ...], dict]:
 _KINDS = {str: "a string", int: "an integer", bool: "true or false"}
 
 
-def _checked(dest: str, flags: tuple[str, ...], kwargs: dict, value):
-    """value, if it has the type its spec gives argparse; an option left
-    out (None where the default is None) passes."""
+def _checked(command: str, dest: str, flags: tuple[str, ...], kwargs: dict, args: dict):
+    """args[dest], or the default, if it has the type its spec gives argparse
+    and is one of its choices.  A missing positional is an error; an option
+    left out (None where the default is None) passes."""
     option = flags[0].startswith("-")
+    if not option and dest not in args:
+        raise RewritingError(f"{command} needs <{dest}>")
+    value = args.get(dest, kwargs.get("default"))
     if option and value is None and kwargs.get("default") is None:
         return value
     kind = bool if kwargs.get("action") == "store_true" else kwargs.get("type", str)
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise RewritingError(f"{flags[0] if option else f'<{dest}>'} must be {_KINDS[kind]}")
+    if value not in kwargs.get("choices", (value,)):
+        raise RewritingError(f"unknown {command} {dest} {value!r}")
     return value
 
 
@@ -268,11 +271,8 @@ def run_command(cfg: SessionConfig, command: str, args: dict) -> tuple[int, str]
         if command not in COMMANDS:
             raise RewritingError(f"unknown command {command!r}")
         _help, specs, handler = COMMANDS[command]
-        values = {}
-        for dest, flags, kwargs in specs:
-            if dest not in args and not flags[0].startswith("-"):
-                raise RewritingError(f"{command} needs <{dest}>")
-            values[dest] = _checked(dest, flags, kwargs, args.get(dest, kwargs.get("default")))
+        values = {dest: _checked(command, dest, flags, kwargs, args)
+                  for dest, flags, kwargs in specs}
         name = f"ars {values['action']}" if command == "ars" else command
         rows = [("command", name), *handler(cfg, values)]
     except (RewritingError, OSError, ValueError) as exc:

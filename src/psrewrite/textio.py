@@ -251,7 +251,7 @@ def parse_ars_system(text: str) -> FiniteARS:
             column = m.start(1) + 1 if a >= size else m.start(2) + 1
             raise ParseError(f"edge {a} -> {b} outside 0..{size - 1}", lineno, column)
         edges.append((a, b))
-    return FiniteARS(size, edges)
+    return FiniteARS._from_clean(size, edges)
 
 
 def parse_conversion(text: str) -> Conversion:

@@ -1,5 +1,8 @@
+import copy
+import pickle
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +19,7 @@ from psrewrite import (
     normal_forms,
     validate_conversion,
 )
+from psrewrite.cli import SessionConfig, run_command
 
 
 def sys_of(size, *edges):
@@ -573,3 +577,90 @@ class TestEliminateValleys:
         sys, conv = case
         validate_conversion(sys, conv)
         assert eliminate_valleys(sys, conv) == naive_eliminate_valleys(sys, conv)
+
+
+@st.composite
+def edge_inputs(draw):
+    """A size of 0-6 and a list of edges inside it, repeats and any order allowed."""
+    size = draw(st.integers(0, 6))
+    element = st.integers(0, max(size - 1, 0))
+    return size, draw(st.lists(st.tuples(element, element), max_size=12 if size else 0))
+
+
+class TestStoredAdjacency:
+    # A system keeps `labels` and `succ`; `edges` is built from them on each read.
+    @settings(max_examples=200, deadline=None)
+    @given(edge_inputs(), edge_inputs(), st.sampled_from([list, tuple, iter, frozenset]),
+           st.randoms(use_true_random=False))
+    def test_value_is_the_size_and_edge_set(self, case, other_case, make, rng):
+        size, edges = case
+        sys = FiniteARS(size, make(edges))
+        assert sys.edges == frozenset(edges)
+        shuffled = edges + edges[: len(edges) // 2]
+        rng.shuffle(shuffled)
+        again = FiniteARS(size, shuffled)
+        assert again == sys and hash(again) == hash(sys)
+        other = FiniteARS(*other_case)
+        same = (other_case[0], frozenset(other_case[1])) == (size, frozenset(edges))
+        assert (other == sys) == same and (hash(other) == hash(sys)) == same
+        for copied in (pickle.loads(pickle.dumps(sys)), copy.copy(sys), copy.deepcopy(sys)):
+            assert copied == sys and hash(copied) == hash(sys) and copied.edges == sys.edges
+        assert repr(sys).startswith("FiniteARS(size=")
+        assert eval(repr(sys), {"FiniteARS": FiniteARS}) == sys
+
+    def test_huge_carrier_is_built_and_checked_at_once(self):
+        sys = FiniteARS(10 ** 12, [(0, 1)])
+        assert sys.size == 10 ** 12 and sys.edges == {(0, 1)}
+        assert all(vars(check_properties(sys)).values())
+
+
+def edges_never_read():
+    """`FiniteARS.edges` patched to raise: an analysis that rebuilt the
+    edge set from the stored adjacency would fail."""
+    def read(_sys):
+        raise AssertionError("FiniteARS.edges was read")
+    return mock.patch.object(FiniteARS, "edges", property(read))
+
+
+class TestAnalysesReadTheAdjacency:
+    @settings(max_examples=100, deadline=None)
+    @given(labelled_systems())
+    def test_check_properties_and_normal_forms(self, systems):
+        compact, relabelled = systems
+        expected = naive_props(compact)
+        nfs = {a for a in range(compact.size) if all(x != a for x, _y in compact.edges)}
+        with edges_never_read():
+            assert vars(check_properties(compact)) == expected
+            assert vars(check_properties(relabelled)) == expected
+            assert normal_forms(compact) == nfs
+
+    @settings(max_examples=100, deadline=None)
+    @given(basin_conversions())
+    def test_eliminate_valleys_and_validate_conversion(self, case):
+        sys, conv = case
+        expected = naive_eliminate_valleys(sys, conv)
+        with edges_never_read():
+            validate_conversion(sys, conv)
+            assert eliminate_valleys(sys, conv) == expected
+
+    @pytest.mark.parametrize("steps, message", [
+        (((1, BACKWARD), (2, FORWARD)), "^missing edge 1 -> 2$"),
+        (((2, BACKWARD),), "^missing edge 2 -> 0$"),
+    ], ids=["no-such-edge", "element-in-no-edge"])
+    def test_missing_edge(self, steps, message):
+        sys = sys_of(3, (1, 0))
+        with edges_never_read(), pytest.raises(InvalidConversionError, match=message):
+            validate_conversion(sys, Conversion(0, steps))
+
+    def test_cli_ars_actions(self, tmp_path):
+        # A repeated edge, a blank line and an element in no edge.
+        path = tmp_path / "sys.txt"
+        path.write_text("n=5\n1 -> 0\n1 -> 2\n\n3 -> 2\n3 -> 0\n2 -> 0\n1 -> 0\n")
+        requests = [{"action": "check", "system": str(path)},
+                    {"action": "valleys", "system": str(path),
+                     "conversion": "0 <- 1 -> 2 <- 3 -> 0"}]
+        expected = [run_command(SessionConfig(report="kv"), "ars", r) for r in requests]
+        assert expected[0][0] == expected[1][0] == 0 and "\nedges=5\n" in expected[0][1]
+        with edges_never_read():
+            assert [run_command(SessionConfig(report="kv"), "ars", r)
+                    for r in requests] == expected

@@ -391,6 +391,15 @@ class TestArsCommands:
                                    {"action": "valleys", "system": str(path)})
         assert status == 1 and "--conversion" in text
 
+    @pytest.mark.parametrize("readable", [True, False], ids=["readable", "nonexistent"])
+    def test_unknown_action_is_reported_before_the_file_is_read(self, tmp_path, readable):
+        path = tmp_path / "sys.txt"
+        if readable:
+            path.write_text("n=2\n0 -> 1\n")
+        status, text = run_command(SessionConfig(), "ars",
+                                   {"action": "frob", "system": str(path)})
+        assert (status, text) == (1, "error: unknown ars action 'frob'\n")
+
     def test_system_edge_out_of_range_names_the_file(self, tmp_path):
         path = tmp_path / "sys.txt"
         path.write_text("n=2\n0 -> 1\n1 -> 5\n")
