@@ -53,7 +53,6 @@ from .rewrite import (
     multiple_to_zero_chain,
     normalize,
     normalize_random,
-    random_polynomial,
     reduce_step,
     reducible_monomials,
     translate,

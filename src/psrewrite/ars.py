@@ -51,9 +51,8 @@ class FiniteARS:
             if type(edge) is not tuple or len(edge) != 2:
                 raise TypeError(f"edge {edge!r} is not an (a, b) pair")
             a, b = edge
-            if type(a) is not int or type(b) is not int:   # a bool is an error too
-                require_int(a, "element")
-                require_int(b, "element")
+            require_int(a, "element")
+            require_int(b, "element")
             if not (0 <= a < size and 0 <= b < size):
                 raise ValueError(f"edge ({a}, {b}) outside 0..{size - 1}")
         self._build(size, edges)

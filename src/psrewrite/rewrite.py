@@ -238,8 +238,8 @@ class _Compiled:
         return [e for e in f._terms if dividing(e)]
 
 
-# (rules, compiled), at first a sentinel that no argument `is`
-_slot: tuple[object, Optional[_Compiled]] = (object(), None)
+# The last rule set's `_Compiled`, or None before the first compile
+_slot: Optional[_Compiled] = None
 _MEMO_LIMIT = 1 << 16   # a kept memo past this many entries is dropped
 
 
@@ -247,14 +247,13 @@ def _compile(rules: RuleSet) -> _Compiled:
     """The rule set's `_Compiled`, kept in `_slot` until a call with another
     rule set replaces it, or one that finds its memo past `_MEMO_LIMIT` (never
     a run, which reads the memo for every pending key); the memo is a function
-    of the rule set, so it carries over.  The pair is swapped in one assignment,
-    so a thread never reads one rule set's table with another's, and a race
-    between threads costs at most a second compile."""
+    of the rule set, so it carries over.  The slot is read and swapped in one
+    step each, so a thread never reads one rule set's table with another's,
+    and a race between threads costs at most a second compile."""
     global _slot
-    cached, compiled = _slot
-    if cached is not rules or len(compiled.memo) > _MEMO_LIMIT:
-        compiled = _Compiled(rules)
-        _slot = (rules, compiled)
+    compiled = _slot
+    if compiled is None or compiled.rules is not rules or len(compiled.memo) > _MEMO_LIMIT:
+        compiled = _slot = _Compiled(rules)
     return compiled
 
 
@@ -639,24 +638,6 @@ def congruence_test(f: TruncatedSeries, g: TruncatedSeries, rules: RuleSet,
 
 # -- standard-basis falsification -------------------------------------------
 
-def random_polynomial(rng: random.Random, n: int, max_degree: int,
-                      zero_ok: bool = True) -> TruncatedSeries:
-    """A reproducible random exact polynomial with at most 4 terms, small
-    integer coefficients and total degree <= max_degree."""
-    require_type(rng, random.Random, "rng")
-    require_int(n, "variable count", 1)
-    require_int(max_degree, "max degree", 0)
-    terms: dict[tuple[int, ...], int] = {}
-    for _ in range(rng.randint(0 if zero_ok else 1, 4)):
-        d = rng.randint(0, max_degree)
-        exps = [0] * n
-        for _ in range(d):
-            exps[rng.randrange(n)] += 1
-        e = tuple(exps)
-        terms[e] = terms.get(e, 0) + rng.randint(-4, 4)
-    return TruncatedSeries._from_clean(n, {e: c for e, c in terms.items() if c}, None)
-
-
 @dataclass(frozen=True)
 class StandardBasisCounterexample:
     """A combination of the rules whose normal form is nonzero below the
@@ -722,11 +703,25 @@ def falsify_standard_basis(rules: RuleSet, precision: int, trials: int,
 
     rng = random.Random(seed)
     for t in range(1, trials + 1):
-        qs = [random_polynomial(rng, n, 3)._terms for _ in rules.rules]
+        qs = [_random_cofactor(rng, n) for _ in rules.rules]
         found = check(qs, "random", t)
         if found is not None:
             return found
     return None
+
+
+def _random_cofactor(rng: random.Random, n: int) -> dict[tuple[int, ...], _Q]:
+    """A random-phase cofactor in the stored form, reproducible from rng: at
+    most 4 terms with small integer coefficients and total degree <= 3."""
+    terms: dict[tuple[int, ...], int] = {}
+    for _ in range(rng.randint(0, 4)):
+        d = rng.randint(0, 3)
+        exps = [0] * n
+        for _ in range(d):
+            exps[rng.randrange(n)] += 1
+        e = tuple(exps)
+        terms[e] = terms.get(e, 0) + rng.randint(-4, 4)
+    return {e: c for e, c in terms.items() if c}
 
 
 def _combine(compiled: _Compiled, qs: Sequence[dict[tuple[int, ...], _Q]]

@@ -124,8 +124,7 @@ class TruncatedSeries:
             raise TypeError(f"terms must map monomials to coefficients, got {type(terms).__name__}")
         clean: dict[tuple[int, ...], _Q] = {}
         for m, c in terms.items():
-            if not isinstance(m, Monomial):
-                raise TypeError(f"term key {m!r} is not a Monomial")
+            require_type(m, Monomial, "term key")
             if m.n != n:
                 raise DimensionMismatchError(f"monomial over {m.n} variables in a {n}-variable series")
             c = _rational(c)
@@ -202,8 +201,7 @@ class TruncatedSeries:
     # -- arithmetic ------------------------------------------------------
 
     def _check_compatible(self, other: TruncatedSeries) -> None:
-        if not isinstance(other, TruncatedSeries):
-            raise TypeError(f"operand {other!r} is not a TruncatedSeries")
+        require_type(other, TruncatedSeries, "operand")
         if self.n != other.n:
             raise DimensionMismatchError(f"series over {self.n} and {other.n} variables")
 

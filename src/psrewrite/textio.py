@@ -27,7 +27,6 @@ or variable.  Both work on the stored form of `TruncatedSeries`, with no
 
 from __future__ import annotations
 
-import math
 import re
 from typing import Optional
 
@@ -35,7 +34,7 @@ from .ars import BACKWARD, FORWARD, Conversion, FiniteARS
 from .errors import ParseError, RewritingError
 from .monomials import require_int, require_type
 from .rewrite import ReductionTrace, RuleSet
-from .series import _Q, TruncatedSeries, _add
+from .series import _Q, TruncatedSeries, _add, _div
 
 _TOKEN = re.compile(r"(?P<int>\d+)|(?P<var>x\d+)|(?P<punct>[O+\-*/^()])|(?P<bad>\S)")
 _SIZE = re.compile(r"\s*n\s*=\s*(\d+)\s*")
@@ -149,9 +148,8 @@ def parse_series(text: str, n: int, line: int = 1) -> TruncatedSeries:
             monomial = tokens[i][2] == "*" and bool(tokens[i + 1][1])
             if monomial:
                 i += 1
-        e, g = tuple(exps), math.gcd(num, den)
-        c = num // g if den == g else (num // g, den // g)
-        terms[e] = _add(terms.get(e, 0), c)
+        e = tuple(exps)
+        terms[e] = _add(terms.get(e, 0), num if den == 1 else _div(num, den))
 
     # What the public constructor keeps: nonzero terms below the precision.
     return TruncatedSeries._from_clean(n, {e: c for e, c in terms.items() if c and (

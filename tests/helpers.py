@@ -4,7 +4,7 @@ independently of the engine."""
 
 from itertools import combinations
 
-from psrewrite import DimensionMismatchError, Monomial, RuleSet, TruncatedSeries, random_polynomial
+from psrewrite import DimensionMismatchError, Monomial, RuleSet, TruncatedSeries
 
 
 def _exponent_pairs(a, b):
@@ -41,6 +41,21 @@ def monomials_of_degree(n, d):
             prev = b
         exps.append(d + n - 2 - prev)
         yield Monomial(tuple(exps))
+
+
+def random_polynomial(rng, n, max_degree, zero_ok=True):
+    """A reproducible random exact polynomial with at most 4 terms, small
+    integer coefficients and total degree <= max_degree.  With max_degree 3
+    it draws as the falsifier's random phase does."""
+    terms = {}
+    for _ in range(rng.randint(0 if zero_ok else 1, 4)):
+        d = rng.randint(0, max_degree)
+        exps = [0] * n
+        for _ in range(d):
+            exps[rng.randrange(n)] += 1
+        m = Monomial(tuple(exps))
+        terms[m] = terms.get(m, 0) + rng.randint(-4, 4)
+    return TruncatedSeries(n, terms)
 
 
 def random_instance(rng, exact_input=True):

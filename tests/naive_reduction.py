@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from helpers import monomial_lcm, monomial_product, monomial_quotient
+from helpers import monomial_lcm, monomial_product, monomial_quotient, random_polynomial
 from psrewrite import (
     DimensionMismatchError,
     InvalidTraceError,
@@ -34,7 +34,6 @@ from psrewrite import (
     TruncatedSeries,
     deglex_key,
     delta,
-    random_polynomial,
 )
 from psrewrite.rewrite import AttractivityReport
 

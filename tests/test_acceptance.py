@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 
 import naive_reduction as naive
-from helpers import combination, random_instance
+from helpers import combination, random_instance, random_polynomial
 
 from psrewrite import (
     Conversion,
@@ -30,7 +30,6 @@ from psrewrite import (
     normal_forms,
     normalize,
     parse_series,
-    random_polynomial,
     reduce_step,
     reducible_monomials,
     validate_conversion,

@@ -555,6 +555,19 @@ class TestEliminateValleys:
         with pytest.raises(PreconditionFailedError):
             eliminate_valleys(self.SYS, Conversion(1, ((0, FORWARD), (1, BACKWARD))))
 
+    @pytest.mark.parametrize("conv", [Conversion(0, ((1, FORWARD),)),
+                                      Conversion(1, ((0, BACKWARD),))],
+                             ids=["start", "end"])
+    def test_an_endpoint_with_a_successor_is_rejected(self, conv):
+        # 0 -> 1: element 0, at position 0 of the labels, is no normal form.
+        with pytest.raises(PreconditionFailedError,
+                           match="^conversion endpoints must be normal forms$"):
+            eliminate_valleys(sys_of(2, (0, 1)), conv)
+
+    def test_an_element_in_no_edge_is_a_normal_form(self):
+        conv = Conversion(2, ())
+        assert eliminate_valleys(sys_of(3, (1, 0)), conv) == conv
+
     def test_exhaustive_small_systems(self):
         checked = 0
         for sys in all_systems(3):

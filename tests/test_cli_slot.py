@@ -68,7 +68,7 @@ def calls(file):
 
 def empty_slots():
     cli._parsed.cache_clear()
-    rewrite._slot = (object(), None)
+    rewrite._slot = None
 
 
 def fresh(call):

@@ -37,14 +37,13 @@ from psrewrite import (
     normalize,
     normalize_random,
     parse_series,
-    random_polynomial,
     reduce_step,
     reducible_monomials,
     translate,
 )
 
 import naive_reduction as naive
-from helpers import combination, monomials_of_degree, random_instance
+from helpers import combination, monomials_of_degree, random_instance, random_polynomial
 from psrewrite import rewrite as rewrite_module
 
 N = 2
@@ -522,8 +521,6 @@ def _hand_trace(step):
     (lambda: S("x1 + 2*x2").coefficient((1, 0)), r"monomial \(1, 0\) is not a Monomial"),
     (lambda: S("x1 + 2*x2").coefficient("x1"), "monomial 'x1' is not a Monomial"),
     (lambda: deglex_key(None), "monomial None is not a Monomial"),
-    (lambda: random_polynomial(None, 2, 3), "rng None is not a Random"),
-    (lambda: random_polynomial(random.Random(0), 2, "3"), "max degree '3' is not an int"),
 ], ids=["normalize-series", "normalize-random-series", "reducible-series", "probe-series",
         "attractivity-alpha", "falsify-rules", "normalize-rules", "cofactors-trace",
         "congruence-g", "delta-g", "add", "subtract", "multiply", "reduce-step-series",
@@ -534,8 +531,7 @@ def _hand_trace(step):
         "cofactors-tuple-step", "translate-tuple-step", "format-trace-tuple-step",
         "format-trace-no-steps", "format-trace-str-rule-index", "cofactors-bool-rule-index",
         "format-trace-str-coeff", "cofactors-float-coeff", "format-trace-float-end-precision",
-        "coefficient-tuple", "coefficient-str", "deglex-key-none", "random-polynomial-rng",
-        "random-polynomial-str-max-degree"])
+        "coefficient-tuple", "coefficient-str", "deglex-key-none"])
 def test_wrong_argument_type_rejected(call, message):
     with pytest.raises(TypeError, match=f"^{message}$"):
         call()

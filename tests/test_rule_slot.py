@@ -61,7 +61,7 @@ def calls(rules):
 
 
 def empty_slot():
-    rewrite._slot = (object(), None)
+    rewrite._slot = None
 
 
 def fresh(call):
@@ -100,7 +100,7 @@ def test_calls_after_a_filled_memo_match_fresh_calls():
     # The memo already holds every monomial below degree 11.
     reducible_monomials(TruncatedSeries(N, {Monomial((i, d - i)): 1
                                             for d in range(11) for i in range(d + 1)}), A)
-    filled = rewrite._slot[1]
+    filled = rewrite._slot
     assert filled is not None and filled.memo
     for call in calls(A):
         assert outcome(call) == fresh(lambda: outcome(call))
@@ -108,17 +108,17 @@ def test_calls_after_a_filled_memo_match_fresh_calls():
 
 def test_the_slot_keeps_only_the_last_rule_set():
     normalize(F, A, 5)
-    rules, compiled = rewrite._slot
-    assert rules is A and compiled.rules is A
+    compiled = rewrite._slot
+    assert compiled.rules is A
     congruence_test(F, G, A, 5)
-    assert rewrite._slot[1] is compiled   # compiled once for both calls
+    assert rewrite._slot is compiled   # compiled once for both calls
     normalize(F, B, 5)
-    assert rewrite._slot[0] is B and rewrite._slot[1] is not compiled
+    assert rewrite._slot.rules is B and rewrite._slot is not compiled
     # An equal but distinct rule set is compiled anew: the slot tests identity.
     again = parse_rules("x1 - x2^2 + O(5)\nx1 + x2^3 + O(6)", N)
     assert again == A
     normalize(F, again, 5)
-    assert rewrite._slot[0] is again
+    assert rewrite._slot.rules is again
 
 
 def test_the_kept_memo_stays_bounded(monkeypatch):
@@ -130,10 +130,10 @@ def test_the_kept_memo_stays_bounded(monkeypatch):
     targets = [3, 9, 15, 6, 30, 4, 12, 25, 2, 18]
     results, dropped = [], 0
     for p in targets:
-        before = rewrite._slot[1]
+        before = rewrite._slot
         kept = before is not None and len(before.memo) <= limit
         results.append(outcome(lambda: normalize(f, rules, p)))
-        after = rewrite._slot[1]
+        after = rewrite._slot
         assert (after is before) == kept
         dropped += before is not None and not kept
         # A run of x1 below degree p tests the monomials x1^0..x1^p at most.

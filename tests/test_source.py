@@ -85,6 +85,44 @@ def test_iterable_checks_go_through_require_iterable():
     assert len(kept) == 1 and not found, f"iterable checks outside require_iterable: {found}"
 
 
+def test_type_errors_come_from_the_check_helpers():
+    # A wrong argument type is reported by `require_int`, `require_type` or
+    # `require_iterable`, in their words.  Four messages the helpers cannot
+    # word stay where they are; each is named here by its opening text, with
+    # an interpolated value shown as "…".
+    kept = ("exponents … are not a tuple", "terms must map monomials",
+            "coefficient … is not a rational number", "edge … is not an (a, b) pair")
+
+    def text(node):
+        if isinstance(node, ast.Constant):
+            return str(node.value)
+        if isinstance(node, ast.JoinedStr):
+            return "".join(text(v) if isinstance(v, ast.Constant) else "…" for v in node.values)
+        return "?"
+
+    helpers, found = 0, []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        inside = set()
+        if path.name == "monomials.py":
+            inside = {id(n) for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                      and fn.name in {"require_int", "require_type", "require_iterable"}
+                      for n in ast.walk(fn)}
+        for node in ast.walk(tree):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if not (isinstance(exc, ast.Name) and exc.id == "TypeError"):
+                continue
+            if id(node) in inside:
+                helpers += 1
+                continue
+            message = node.exc.args[0] if isinstance(node.exc, ast.Call) and node.exc.args else None
+            if message is None or not text(message).startswith(kept):
+                found.append(f"{path.name}:{node.lineno}")
+    assert helpers == 3 and not found, f"type errors outside the check helpers: {found}"
+
+
 def test_no_module_imports_a_private_name_of_rewrite():
     # A trace checks itself when it is built, so no consumer of one needs
     # the reducer's internals.

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import naive_reduction as naive
-from helpers import monomials_of_degree, random_instance
+from helpers import monomials_of_degree, random_instance, random_polynomial
 from psrewrite import (
     RuleSet,
     TruncatedSeries,
@@ -25,7 +25,6 @@ from psrewrite import (
     falsify_standard_basis,
     format_series,
     parse_rules,
-    random_polynomial,
 )
 from psrewrite import rewrite
 
@@ -149,11 +148,13 @@ def test_only_the_random_phase_finds_this_truncated_certificate():
 def test_random_phase_runs_only_for_truncated_rules(monkeypatch):
     drawn = []
 
-    def counting(rng, n, max_degree, zero_ok=True):
-        drawn.append(n)
-        return random_polynomial(rng, n, max_degree, zero_ok)
+    draw = rewrite._random_cofactor
 
-    monkeypatch.setattr(rewrite, "random_polynomial", counting)
+    def counting(rng, n):
+        drawn.append(n)
+        return draw(rng, n)
+
+    monkeypatch.setattr(rewrite, "_random_cofactor", counting)
     exact = parse_rules("x1 - x1^2\nx2 + x1*x2\n", 2)
     assert falsify_standard_basis(exact, precision=6, trials=50, seed=1) is None
     assert drawn == []
@@ -163,6 +164,17 @@ def test_random_phase_runs_only_for_truncated_rules(monkeypatch):
     rules = parse_rules("x1 - x1^2 + O(5)\nx2 + x1*x2\n", 2)
     assert falsify_standard_basis(rules, precision=6, trials=50, seed=1) is None
     assert len(drawn) == 2 * 50
+
+
+def test_random_phase_draws_as_the_test_generator():
+    # The naive falsifier draws its cofactors with `helpers.random_polynomial`
+    # at degree 3; the random phase's own draw must match it call for call.
+    for seed in range(200):
+        for n in (1, 2, 3):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for _ in range(4):
+                assert rewrite._random_cofactor(ours, n) == random_polynomial(theirs, n, 3)._terms
+            assert ours.getstate() == theirs.getstate()
 
 
 def test_trials_checked_before_the_pairs():
