@@ -32,7 +32,7 @@ from .errors import (
     RewritingError,
     ZeroOrUnknownLeadingError,
 )
-from .monomials import Monomial, deglex_key
+from .monomials import Monomial
 from .rewrite import (
     AttractivityReport,
     ConfluenceProbeReport,

@@ -269,8 +269,8 @@ def validate_conversion(sys: FiniteARS, conv: Conversion) -> None:
 
 
 def _path_to_normal_form(labels: Sequence[int], succ: Sequence[Sequence[int]], i: int) -> list[int]:
-    """A shortest reduction path from position i to some normal form, as
-    labels (BFS with ascending successors, so deterministic)."""
+    """A shortest reduction path from position i, which reaches some normal
+    form, to one, as labels (BFS with ascending successors, so deterministic)."""
     parent = [-1] * len(succ)
     parent[i] = i
     queue = [i]
@@ -285,7 +285,6 @@ def _path_to_normal_form(labels: Sequence[int], succ: Sequence[Sequence[int]], i
             if parent[y] < 0:
                 parent[y] = x
                 queue.append(y)
-    raise PreconditionFailedError(f"no normal form reachable from {labels[i]}")
 
 
 def eliminate_valleys(sys: FiniteARS, conv: Conversion) -> Conversion:

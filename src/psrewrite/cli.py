@@ -41,6 +41,8 @@ from .textio import (
 )
 
 Rows = Iterator[tuple[str, object]]  # (key, value) report rows
+_MAX_VARS = 1000        # every exponent tuple of a run holds one int per variable
+_MAX_STRATEGIES = 100   # `probe` prints one row per pair of strategies
 
 
 @dataclass(frozen=True)  # checked once, in __post_init__
@@ -62,6 +64,8 @@ class SessionConfig:
             raise ValueError(f"rules_path must be a str or os.PathLike, got {self.rules_path!r}")
         if self.n < 1:
             raise ValueError("need at least one variable")
+        if self.n > _MAX_VARS:
+            raise ValueError(f"at most {_MAX_VARS} variables, got {self.n}")
         if self.precision < 1:
             raise ValueError("precision must be >= 1")
         if self.report not in ("plain", "kv"):
@@ -174,6 +178,8 @@ def _check_sb(cfg: SessionConfig, args: dict) -> Rows:
 
 def _probe(cfg: SessionConfig, args: dict) -> Rows:
     require_int(args["strategies"], "--strategies", 1)
+    if args["strategies"] > _MAX_STRATEGIES:
+        raise RewritingError(f"--strategies must be <= {_MAX_STRATEGIES}")
     rules = _load_rules(cfg)
     seed = _require_seed(cfg)
     seeds = [seed + t for t in range(args["strategies"])]

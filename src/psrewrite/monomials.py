@@ -6,8 +6,8 @@ total degree first, ties broken lexicographically with x1 the most
 significant variable (larger exponent at the first difference wins).
 Deglex is admissible (1 <= m for every m) and compatible with the degree,
 which is what every termination argument in the rewriting engine leans
-on; the reducer's pending list sorts by the same ``(degree, exponents)``
-key that `deglex_key` returns.
+on.  Its sort key is ``(m.degree, m.exponents)``, and the reducer's
+pending list sorts by the same key on bare exponent tuples.
 
 The engine computes on bare exponent tuples.  A `Monomial` is the
 checked box it hands one out in: `exponents`, `n`, `degree` and its text
@@ -71,10 +71,3 @@ def require_iterable(value, what: str) -> tuple:
     if not isinstance(value, Iterable):
         raise TypeError(f"{what} must be an iterable, got {type(value).__name__}")
     return tuple(value)
-
-
-def deglex_key(m: Monomial) -> tuple[int, tuple[int, ...]]:
-    """Sort key of the deglex order: tuple comparison puts the degree
-    first, then the raw exponent vector left to right (x1 most significant)."""
-    require_type(m, Monomial, "monomial")
-    return (m.degree, m.exponents)

@@ -61,17 +61,16 @@ class RuleSet:
     n: int
 
     def __init__(self, bodies: Iterable[TruncatedSeries], n: Optional[int] = None):
-        bodies = require_iterable(bodies, "bodies")
-        for b in bodies:
-            require_type(b, TruncatedSeries, "rule body")
-        if n is None and not bodies:
+        rules = tuple(map(RewriteRule, require_iterable(bodies, "bodies")))
+        if n is None and not rules:
             raise ValueError("variable count required for an empty rule set")
-        n = bodies[0].n if n is None else n
+        n = rules[0].body.n if n is None else n
         require_int(n, "variable count", 1)
-        for b in bodies:
-            if b.n != n:
-                raise DimensionMismatchError(f"rule over {b.n} variables in a {n}-variable system")
-        object.__setattr__(self, "rules", tuple(map(RewriteRule, bodies)))
+        for r in rules:
+            if r.body.n != n:
+                raise DimensionMismatchError(
+                    f"rule over {r.body.n} variables in a {n}-variable system")
+        object.__setattr__(self, "rules", rules)
         object.__setattr__(self, "n", n)
 
     def __len__(self) -> int:
@@ -150,7 +149,7 @@ def _box(raw: Sequence[tuple[tuple[int, ...], int, tuple[int, ...], _Q]]
     return tuple(ReductionStep(trusted(M), i, trusted(m), _fraction(c)) for M, i, m, c in raw)
 
 
-_Key = tuple[int, tuple[int, ...]]   # (degree, exponents): `deglex_key` of a monomial
+_Key = tuple[int, tuple[int, ...]]   # (degree, exponents): a monomial's deglex key
 
 
 # A leading exponent above this is tested rule by rule, so no divisor
@@ -317,8 +316,8 @@ class _Reducer:
             del pending[k]
 
     def step(self, key: _Key, i: int) -> None:
-        """Reduce the stored term at key = (degree, exponents) with rule i,
-        whose leading monomial divides it."""
+        """Reduce the stored term at key = (degree, exponents), which is
+        pending, with rule i, whose leading monomial divides it."""
         d, M = key
         lm, lm_degree, lc, tail, body_precision = self._table[i - 1]
         m = tuple(map(operator.sub, M, lm))
@@ -326,7 +325,7 @@ class _Reducer:
         terms, pending, deferred, bound = self.terms, self.pending, self.deferred, self.bound
         memo = self.memo
         coeff = terms.pop(M)
-        if pending and pending[0] is key:   # the canonical pick
+        if pending[0] is key:   # the canonical pick
             del pending[0]
         else:
             self._unpend(key)

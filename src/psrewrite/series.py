@@ -15,12 +15,13 @@ builds it, the reducer copies it in and hands it back, the formatter and
 all arithmetic read it, so no term is converted on the way.  `Monomial`
 and `fractions.Fraction` objects are built only where a caller reads a
 term: `items()` builds a fresh list of pairs on each call, and
-`coefficient`, `support`, `leading` and pickling box what they return.
+`coefficient`, `leading` and pickling box what they return.
 
 Inputs are validated once, where they enter: the public constructors
-(`TruncatedSeries(n, terms, precision)` and `zero`) and the `scale_term`
-scalar check the variable count (an int >= 1), the precision (an int
->= 0), every monomial, and that each coefficient is a `numbers.Rational`.
+(`TruncatedSeries(n, terms, precision)` and `zero(n)`) and the
+`scale_term` scalar check the variable count (an int >= 1), the precision
+(an int >= 0), every monomial, and that each coefficient is a
+`numbers.Rational`.
 The constructor drops zeros and prunes degrees at or above the precision;
 arithmetic and the rewriting engine build their results from terms that
 already hold these invariants, so they skip the checks.
@@ -119,7 +120,9 @@ class TruncatedSeries:
 
     def __init__(self, n: int, terms: Mapping[Monomial, Fraction],
                  precision: Optional[int] = None):
-        _check_shape(n, precision)
+        require_int(n, "variable count", 1)
+        if precision is not None:
+            require_int(precision, "precision", 0)
         if not isinstance(terms, Mapping):
             raise TypeError(f"terms must map monomials to coefficients, got {type(terms).__name__}")
         clean: dict[tuple[int, ...], _Q] = {}
@@ -156,9 +159,9 @@ class TruncatedSeries:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def zero(cls, n: int, precision: Optional[int] = None) -> TruncatedSeries:
-        _check_shape(n, precision)
-        return cls._from_clean(n, {}, precision)
+    def zero(cls, n: int) -> TruncatedSeries:
+        require_int(n, "variable count", 1)
+        return cls._from_clean(n, {}, None)
 
     # -- inspection ------------------------------------------------------
 
@@ -172,10 +175,6 @@ class TruncatedSeries:
         trusted = Monomial._trusted   # `_fraction` inlined: it is the hot read
         return [(trusted(e), Fraction(c) if type(c) is int else Fraction(*c))
                 for e, c in self._terms.items()]
-
-    @property
-    def support(self) -> frozenset[Monomial]:
-        return frozenset(map(Monomial._trusted, self._terms))
 
     def known_zero(self) -> bool:
         """True when the stored polynomial part is zero."""
@@ -303,14 +302,8 @@ class TruncatedSeries:
             raise ZeroOrUnknownLeadingError(
                 "known support is empty; leading term undetermined"
                 if self.precision is not None else "zero series has no leading term")
-        e = min((sum(e), e) for e in self._terms)[1]   # `deglex_key` on exponents
+        e = min((sum(e), e) for e in self._terms)[1]   # the deglex key on exponents
         return Monomial._trusted(e), _fraction(self._terms[e])
-
-
-def _check_shape(n: int, precision: Optional[int]) -> None:
-    require_int(n, "variable count", 1)
-    if precision is not None:
-        require_int(precision, "precision", 0)
 
 
 def _rational(c) -> _Q:

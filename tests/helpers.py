@@ -30,6 +30,16 @@ def monomial_lcm(a, b):
     return Monomial(tuple(max(x, y) for x, y in _exponent_pairs(a, b)))
 
 
+def deglex_key(m):
+    """The engine's deglex sort key: the degree, then the exponents."""
+    return (m.degree, m.exponents)
+
+
+def support(f):
+    """The stored monomials of the series f."""
+    return frozenset(m for m, _c in f.items())
+
+
 def monomials_of_degree(n, d):
     """All monomials over n variables of total degree exactly d."""
     # Stars and bars: positions of n-1 separators among d + n - 1 slots.

@@ -21,7 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from helpers import monomial_lcm, monomial_product, monomial_quotient, random_polynomial
+from helpers import (
+    deglex_key,
+    monomial_lcm,
+    monomial_product,
+    monomial_quotient,
+    random_polynomial,
+    support,
+)
 from psrewrite import (
     DimensionMismatchError,
     InvalidTraceError,
@@ -32,7 +39,6 @@ from psrewrite import (
     ReductionTrace,
     StandardBasisCounterexample,
     TruncatedSeries,
-    deglex_key,
     delta,
 )
 from psrewrite.rewrite import AttractivityReport
@@ -48,7 +54,7 @@ def reducible_monomials(f, rules):
     """Stored monomials of f divisible by some rule's leading monomial."""
     if f.n != rules.n:
         raise DimensionMismatchError(f"series over {f.n} variables, rules over {rules.n}")
-    return {m for m in f.support if dividing_rules(rules, m)}
+    return {m for m in support(f) if dividing_rules(rules, m)}
 
 
 def reduce_step(f, rules, M, i):
@@ -146,7 +152,7 @@ def multiple_to_zero_chain(q, i, rules, precision):
     lm = rules.rule(i).leading_monomial
     h = start
     steps = []
-    for m in sorted(q.support, key=deglex_key):
+    for m in sorted(support(q), key=deglex_key):
         M = monomial_product(m, lm)
         if h.coefficient(M) == 0:
             continue

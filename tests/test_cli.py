@@ -15,6 +15,20 @@ def geometric_rules(tmp_path):
 
 
 @pytest.fixture
+def one_variable_rule(tmp_path):
+    path = tmp_path / "rule.txt"
+    path.write_text("x1 - x1^2\n")
+    return str(path)
+
+
+@pytest.fixture
+def probe_rules(tmp_path):
+    path = tmp_path / "probe.txt"
+    path.write_text("x1 - x2^2\nx2 + x1^3\n")
+    return str(path)
+
+
+@pytest.fixture
 def pair_rules(tmp_path):
     path = tmp_path / "rules.txt"
     path.write_text("x1 + x2\nx1 - x2\n")
@@ -91,6 +105,17 @@ class TestRunCommand:
         status, text = run_command(kv(rules="missing.txt", seed=0), "probe",
                                    {"series": "x1", "strategies": strategies})
         assert (status, text) == (1, "error: --strategies must be >= 1\n")
+
+    def test_probe_takes_at_most_100_strategies(self, probe_rules):
+        cfg = kv(prec=6, seed=1, rules=probe_rules)
+        status, text = run_command(cfg, "probe", {"series": "x1 + x2", "strategies": 100})
+        # five rows before the pairs, then one row per pair of strategies
+        assert status == 0 and "strategies=100\n" in text
+        assert text.count("\n") == 5 + 100 * 99 // 2
+        # checked before the rule file, which here does not exist
+        status, text = run_command(kv(rules="missing.txt", seed=0), "probe",
+                                   {"series": "x1", "strategies": 101})
+        assert (status, text) == (1, "error: --strategies must be <= 100\n")
 
     def test_probe_divergence(self, pair_rules):
         status, text = run_command(kv(prec=5, rules=pair_rules, seed=0), "probe",
@@ -175,7 +200,8 @@ class TestArgumentChecks:
             SessionConfig(**{field: value})
 
     @pytest.mark.parametrize("field, value, message", [
-        ("n", 0, "need at least one variable"), ("precision", 0, "precision must be >= 1"),
+        ("n", 0, "need at least one variable"), ("n", 1001, "at most 1000 variables, got 1001"),
+        ("precision", 0, "precision must be >= 1"),
         ("report", "json", "unknown report mode 'json'")])
     def test_session_config_rejects_a_bad_value(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -476,6 +502,20 @@ class TestMain:
         assert main(["--vars", "0", "delta", "x1", "x1"]) == 1
         out = capsys.readouterr()
         assert out.out == "" and out.err == "error: need at least one variable\n"
+
+    def test_variable_count_limit(self, one_variable_rule, capsys):
+        assert main(["--vars", "1000", "--prec", "3", "--rules", one_variable_rule,
+                     "--report", "kv", "nf", "x1"]) == 0
+        assert capsys.readouterr().out.startswith("command=nf\nnormal_form=O(3)\n")
+        assert main(["--vars", "1001", "delta", "x1", "0"]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "error: at most 1000 variables, got 1001\n"
+
+    def test_strategy_count_limit(self, probe_rules, capsys):
+        assert main(["--vars", "2", "--prec", "6", "--seed", "1", "--rules", probe_rules,
+                     "probe", "x1 + x2", "--strategies", "101"]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "error: --strategies must be <= 100\n"
 
     def test_plain_report(self, geometric_rules, capsys):
         code = main(["--prec", "5", "--rules", geometric_rules, "nf", "x2"])

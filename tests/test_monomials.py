@@ -4,13 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import monomial_product, monomial_quotient, monomials_of_degree
+from helpers import deglex_key, monomial_product, monomial_quotient, monomials_of_degree, support
 from psrewrite import (
     DimensionMismatchError,
     Monomial,
     RuleSet,
     TruncatedSeries,
-    deglex_key,
     reduce_step,
 )
 
@@ -76,6 +75,11 @@ class TestCompare:
     def test_matches_oracle_three_vars(self, m1, m2):
         assert compare(m1, m2) == deglex_oracle(m1, m2)
 
+    @given(monomials3, monomials3)
+    def test_engine_leading_is_the_minimum(self, m1, m2):
+        # The engine sorts on the same key inline, on bare exponent tuples.
+        assert TruncatedSeries(3, {m1: 1, m2: 1}).leading()[0] == min(m1, m2, key=deglex_key)
+
 
 class TestTrustedConstructor:
     @given(monomials3)
@@ -104,7 +108,7 @@ class TestTrustedConstructor:
         # step's quotient, must pass the public constructor's checks all
         # the same.
         f, g = TruncatedSeries(3, {m1: 1}), TruncatedSeries(3, {m2: 1})
-        boxed = [*f.multiply(g).support, f.multiply(g).leading()[0]]
+        boxed = [*support(f.multiply(g)), f.multiply(g).leading()[0]]
         if monomial_quotient(m1, m2) is not None:
             boxed.append(reduce_step(g, RuleSet([f]), m2, 1)[1].quotient)
         for r in boxed:

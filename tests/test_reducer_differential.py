@@ -38,7 +38,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import naive_reduction as naive
-from helpers import monomial_product, monomials_of_degree, random_instance
+from helpers import deglex_key, monomial_product, monomials_of_degree, random_instance, support
 from psrewrite import (
     DimensionMismatchError,
     Member,
@@ -53,7 +53,6 @@ from psrewrite import (
     cofactors,
     confluence_probe,
     congruence_test,
-    deglex_key,
     falsify_standard_basis,
     multiple_to_zero_chain,
     normalize,
@@ -567,7 +566,7 @@ def step_pool(f, rules):
     """Monomials to reduce at: f's support, the leading monomials and their
     multiples by one variable (mostly absent from f), and every monomial of
     degree 1 and 2 (some not divisible)."""
-    pool = set(f.support)
+    pool = set(support(f))
     for rule in rules.rules:
         for d in range(2):
             pool.update(monomial_product(rule.leading_monomial, m)

@@ -17,11 +17,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import naive_reduction as naive
-from helpers import monomials_of_degree, random_instance, random_polynomial
+from helpers import deglex_key, monomials_of_degree, random_instance, random_polynomial
 from psrewrite import (
     RuleSet,
     TruncatedSeries,
-    deglex_key,
     falsify_standard_basis,
     format_series,
     parse_rules,
