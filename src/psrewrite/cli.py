@@ -41,8 +41,10 @@ from .textio import (
 )
 
 Rows = Iterator[tuple[str, object]]  # (key, value) report rows
-_MAX_VARS = 1000        # every exponent tuple of a run holds one int per variable
-_MAX_STRATEGIES = 100   # `probe` prints one row per pair of strategies
+_MAX_VARS = 1000   # every exponent tuple of a run holds one int per variable
+# The most an int option may take: `check-sb` runs up to one reduction per
+# trial, and `probe` prints one row per pair of strategies.
+_MOST = {"trials": 10_000, "strategies": 100}
 
 
 @dataclass(frozen=True)  # checked once, in __post_init__
@@ -163,7 +165,6 @@ def _delta(cfg: SessionConfig, args: dict) -> Rows:
 
 
 def _check_sb(cfg: SessionConfig, args: dict) -> Rows:
-    require_int(args["trials"], "--trials", 1)
     cert = falsify_standard_basis(_load_rules(cfg), cfg.precision, trials=args["trials"],
                                   seed=_require_seed(cfg))
     yield "certificate", "none" if cert is None else "found"
@@ -177,9 +178,6 @@ def _check_sb(cfg: SessionConfig, args: dict) -> Rows:
 
 
 def _probe(cfg: SessionConfig, args: dict) -> Rows:
-    require_int(args["strategies"], "--strategies", 1)
-    if args["strategies"] > _MAX_STRATEGIES:
-        raise RewritingError(f"--strategies must be <= {_MAX_STRATEGIES}")
     rules = _load_rules(cfg)
     seed = _require_seed(cfg)
     seeds = [seed + t for t in range(args["strategies"])]
@@ -221,8 +219,9 @@ _KINDS = {str: "a string", int: "an integer", bool: "true or false"}
 
 def _checked(command: str, dest: str, flags: tuple[str, ...], kwargs: dict, args: dict):
     """args[dest], or the default, if it has the type its spec gives argparse
-    and is one of its choices.  A missing positional is an error; an option
-    left out (None where the default is None) passes."""
+    and is one of its choices, and an int lies in 1.._MOST[dest].  A missing
+    positional is an error; an option left out (None where the default is
+    None) passes."""
     option = flags[0].startswith("-")
     if not option and dest not in args:
         raise RewritingError(f"{command} needs <{dest}>")
@@ -234,6 +233,10 @@ def _checked(command: str, dest: str, flags: tuple[str, ...], kwargs: dict, args
         raise RewritingError(f"{flags[0] if option else f'<{dest}>'} must be {_KINDS[kind]}")
     if value not in kwargs.get("choices", (value,)):
         raise RewritingError(f"unknown {command} {dest} {value!r}")
+    if kind is int:
+        require_int(value, flags[0], 1)
+        if value > _MOST[dest]:
+            raise RewritingError(f"{flags[0]} must be <= {_MOST[dest]}")
     return value
 
 

@@ -24,7 +24,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -489,7 +489,6 @@ def reduce_step(f: TruncatedSeries, rules: RuleSet, M: Monomial,
     compiled = _compile(rules)
     rules.rule(i)   # the index checks
     require_type(f, TruncatedSeries, "series")
-    require_type(M, Monomial, "monomial")
     if not f.coefficient(M):
         raise NotReducibleError(f"monomial {M} not in the known support")
     r = _Reducer(compiled, f)
@@ -672,41 +671,38 @@ def falsify_standard_basis(rules: RuleSet, precision: int, trials: int,
     require_int(precision, "target precision", 0)
     require_int(seed, "seed")
     compiled = _compile(rules)
-    n = rules.n
-
-    def check(qs: list[dict[tuple[int, ...], _Q]], phase: str, trial: int
-              ) -> Optional[StandardBasisCounterexample]:
+    for phase, trial, qs in _draws(compiled, precision, trials, seed):
         combination = _combine(compiled, qs)
         try:
             end = _run(compiled, combination, precision)[1]
         except PrecisionUnattainableError:
-            return None  # rule truncations make this combination untestable
+            continue  # rule truncations make this combination untestable
         residual = end.truncate(precision)
-        if residual.known_zero():
-            return None
-        return StandardBasisCounterexample(phase, trial, tuple(_series(n, q) for q in qs),
-                                           combination, residual)
+        if not residual.known_zero():
+            return StandardBasisCounterexample(phase, trial, tuple(_series(rules.n, q) for q in qs),
+                                               combination, residual)
+    return None
 
+
+def _draws(compiled: _Compiled, precision: int, trials: int, seed: int
+           ) -> Iterator[tuple[str, int, list[dict[tuple[int, ...], _Q]]]]:
+    """(phase, trial, cofactor lists) in the falsifier's order, each trial
+    counted from 1 within its phase: every rule pair's lcm cofactors, then,
+    only when some body is known below `precision` only, `trials` draws from
+    `random.Random(seed)`, each made when the caller asks for it."""
     table = compiled.table
     for trial, (a, b) in enumerate(combinations(range(len(table)), 2), 1):
         lcm = tuple(map(max, table[a][0], table[b][0]))
         qs = [{} for _ in table]
         for k, sign in ((a, 1), (b, -1)):
             qs[k] = {tuple(map(operator.sub, lcm, table[k][0])): _div(sign, table[k][2])}
-        found = check(qs, "pairwise", trial)
-        if found is not None:
-            return found
-    if all(rule.body.precision is None or rule.body.precision >= precision
-           for rule in rules.rules):
-        return None
-
+        yield "pairwise", trial, qs
+    if all(p is None or p >= precision for *_, p in table):
+        return
     rng = random.Random(seed)
-    for t in range(1, trials + 1):
-        qs = [_random_cofactor(rng, n) for _ in rules.rules]
-        found = check(qs, "random", t)
-        if found is not None:
-            return found
-    return None
+    n = compiled.rules.n
+    for trial in range(1, trials + 1):
+        yield "random", trial, [_random_cofactor(rng, n) for _ in table]
 
 
 def _random_cofactor(rng: random.Random, n: int) -> dict[tuple[int, ...], _Q]:
@@ -817,14 +813,12 @@ def attractivity_check(f: TruncatedSeries, rules: RuleSet,
     rng = random.Random(seed)
     r = _Reducer(compiled, f)
     dists = [delta(f, alpha)[0]]
-    taken = 0
     for k in range(1, steps + 1):
         if not r.pending:
             break
         key = rng.choice(r.pending)
         r.step(key, rng.choice(r.dividing(key[1])))
-        taken = k
         dists.append(delta(r.series(), alpha)[0])
         if dists[-1] > dists[-2]:
-            return AttractivityReport(False, taken, tuple(dists), k)
-    return AttractivityReport(True, taken, tuple(dists), None)
+            return AttractivityReport(False, k, tuple(dists), k)
+    return AttractivityReport(True, len(dists) - 1, tuple(dists), None)

@@ -160,8 +160,7 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, n: int) -> TruncatedSeries:
-        require_int(n, "variable count", 1)
-        return cls._from_clean(n, {}, None)
+        return cls(n, {})
 
     # -- inspection ------------------------------------------------------
 
@@ -172,9 +171,8 @@ class TruncatedSeries:
 
     def items(self) -> list[tuple[Monomial, Fraction]]:
         """The stored terms as (Monomial, Fraction) pairs, built on each call."""
-        trusted = Monomial._trusted   # `_fraction` inlined: it is the hot read
-        return [(trusted(e), Fraction(c) if type(c) is int else Fraction(*c))
-                for e, c in self._terms.items()]
+        trusted = Monomial._trusted   # each read of a classmethod builds a bound method
+        return [(trusted(e), _fraction(c)) for e, c in self._terms.items()]
 
     def known_zero(self) -> bool:
         """True when the stored polynomial part is zero."""

@@ -22,6 +22,15 @@ def one_variable_rule(tmp_path):
 
 
 @pytest.fixture
+def truncated_rule(tmp_path):
+    # At --vars 1 --prec 4 every random trial is untestable: the rule is
+    # known below degree 3 only, so check-sb runs all its trials.
+    path = tmp_path / "truncated.txt"
+    path.write_text("x1 - x1^2 + O(3)\n")
+    return str(path)
+
+
+@pytest.fixture
 def probe_rules(tmp_path):
     path = tmp_path / "probe.txt"
     path.write_text("x1 - x2^2\nx2 + x1^3\n")
@@ -91,7 +100,7 @@ class TestRunCommand:
 
     def test_check_sb_requires_seed(self, pair_rules):
         status, text = run_command(kv(rules=pair_rules), "check-sb", {"trials": 10})
-        assert status == 1 and "seed" in text
+        assert (status, text) == (1, "error: randomized commands need an explicit --seed\n")
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_check_sb_rejects_trials_below_one(self, trials):
@@ -99,6 +108,15 @@ class TestRunCommand:
         status, text = run_command(kv(rules="missing.txt", seed=0), "check-sb",
                                    {"trials": trials})
         assert (status, text) == (1, "error: --trials must be >= 1\n")
+
+    def test_check_sb_takes_at_most_10000_trials(self, truncated_rule):
+        cfg = kv(n=1, seed=1, rules=truncated_rule)
+        status, text = run_command(cfg, "check-sb", {"trials": 10_000})
+        assert (status, text) == (0, "command=check-sb\ncertificate=none\n")
+        # checked before the rule file, which here does not exist
+        status, text = run_command(kv(rules="missing.txt", seed=0), "check-sb",
+                                   {"trials": 10_001})
+        assert (status, text) == (1, "error: --trials must be <= 10000\n")
 
     @pytest.mark.parametrize("strategies", [0, -1])
     def test_probe_rejects_strategies_below_one(self, strategies):
@@ -150,7 +168,7 @@ class TestRunCommand:
 
     def test_missing_rules(self):
         status, text = run_command(kv(), "nf", {"series": "x1"})
-        assert status == 1 and "--rules" in text
+        assert (status, text) == (1, "error: this command needs --rules <path>\n")
 
     def test_unknown_command(self):
         status, text = run_command(kv(), "frobnicate", {})
@@ -410,12 +428,12 @@ class TestArsCommands:
 
     def test_missing_flags_are_diagnosed(self, tmp_path):
         status, text = run_command(kv(), "ars", {"action": "check"})
-        assert status == 1 and "--system" in text
+        assert (status, text) == (1, "error: ars commands need --system <path>\n")
         path = tmp_path / "sys.txt"
         path.write_text("n=1\n")
         status, text = run_command(kv(), "ars",
                                    {"action": "valleys", "system": str(path)})
-        assert status == 1 and "--conversion" in text
+        assert (status, text) == (1, "error: ars valleys needs --conversion <text>\n")
 
     @pytest.mark.parametrize("readable", [True, False], ids=["readable", "nonexistent"])
     def test_unknown_action_is_reported_before_the_file_is_read(self, tmp_path, readable):
@@ -516,6 +534,30 @@ class TestMain:
                      "probe", "x1 + x2", "--strategies", "101"]) == 1
         out = capsys.readouterr()
         assert out.out == "" and out.err == "error: --strategies must be <= 100\n"
+
+    def test_trial_count_limit(self, truncated_rule, capsys):
+        argv = ["--vars", "1", "--prec", "4", "--seed", "1", "--rules", truncated_rule,
+                "--report", "kv", "check-sb", "--trials"]
+        assert main([*argv, "10000"]) == 0
+        assert capsys.readouterr().out == "command=check-sb\ncertificate=none\n"
+        assert main([*argv, "10001"]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "error: --trials must be <= 10000\n"
+
+    @pytest.mark.parametrize("argv, line", [
+        (["--rules", "{rules}", "check-sb"],
+         "error: randomized commands need an explicit --seed"),
+        (["nf", "x1"], "error: this command needs --rules <path>"),
+        (["ars", "valleys", "--system", "{system}"],
+         "error: ars valleys needs --conversion <text>"),
+    ])
+    def test_requirement_errors(self, tmp_path, pair_rules, argv, line, capsys):
+        system = tmp_path / "sys.txt"
+        system.write_text("n=1\n")
+        argv = [a.format(rules=pair_rules, system=system) for a in argv]
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == line + "\n"
 
     def test_plain_report(self, geometric_rules, capsys):
         code = main(["--prec", "5", "--rules", geometric_rules, "nf", "x2"])
