@@ -2,9 +2,7 @@
 
 Over a finite carrier with the discrete topology, "rewrites arbitrarily
 close to" collapses to plain many-step reduction, so every normal-form
-and confluence property is a reachability question.  All of them are
-decided from the strongly connected components (SCCs) of the one-step
-relation, with a bottom SCC being one that no edge leaves:
+and confluence property is a reachability question:
 
 - normalising: every element reaches a normal form;
 - unique normal forms reached: every element reaches at most one;
@@ -12,12 +10,21 @@ relation, with a bottom SCC being one that no edge leaves:
   symmetric closure holds at most one normal form;
 - normal-form property: that, and every element whose component holds a
   normal form reaches it;
-- confluent: every element reaches exactly one bottom SCC.
+- confluent: every element reaches exactly one bottom SCC, a strongly
+  connected component that no edge leaves.
 
-A normal form is a bottom SCC of one element with no self-loop.  This
-module is the testbed for those properties: compute them on a finite
-one-step relation, and run the valley-elimination procedure that turns an
-arbitrary conversion between normal forms into a single-peak one.
+A system keeps its relation as one ascending list of distinct edges
+between positions.  One backward sweep from the normal forms over that
+list tells, per position, whether it reaches none, one or many normal
+forms.  A position found to reach two is not queued again: that already
+fails unique normal forms, and past it only "none" is read.  The sweep
+decides the first four flags, and confluence too when the system is
+normalising, since its bottom SCCs are then its normal forms.
+Otherwise the positions that reach no normal form are closed under
+successors, and Tarjan's algorithm finds the bottom SCCs among them
+alone.  This module is the testbed for those properties: compute them on
+a finite one-step relation, and run the valley-elimination procedure that
+turns an arbitrary conversion between normal forms into a single-peak one.
 """
 
 from __future__ import annotations
@@ -37,12 +44,16 @@ BACKWARD = "backward"
 @dataclass(frozen=True, init=False, repr=False)
 class FiniteARS:
     """Elements 0..size-1 with a one-step relation given by edge pairs from any
-    iterable, kept as the adjacency every analysis reads: `labels`, the ascending
-    elements in an edge, and `succ`, the ascending successor positions of each."""
+    iterable.  The elements in an edge are relabelled to positions in the
+    ascending order of `labels`, and the distinct edges are kept as one
+    ascending list of position pairs in two tuples: edge i leads from
+    `tails[i]` to `heads[i]`, so a position's ascending successors are one
+    slice of `heads`."""
 
     size: int
     labels: tuple[int, ...]
-    succ: tuple[tuple[int, ...], ...]
+    tails: tuple[int, ...]
+    heads: tuple[int, ...]
 
     def __init__(self, size: int, edges: Iterable[tuple[int, int]]):
         require_int(size, "size", 0)
@@ -67,19 +78,19 @@ class FiniteARS:
     def _build(self, size: int, edges: Sequence[tuple[int, int]]) -> None:
         labels = sorted(set(chain.from_iterable(edges)))
         pos = dict(zip(labels, range(len(labels))))
-        succ: list[list[int]] = [[] for _ in labels]
-        for a, b in set(edges):
-            succ[pos[a]].append(pos[b])
-        for targets in succ:
-            targets.sort()
+        # Positions ascend with labels, so ascending label pairs are
+        # ascending position pairs.
+        pairs = sorted(set(edges))
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "labels", tuple(labels))
-        object.__setattr__(self, "succ", tuple(map(tuple, succ)))
+        object.__setattr__(self, "tails", tuple([pos[a] for a, _b in pairs]))
+        object.__setattr__(self, "heads", tuple([pos[b] for _a, b in pairs]))
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
         """The distinct (a, b) pairs, built on each read."""
-        return frozenset((self.labels[x], self.labels[y]) for x, t in enumerate(self.succ) for y in t)
+        label = self.labels.__getitem__
+        return frozenset(zip(map(label, self.tails), map(label, self.heads)))
 
     def __repr__(self) -> str:
         return f"FiniteARS(size={self.size!r}, edges={self.edges!r})"
@@ -91,9 +102,17 @@ def _position(labels: Sequence[int], a: int) -> int:
     return i if i < len(labels) and labels[i] == a else -1
 
 
+def _successors(sys: FiniteARS, x: int) -> tuple[int, ...]:
+    """The ascending successor positions of position x: the slice of `heads`
+    that bisection finds in `tails`."""
+    tails = sys.tails
+    i = bisect_left(tails, x)
+    return sys.heads[i:bisect_left(tails, x + 1, i)]
+
+
 def normal_forms(sys: FiniteARS) -> set[int]:
     require_type(sys, FiniteARS, "system")
-    out = {a for a, targets in zip(sys.labels, sys.succ) if targets}
+    out = set(map(sys.labels.__getitem__, sys.tails))
     return {a for a in range(sys.size) if a not in out}
 
 
@@ -111,23 +130,62 @@ class SystemProperties:
 _MANY = -1
 
 
-def _reach(succ: Sequence[Sequence[int]]) -> tuple[list[Optional[int]], list[Optional[int]]]:
-    """Per position, the normal forms and the bottom SCCs (SCCs no edge
-    leaves) it reaches, as reach summaries, by one iterative Tarjan pass.
+def _nf_reached(sys: FiniteARS) -> list[Optional[int]]:
+    """Per position, the normal forms it reaches as a reach summary, by one
+    backward sweep from the normal forms, the positions that are no tail.
 
-    SCCs close sinks first, so each merges the summaries at its edges'
-    ends, which are still None inside it.  A normal form is a bottom SCC
-    of one element with no self-loop.
+    Each position takes the first normal form that reaches it and is queued
+    once.  A second, different one marks it _MANY without queueing it again,
+    so its predecessors may keep one normal form where they reach two.  That
+    one _MANY already fails unique normal forms, and past it the flags read
+    only whether a summary is None, which the sweep decides exactly: every
+    position a normal form reaches backward is queued.  A normal form's
+    summary is itself, and no other position's is.
     """
-    k = len(succ)
+    tails = sys.tails
+    k = len(sys.labels)
+    pred: list[list[int]] = [[] for _ in range(k)]
+    for a, b in zip(tails, sys.heads):
+        pred[b].append(a)
+    nf: list[Optional[int]] = [None] * k
+    queue = list(set(range(k)).difference(tails))
+    for x in queue:
+        nf[x] = x
+    for x in queue:
+        s = nf[x]
+        for a in pred[x]:
+            t = nf[a]
+            if t is None:
+                nf[a] = s
+                queue.append(a)
+            elif t != s:
+                nf[a] = _MANY
+    return nf
+
+
+def _one_bottom_each(sys: FiniteARS, nf: Sequence[Optional[int]]) -> bool:
+    """Whether every position that reaches no normal form reaches exactly one
+    bottom SCC, by an iterative Tarjan pass over those positions alone
+    (Tarjan, "Depth-first search and linear graph algorithms", SIAM J.
+    Comput. 1972).  They are closed under successors, so their successor
+    lists, built here, are the whole relation on them.
+
+    SCCs close sinks first, so each merges the bottom summaries at its
+    edges' ends, which are still None inside it; the pass stops at the
+    first SCC that reaches two.
+    """
+    k = len(nf)
+    succ: list[list[int]] = [[] for _ in range(k)]
+    for a, b in zip(sys.tails, sys.heads):
+        if nf[a] is None:
+            succ[a].append(b)
     index = [-1] * k
     low = [0] * k
-    nf: list[Optional[int]] = [None] * k
     bottom: list[Optional[int]] = [None] * k
     stack: list[int] = []
     number = count()
     for root in range(k):
-        if index[root] >= 0:
+        if nf[root] is not None or index[root] >= 0:
             continue
         index[root] = low[root] = next(number)
         stack.append(root)
@@ -156,27 +214,23 @@ def _reach(succ: Sequence[Sequence[int]]) -> tuple[list[Optional[int]], list[Opt
                         top -= 1
                     members = stack[top:]
                     del stack[top:]
-                reached_nf = reached_bottom = None
+                reached = None
                 for x in members:
                     # A closed position's index may lower no later low link.
                     index[x] = k
                     for w in succ[x]:
-                        s = nf[w]
-                        if s is not None and s != reached_nf:
-                            reached_nf = s if reached_nf is None else _MANY
                         s = bottom[w]
-                        if s is not None and s != reached_bottom:
-                            reached_bottom = s if reached_bottom is None else _MANY
+                        if s is not None and s != reached:
+                            if reached is not None:
+                                return False
+                            reached = s
                 # Every SCC reaches a bottom SCC, so none was inherited
                 # exactly when no edge leaves this one.
-                if reached_bottom is None:
-                    reached_bottom = v
-                    if not succ[v]:
-                        reached_nf = v
+                if reached is None:
+                    reached = v
                 for x in members:
-                    nf[x] = reached_nf
-                    bottom[x] = reached_bottom
-    return nf, bottom
+                    bottom[x] = reached
+    return True
 
 
 def check_properties(sys: FiniteARS) -> SystemProperties:
@@ -188,36 +242,38 @@ def check_properties(sys: FiniteARS) -> SystemProperties:
     which is exact under the discrete topology.
     """
     require_type(sys, FiniteARS, "system")
-    succ = sys.succ
-    nf, bottom = _reach(succ)
+    nf = _nf_reached(sys)
     normalising, unique_nf_reached = None not in nf, _MANY not in nf
     # Two normal forms reached from one element share its component.  If
     # every element reaches exactly one, both ends of an edge reach the same
-    # one, so their component holds no other.  Only the rest needs components.
-    unique_nf_property = nf_property = unique_nf_reached
+    # one, so their component holds no other, and the bottom SCCs are the
+    # normal forms.  Only the rest needs components and bottom SCCs.
+    unique_nf_property = nf_property = confluent = unique_nf_reached
     if unique_nf_reached and not normalising:
         # Union-find with path halving, its finds inline: no call per edge.
-        parent = list(range(len(succ)))
-        for x, targets in enumerate(succ):
-            for b in targets:
-                a = x
-                while parent[a] != a:
-                    parent[a] = a = parent[parent[a]]
-                while parent[b] != b:
-                    parent[b] = b = parent[parent[b]]
-                parent[a] = b
-        for x in range(len(succ)):
+        parent = list(range(len(nf)))
+        for a, b in zip(sys.tails, sys.heads):
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            parent[a] = b
+        for x in range(len(nf)):
             while parent[parent[x]] != parent[x]:
                 parent[x] = parent[parent[x]]
-        roots = [parent[x] for x, targets in enumerate(succ) if not targets]
+        roots = [parent[x] for x, s in enumerate(nf) if s == x]
         with_nf = set(roots)
         unique_nf_property = len(with_nf) == len(roots)
         nf_property = unique_nf_property and all(
             s is not None or parent[x] not in with_nf for x, s in enumerate(nf))
+        # An element that reaches a normal form reaches no other bottom SCC
+        # exactly when no edge leads from such an element into the rest.
+        confluent = all(nf[a] is None or nf[b] is not None
+                        for a, b in zip(sys.tails, sys.heads)) and _one_bottom_each(sys, nf)
     return SystemProperties(
         normalising=normalising, nf_property=nf_property,
         unique_nf_property=unique_nf_property, unique_nf_reached=unique_nf_reached,
-        confluent=_MANY not in bottom)
+        confluent=confluent)
 
 
 @dataclass(frozen=True)
@@ -261,27 +317,29 @@ def validate_conversion(sys: FiniteARS, conv: Conversion) -> None:
     for e in elements:
         if not 0 <= e < sys.size:
             raise ValueError(f"element {e} outside 0..{sys.size - 1}")
-    for prev, (e, d) in zip(elements, conv.steps):
-        a, b = (prev, e) if d == FORWARD else (e, prev)
-        x = _position(sys.labels, a)
-        if x < 0 or _position(sys.labels, b) not in sys.succ[x]:
-            raise InvalidConversionError(f"missing edge {a} -> {b}")
+    where = [_position(sys.labels, e) for e in elements]
+    for k, (_e, d) in enumerate(conv.steps):
+        a, b = (k, k + 1) if d == FORWARD else (k + 1, k)
+        if where[a] < 0 or where[b] not in _successors(sys, where[a]):
+            raise InvalidConversionError(f"missing edge {elements[a]} -> {elements[b]}")
 
 
-def _path_to_normal_form(labels: Sequence[int], succ: Sequence[Sequence[int]], i: int) -> list[int]:
+def _path_to_normal_form(sys: FiniteARS, i: int) -> list[int]:
     """A shortest reduction path from position i, which reaches some normal
     form, to one, as labels (BFS with ascending successors, so deterministic)."""
-    parent = [-1] * len(succ)
+    labels = sys.labels
+    parent = [-1] * len(labels)
     parent[i] = i
     queue = [i]
     for x in queue:
-        if not succ[x]:
+        succ = _successors(sys, x)
+        if not succ:
             path = [labels[x]]
             while x != i:
                 x = parent[x]
                 path.append(labels[x])
             return path[::-1]
-        for y in succ[x]:
+        for y in succ:
             if parent[y] < 0:
                 parent[y] = x
                 queue.append(y)
@@ -303,18 +361,19 @@ def eliminate_valleys(sys: FiniteARS, conv: Conversion) -> Conversion:
     """
     require_type(sys, FiniteARS, "system")
     require_type(conv, Conversion, "conversion")
-    nf, _bottom = _reach(sys.succ)
+    nf = _nf_reached(sys)
     if None in nf or _MANY in nf:
         raise PreconditionFailedError(
             "system must be normalising with unique normal forms reached")
     validate_conversion(sys, conv)
-    if any((i := _position(sys.labels, a)) >= 0 and sys.succ[i] for a in (conv.start, conv.end)):
+    if any((i := _position(sys.labels, a)) >= 0 and _successors(sys, i)
+           for a in (conv.start, conv.end)):
         raise PreconditionFailedError("conversion endpoints must be normal forms")
 
     valleys = conv.valley_indices()
     if valleys:
         v = valleys[0]
-        path = _path_to_normal_form(sys.labels, sys.succ, _position(sys.labels, conv.steps[v - 1][0]))
+        path = _path_to_normal_form(sys, _position(sys.labels, conv.steps[v - 1][0]))
         if path[-1] != conv.end:
             raise InvariantViolationError("unique normal forms force the same endpoint")
         conv = Conversion(conv.start, conv.steps[:v] + tuple((e, FORWARD) for e in path[1:]))

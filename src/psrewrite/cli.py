@@ -197,7 +197,7 @@ def _ars(cfg: SessionConfig, args: dict) -> Rows:
     if args["action"] == "check":
         props = ars_mod.check_properties(system)
         yield "size", system.size
-        yield "edges", sum(map(len, system.succ))
+        yield "edges", len(system.tails)
         for field in fields(props):
             yield field.name, _bool(getattr(props, field.name))
     else:

@@ -19,6 +19,7 @@ from psrewrite import (
     normal_forms,
     validate_conversion,
 )
+from psrewrite import ars
 from psrewrite.cli import SessionConfig, run_command
 
 
@@ -601,7 +602,8 @@ def edge_inputs(draw):
 
 
 class TestStoredAdjacency:
-    # A system keeps `labels` and `succ`; `edges` is built from them on each read.
+    # A system keeps `labels` and the edge list `tails`/`heads`; `edges` is
+    # built from them on each read.
     @settings(max_examples=200, deadline=None)
     @given(edge_inputs(), edge_inputs(), st.sampled_from([list, tuple, iter, frozenset]),
            st.randoms(use_true_random=False))
@@ -620,6 +622,28 @@ class TestStoredAdjacency:
             assert copied == sys and hash(copied) == hash(sys) and copied.edges == sys.edges
         assert repr(sys).startswith("FiniteARS(size=")
         assert eval(repr(sys), {"FiniteARS": FiniteARS}) == sys
+
+    @settings(max_examples=200, deadline=None)
+    @given(edge_inputs(), st.randoms(use_true_random=False))
+    def test_edges_are_one_ascending_list_of_distinct_position_pairs(self, case, rng):
+        size, edges = case
+        repeated = edges + edges[: len(edges) // 2]
+        rng.shuffle(repeated)
+        sys = FiniteARS(size, repeated)
+        pairs = list(zip(sys.tails, sys.heads))
+        assert all(p < q for p, q in zip(pairs, pairs[1:]))
+        assert len(sys.tails) == len(sys.heads) == len(sys.edges) == len(set(edges))
+        assert {(sys.labels[x], sys.labels[y]) for x, y in pairs} == set(edges)
+
+    def test_cli_edges_row_counts_the_edge_list(self, tmp_path):
+        # A repeated edge and an element, 4, in no edge.
+        path = tmp_path / "sys.txt"
+        path.write_text("n=5\n1 -> 0\n1 -> 2\n3 -> 2\n3 -> 0\n2 -> 0\n1 -> 0\n")
+        status, out = run_command(SessionConfig(report="kv"), "ars",
+                                  {"action": "check", "system": str(path)})
+        sys = FiniteARS(5, [(1, 0), (1, 2), (3, 2), (3, 0), (2, 0), (1, 0)])
+        assert status == 0 and len(sys.tails) == len(sys.edges) == 5
+        assert f"\nedges={len(sys.tails)}\n" in out
 
     def test_huge_carrier_is_built_and_checked_at_once(self):
         sys = FiniteARS(10 ** 12, [(0, 1)])
@@ -677,3 +701,77 @@ class TestAnalysesReadTheAdjacency:
         with edges_never_read():
             assert [run_command(SessionConfig(report="kv"), "ars", r)
                     for r in requests] == expected
+
+
+def tarjan_pass(**kwargs):
+    """`ars._one_bottom_each`, the Tarjan pass over the elements that reach
+    no normal form, patched: to raise with `side_effect`, or with
+    `wraps=ars._one_bottom_each` to count its calls."""
+    return mock.patch.object(ars, "_one_bottom_each", **kwargs)
+
+
+def needs_tarjan(sys):
+    """Whether confluence is left open by the backward sweep: some element
+    reaches no normal form, none reaches two, and no edge leads from an
+    element that reaches one to an element that does not."""
+    nfs = normal_forms(sys)
+    reach = {a: naive_reach(sys, a) & nfs for a in range(sys.size)}
+    return (not all(reach.values()) and all(len(r) <= 1 for r in reach.values())
+            and all(reach[b] or not reach[a] for a, b in sys.edges))
+
+
+class TestTarjanRunsOnlyWhereNoNormalFormIsReached:
+    # The backward sweep decides every flag of a normalising system; only the
+    # elements that reach no normal form need bottom SCCs.
+    RAISES = AssertionError("the Tarjan pass ran")
+
+    @settings(max_examples=200, deadline=None)
+    @given(labelled_systems())
+    def test_check_properties(self, systems):
+        compact, relabelled = systems
+        expected = naive_props(compact)
+        for sys in (compact, relabelled):
+            if expected["normalising"]:
+                with tarjan_pass(side_effect=self.RAISES):
+                    assert vars(check_properties(sys)) == expected
+            else:
+                with tarjan_pass(wraps=ars._one_bottom_each) as spy:
+                    assert vars(check_properties(sys)) == expected
+                assert spy.called == needs_tarjan(compact)
+
+    def test_mid_sized_systems(self):
+        rng = random.Random(20)
+        normalising, answers = 0, set()
+        for _ in range(200):
+            sys = mid_sized_system(rng)
+            expected = bfs_props(sys)
+            if expected["normalising"]:
+                normalising += 1
+                with tarjan_pass(side_effect=self.RAISES):
+                    assert vars(check_properties(sys)) == expected
+            else:
+                with tarjan_pass(wraps=ars._one_bottom_each) as spy:
+                    assert vars(check_properties(sys)) == expected
+                assert spy.called == needs_tarjan(sys)
+                if spy.called:
+                    answers.add(expected["confluent"])
+        # Both sides of the split, and both answers of the pass, are seen.
+        assert normalising and answers == {True, False}
+
+    @settings(max_examples=100, deadline=None)
+    @given(basin_conversions())
+    def test_eliminate_valleys(self, case):
+        sys, conv = case
+        expected = naive_eliminate_valleys(sys, conv)
+        with tarjan_pass(side_effect=self.RAISES):
+            assert eliminate_valleys(sys, conv) == expected
+
+    @pytest.mark.parametrize("edges, confluent", [
+        ([(0, 1), (2, 3), (3, 2)], True),
+        ([(0, 1), (2, 3), (3, 2), (2, 2), (1, 1)], True),
+        ([(0, 1), (1, 1), (2, 2), (3, 2), (3, 1)], False),
+    ], ids=["one-cycle", "two-separate-loops", "two-loops-below-one"])
+    def test_the_pass_decides_confluence(self, edges, confluent):
+        with tarjan_pass(wraps=ars._one_bottom_each) as spy:
+            props = check_properties(FiniteARS(4, edges))
+        assert spy.called and not props.normalising and props.confluent == confluent
