@@ -666,6 +666,29 @@ def falsify_standard_basis(rules: RuleSet, precision: int, trials: int,
     leading monomials and m^p), so no combination can be a counterexample
     and the random phase is skipped.  It runs only when some rule is known
     below p only; there a None is inconclusive.
+
+    When moreover no two leading monomials share a variable, the pairs are
+    skipped too and the None comes at once (Buchberger's product criterion;
+    Becker, JPAA 1990, for power series).  The textbook proof needs a
+    global order, so here is one for this local order, where LM is the
+    least monomial in deglex.  Complete each body known to p to any series
+    s_i of Q[[x]]: combinations and steps read only the terms below p.
+    For a nonzero f = sum h_i s_i take the representation whose delta =
+    min_i LM(h_i s_i) is largest; delta <= LM(f) and only finitely many
+    monomials lie below LM(f), so a largest one exists.  If delta < LM(f),
+    the terms at delta cancel: the leading terms of the h_i with
+    LM(h_i s_i) = delta form a syzygy of the leading terms of the s_i.  It
+    is a sum of pairwise syzygies, and for coprime LM_i, LM_j each is
+    m * (LT(s_j) e_i - LT(s_i) e_j) with m a monomial, the lowest part of
+    the Koszul syzygy m * (s_j e_i - s_i e_j).  Subtracting those lifts
+    keeps f and leaves every h_i s_i with its least monomial above delta,
+    a contradiction.  So some LM_i divides LM(f): the rules are a standard
+    basis, every series of I + m^p with a term below p has a reducible
+    least term, and every combination reduces to 0 below p.  The test
+    covers the whole set only.  Skipping one coprime pair of a set that is
+    not pairwise coprime can skip the certificate, as
+    `tests/test_reducer_differential.py::test_a_pair_with_coprime_leading_monomials_can_be_the_certificate`
+    pins, while a pairwise-coprime set has no certificate to skip.
     """
     require_int(trials, "trials", 1)
     require_int(precision, "target precision", 0)
@@ -689,15 +712,24 @@ def _draws(compiled: _Compiled, precision: int, trials: int, seed: int
     """(phase, trial, cofactor lists) in the falsifier's order, each trial
     counted from 1 within its phase: every rule pair's lcm cofactors, then,
     only when some body is known below `precision` only, `trials` draws from
-    `random.Random(seed)`, each made when the caller asks for it."""
+    `random.Random(seed)`, each made when the caller asks for it.
+
+    Nothing at all when every body is exact or known to `precision` and no
+    two leading monomials share a variable: by Buchberger's product
+    criterion, proved for this local order in `falsify_standard_basis`,
+    such rules are a standard basis below `precision`, so no draw can be a
+    certificate.  The test is on the whole set only, never pair by pair."""
     table = compiled.table
+    settled = all(p is None or p >= precision for *_, p in table)
+    if settled and all(sum(map(bool, column)) < 2 for column in zip(*(lm for lm, *_ in table))):
+        return
     for trial, (a, b) in enumerate(combinations(range(len(table)), 2), 1):
         lcm = tuple(map(max, table[a][0], table[b][0]))
         qs = [{} for _ in table]
         for k, sign in ((a, 1), (b, -1)):
             qs[k] = {tuple(map(operator.sub, lcm, table[k][0])): _div(sign, table[k][2])}
         yield "pairwise", trial, qs
-    if all(p is None or p >= precision for *_, p in table):
+    if settled:
         return
     rng = random.Random(seed)
     n = compiled.rules.n

@@ -474,9 +474,11 @@ def test_random_phase_matches_oracle(instance, seed):
 
 
 def test_a_pair_with_coprime_leading_monomials_can_be_the_certificate():
-    # Rules 1 and 3 lead with x1^2 and x2*x3: Buchberger's product
-    # criterion would skip their pair, trial 2, yet on these non-standard
-    # rules its combination keeps a nonzero normal form below 8.
+    # Rules 1 and 3 lead with x1^2 and x2*x3: the per-pair form of
+    # Buchberger's product criterion would skip their pair, trial 2, yet on
+    # these non-standard rules its combination keeps a nonzero normal form
+    # below 8.  The falsifier uses the criterion only on a whole set whose
+    # leading monomials are pairwise coprime, which this one is not.
     rules = parse_rules("x1^2 + x1^2*x2 - 2*x1*x2^3\n3*x1*x3 + x1*x2^2 + 2*x2*x3^3\n"
                         "x2*x3 - 2*x2*x3^2 - 3*x2^3*x3\n", 3)
     a, b = (rules.rule(i).leading_monomial.exponents for i in (1, 3))

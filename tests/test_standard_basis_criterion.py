@@ -12,6 +12,7 @@ still give what the always-random falsifier in `naive_reduction` gives.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,6 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 import naive_reduction as naive
 from helpers import deglex_key, monomials_of_degree, random_instance, random_polynomial
 from psrewrite import (
+    Monomial,
     RuleSet,
     TruncatedSeries,
     falsify_standard_basis,
@@ -165,6 +167,29 @@ def test_random_phase_runs_only_for_truncated_rules(monkeypatch):
     assert len(drawn) == 2 * 50
 
 
+def test_exact_rules_sharing_a_variable_run_their_pairs_only(monkeypatch):
+    # Leading monomials x1 and x1*x2 share x1, so the product criterion
+    # does not apply: the one pair runs, reduces to 0, and no random
+    # cofactor is drawn.
+    runs, drawn = [], []
+    run, draw = rewrite._run, rewrite._random_cofactor
+
+    def counting_run(*args):
+        runs.append(args[1])
+        return run(*args)
+
+    def counting_draw(rng, n):
+        drawn.append(n)
+        return draw(rng, n)
+
+    monkeypatch.setattr(rewrite, "_run", counting_run)
+    monkeypatch.setattr(rewrite, "_random_cofactor", counting_draw)
+    rules = parse_rules("x1\nx1*x2 + x1^2\n", 2)
+    assert falsify_standard_basis(rules, precision=6, trials=50, seed=1) is None
+    assert [format_series(f) for f in runs] == ["-x1^2"]
+    assert drawn == []
+
+
 def test_random_phase_draws_as_the_test_generator():
     # The naive falsifier draws its cofactors with `helpers.random_polynomial`
     # at degree 3; the random phase's own draw must match it call for call.
@@ -177,6 +202,88 @@ def test_random_phase_draws_as_the_test_generator():
 
 
 def test_trials_checked_before_the_pairs():
-    exact = parse_rules("x1\n", 1)
-    with pytest.raises(ValueError, match="trials must be >= 1"):
-        falsify_standard_basis(exact, precision=3, trials=0, seed=0)
+    # The second set is pairwise coprime, so no pair is drawn: the checks
+    # still run first and raise as they do on other sets.
+    for rules in parse_rules("x1\n", 1), parse_rules("x1 - x1^2\nx2 + x1*x2\n", 2):
+        with pytest.raises(ValueError, match="^trials must be >= 1$"):
+            falsify_standard_basis(rules, precision=3, trials=0, seed=0)
+        with pytest.raises(ValueError, match="^target precision must be >= 0$"):
+            falsify_standard_basis(rules, precision=-1, trials=1, seed=0)
+        with pytest.raises(TypeError, match="^seed '1' is not an int$"):
+            falsify_standard_basis(rules, precision=3, trials=1, seed="1")
+        with pytest.raises(TypeError, match="^rule set None is not a RuleSet$"):
+            falsify_standard_basis(None, precision=3, trials=1, seed=0)
+
+
+# -- Buchberger's product criterion --------------------------------------------
+
+def coprime_instance(seed, below=False):
+    """(rules, p): 1-4 rules over 1-4 variables whose leading monomials
+    share no variable: each variable is used by at most one of them, each
+    rule uses one while some are left, and the rules that get none lead
+    with 1 (so there are such rules only when r > n).  Each body has 0-3
+    tail terms, of the leading degree above the leading monomial in deglex
+    or of higher degree, and is truncated with probability 1/2: at p or up
+    to 2 above it, or, with `below`, 1-3 above its valuation, which may be
+    below p."""
+    rng = random.Random(seed)
+    n, r, p = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 6)
+    lms = [[0] * n for _ in range(r)]
+    for j, k in enumerate(rng.sample(range(n), n)):
+        owner = j if j < r else rng.randrange(r + 1)   # r: no rule uses x_k
+        if owner < r:
+            lms[owner][k] = rng.randint(1, 2)
+    rng.shuffle(lms)
+    bodies = []
+    for lm in map(tuple, lms):
+        d = sum(lm)
+        terms = {lm: rng.choice([1, -1, 2, -3, Fraction(1, 2)])}
+        for _ in range(rng.randint(0, 3)):
+            same = [m.exponents for m in monomials_of_degree(n, d) if m.exponents > lm]
+            if same and rng.random() < 0.5:
+                e = rng.choice(same)
+            else:
+                e = rng.choice([m.exponents for m in monomials_of_degree(n, d + rng.randint(1, 2))])
+            terms[e] = rng.choice([-4, -1, 1, 2, 3])
+        body = TruncatedSeries(n, {Monomial(e): c for e, c in terms.items()})
+        if rng.random() < 0.5:
+            bound = body.valuation() + rng.randint(1, 3) if below else p + rng.randint(0, 2)
+            if body.valuation() < bound:
+                body = body.truncate(bound)
+        bodies.append(body)
+    return RuleSet(bodies, n), p
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6))
+@example(1)     # a single rule
+@example(82)    # four rules, two leading with 1; bodies known to p + 1 and p + 2
+@example(75)    # tails of the leading degree; bodies known to p and p + 1
+@example(174)   # p = 1, three rules leading with 1, one of them -3 + O(1)
+def test_pairwise_coprime_rules_are_settled_without_a_run(seed):
+    rules, p = coprime_instance(seed)
+    assert standard_below(rules, p)
+
+    def no_run(*_args):
+        raise AssertionError("the product criterion settles this set")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rewrite, "_combine", no_run)
+        patch.setattr(rewrite, "_run", no_run)
+        assert falsify_standard_basis(rules, p, trials=3, seed=seed) is None
+
+
+def test_seeded_coprime_sweep_matches_always_random_falsifier():
+    seen = dict.fromkeys(("one", "single", "same degree", "known to p", "below p"), 0)
+    for seed in range(4000):
+        rules, p = coprime_instance(seed, below=seed % 2 == 1)
+        assert (falsify_standard_basis(rules, p, trials=1, seed=seed)
+                == naive.falsify_standard_basis(rules, p, 1, seed))
+        seen["single"] += len(rules) == 1
+        for rule in rules.rules:
+            lm, body = rule.leading_monomial, rule.body
+            seen["one"] += lm.degree == 0
+            seen["same degree"] += any(m.degree == lm.degree and m != lm for m, _c in body.items())
+            if body.precision is not None:
+                seen["known to p" if body.precision >= p else "below p"] += 1
+    assert min(seen.values()) >= 1000, seen
