@@ -18,20 +18,23 @@ between positions.  One backward sweep from the normal forms over that
 list tells, per position, whether it reaches none, one or many normal
 forms.  A position found to reach two is not queued again: that already
 fails unique normal forms, and past it only "none" is read.  The sweep
-decides the first four flags, and confluence too when the system is
-normalising, since its bottom SCCs are then its normal forms.
-Otherwise the positions that reach no normal form are closed under
-successors, and Tarjan's algorithm finds the bottom SCCs among them
-alone.  This module is the testbed for those properties: compute them on
-a finite one-step relation, and run the valley-elimination procedure that
-turns an arbitrary conversion between normal forms into a single-peak one.
+decides every flag of a normalising system, whose bottom SCCs are its
+normal forms.  Otherwise, with normal forms reached uniquely, the
+normal-form property holds exactly when no edge leads from a position
+that reaches a normal form to one that reaches none, and then two
+rounds of backward sweeps over the predecessors of the positions that
+reach none tell whether each reaches one bottom SCC.
+`check_properties` and `_one_bottom_each` give the two arguments.  This
+module is the testbed for those properties: compute them on a finite
+one-step relation, and run the valley-elimination procedure that turns
+an arbitrary conversion between normal forms into a single-peak one.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidConversionError, InvariantViolationError, PreconditionFailedError
@@ -125,14 +128,15 @@ class SystemProperties:
     confluent: bool
 
 
-# A reach summary is None (reaches none), the one position or SCC root
-# reached, or _MANY (reaches two or more): the flags only tell 0, 1 and many.
+# A reach summary is None (reaches none), the one normal form reached, or
+# _MANY (reaches two or more): the flags only tell 0, 1 and many.
 _MANY = -1
 
 
-def _nf_reached(sys: FiniteARS) -> list[Optional[int]]:
+def _nf_reached(sys: FiniteARS) -> tuple[list[Optional[int]], list[list[int]]]:
     """Per position, the normal forms it reaches as a reach summary, by one
-    backward sweep from the normal forms, the positions that are no tail.
+    backward sweep from the normal forms, the positions that are no tail;
+    and the predecessor lists the sweep reads.
 
     Each position takes the first normal form that reaches it and is queued
     once.  A second, different one marks it _MANY without queueing it again,
@@ -160,76 +164,55 @@ def _nf_reached(sys: FiniteARS) -> list[Optional[int]]:
                 queue.append(a)
             elif t != s:
                 nf[a] = _MANY
-    return nf
+    return nf, pred
 
 
-def _one_bottom_each(sys: FiniteARS, nf: Sequence[Optional[int]]) -> bool:
+def _sweep(pred: Sequence[Sequence[int]], start: int, mark: list[int]) -> bool:
+    """Mark with `start` every unmarked position that reaches it through
+    unmarked ones, by one backward sweep; whether the sweep met a position
+    that another start marked."""
+    mark[start] = start
+    queue = [start]
+    met = False
+    for x in queue:
+        for a in pred[x]:
+            m = mark[a]
+            if m < 0:
+                mark[a] = start
+                queue.append(a)
+            elif m != start:
+                met = True
+    return met
+
+
+def _one_bottom_each(pred: Sequence[Sequence[int]], nf: Sequence[Optional[int]]) -> bool:
     """Whether every position that reaches no normal form reaches exactly one
-    bottom SCC, by an iterative Tarjan pass over those positions alone
-    (Tarjan, "Depth-first search and linear graph algorithms", SIAM J.
-    Comput. 1972).  They are closed under successors, so their successor
-    lists, built here, are the whole relation on them.
+    bottom SCC, by two rounds of backward sweeps.  The caller guarantees
+    that no edge leads into those positions from one that reaches a normal
+    form, so `pred` never leaves them; they are closed under successors too.
 
-    SCCs close sinks first, so each merges the bottom summaries at its
-    edges' ends, which are still None inside it; the pass stops at the
-    first SCC that reaches two.
+    The first round sweeps from each position, in ascending order, that no
+    earlier sweep took: a root.  The taken positions are then always those
+    that reach a root so far, so no root reaches an earlier one.  The
+    second round takes the roots in reverse and sweeps from each that it
+    has not marked, until a sweep meets another's mark.  Each such start
+    lies in a bottom SCC: a successor of it reaches some root, not an
+    earlier one, and not a later one, which would lead the start to an
+    earlier start's mark; so it reaches the start.  Each sweep thus marks
+    the positions that reach its start's SCC, every bottom SCC is swept,
+    and a position two sweeps meet reaches two bottom SCCs.
     """
     k = len(nf)
-    succ: list[list[int]] = [[] for _ in range(k)]
-    for a, b in zip(sys.tails, sys.heads):
-        if nf[a] is None:
-            succ[a].append(b)
-    index = [-1] * k
-    low = [0] * k
-    bottom: list[Optional[int]] = [None] * k
-    stack: list[int] = []
-    number = count()
-    for root in range(k):
-        if nf[root] is not None or index[root] >= 0:
-            continue
-        index[root] = low[root] = next(number)
-        stack.append(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, it = work[-1]
-            for w in it:
-                if index[w] < 0:
-                    index[w] = low[w] = next(number)
-                    stack.append(w)
-                    work.append((w, iter(succ[w])))
-                    break
-                if index[w] < low[v]:
-                    low[v] = index[w]
-            else:
-                work.pop()
-                if low[v] != index[v]:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-                    continue
-                if stack[-1] == v:
-                    members = [stack.pop()]
-                else:
-                    top = len(stack) - 1
-                    while stack[top] != v:
-                        top -= 1
-                    members = stack[top:]
-                    del stack[top:]
-                reached = None
-                for x in members:
-                    # A closed position's index may lower no later low link.
-                    index[x] = k
-                    for w in succ[x]:
-                        s = bottom[w]
-                        if s is not None and s != reached:
-                            if reached is not None:
-                                return False
-                            reached = s
-                # Every SCC reaches a bottom SCC, so none was inherited
-                # exactly when no edge leaves this one.
-                if reached is None:
-                    reached = v
-                for x in members:
-                    bottom[x] = reached
+    taken = [-1] * k
+    roots = []
+    for x in range(k):
+        if nf[x] is None and taken[x] < 0:
+            _sweep(pred, x, taken)
+            roots.append(x)
+    mark = [-1] * k
+    for x in reversed(roots):
+        if mark[x] < 0 and _sweep(pred, x, mark):
+            return False
     return True
 
 
@@ -242,7 +225,7 @@ def check_properties(sys: FiniteARS) -> SystemProperties:
     which is exact under the discrete topology.
     """
     require_type(sys, FiniteARS, "system")
-    nf = _nf_reached(sys)
+    nf, pred = _nf_reached(sys)
     normalising, unique_nf_reached = None not in nf, _MANY not in nf
     # Two normal forms reached from one element share its component.  If
     # every element reaches exactly one, both ends of an edge reach the same
@@ -262,14 +245,17 @@ def check_properties(sys: FiniteARS) -> SystemProperties:
             while parent[parent[x]] != parent[x]:
                 parent[x] = parent[parent[x]]
         roots = [parent[x] for x, s in enumerate(nf) if s == x]
-        with_nf = set(roots)
-        unique_nf_property = len(with_nf) == len(roots)
-        nf_property = unique_nf_property and all(
-            s is not None or parent[x] not in with_nf for x, s in enumerate(nf))
-        # An element that reaches a normal form reaches no other bottom SCC
-        # exactly when no edge leads from such an element into the rest.
-        confluent = all(nf[a] is None or nf[b] is not None
-                        for a, b in zip(sys.tails, sys.heads)) and _one_bottom_each(sys, nf)
+        unique_nf_property = len(set(roots)) == len(roots)
+        # A leak is an edge from an element that reaches a normal form to
+        # one that reaches none.  The elements that reach none are closed
+        # under successors, so without leaks each component holds one
+        # kind, and both ends of an edge that reach a normal form reach
+        # the same one: the nf property holds exactly when no edge leaks.
+        # A leak also gives its tail a second bottom SCC, and without
+        # leaks the rest is closed under predecessors for the bottom pass.
+        nf_property = all(nf[a] is None or nf[b] is not None
+                          for a, b in zip(sys.tails, sys.heads))
+        confluent = nf_property and _one_bottom_each(pred, nf)
     return SystemProperties(
         normalising=normalising, nf_property=nf_property,
         unique_nf_property=unique_nf_property, unique_nf_reached=unique_nf_reached,
@@ -361,7 +347,7 @@ def eliminate_valleys(sys: FiniteARS, conv: Conversion) -> Conversion:
     """
     require_type(sys, FiniteARS, "system")
     require_type(conv, Conversion, "conversion")
-    nf = _nf_reached(sys)
+    nf, _pred = _nf_reached(sys)
     if None in nf or _MANY in nf:
         raise PreconditionFailedError(
             "system must be normalising with unique normal forms reached")

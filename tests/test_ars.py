@@ -259,17 +259,14 @@ class TestCheckProperties:
         assert all(vars(check_properties(sys_of(0))).values())
 
     def test_matches_naive_exhaustively(self):
-        for size in (0, 1, 2):
+        for size in (0, 1, 2, 3):
             for sys in all_systems(size):
                 assert vars(check_properties(sys)) == naive_props(sys)
 
-    def test_matches_naive_sampled_size_three(self):
-        rng = random.Random(5)
-        slots = [(a, b) for a in range(3) for b in range(3)]
-        for _ in range(200):
-            edges = [e for e in slots if rng.random() < 0.4]
-            sys = FiniteARS(3, edges)
-            assert vars(check_properties(sys)) == naive_props(sys)
+    def test_matches_bfs_on_every_four_element_system(self):
+        # All 65,536 relations on four elements.
+        for sys in all_systems(4):
+            assert vars(check_properties(sys)) == bfs_props(sys)
 
 
 @st.composite
@@ -703,14 +700,15 @@ class TestAnalysesReadTheAdjacency:
                     for r in requests] == expected
 
 
-def tarjan_pass(**kwargs):
-    """`ars._one_bottom_each`, the Tarjan pass over the elements that reach
-    no normal form, patched: to raise with `side_effect`, or with
-    `wraps=ars._one_bottom_each` to count its calls."""
+def bottom_pass(**kwargs):
+    """`ars._one_bottom_each`, the bottom pass (two rounds of backward sweeps
+    over the elements that reach no normal form), patched: to raise with
+    `side_effect`, or with `wraps=ars._one_bottom_each` to count its
+    calls."""
     return mock.patch.object(ars, "_one_bottom_each", **kwargs)
 
 
-def needs_tarjan(sys):
+def needs_bottom_pass(sys):
     """Whether confluence is left open by the backward sweep: some element
     reaches no normal form, none reaches two, and no edge leads from an
     element that reaches one to an element that does not."""
@@ -720,10 +718,10 @@ def needs_tarjan(sys):
             and all(reach[b] or not reach[a] for a, b in sys.edges))
 
 
-class TestTarjanRunsOnlyWhereNoNormalFormIsReached:
+class TestBottomPassRunsOnlyWhereNoNormalFormIsReached:
     # The backward sweep decides every flag of a normalising system; only the
     # elements that reach no normal form need bottom SCCs.
-    RAISES = AssertionError("the Tarjan pass ran")
+    RAISES = AssertionError("the bottom pass ran")
 
     @settings(max_examples=200, deadline=None)
     @given(labelled_systems())
@@ -732,12 +730,12 @@ class TestTarjanRunsOnlyWhereNoNormalFormIsReached:
         expected = naive_props(compact)
         for sys in (compact, relabelled):
             if expected["normalising"]:
-                with tarjan_pass(side_effect=self.RAISES):
+                with bottom_pass(side_effect=self.RAISES):
                     assert vars(check_properties(sys)) == expected
             else:
-                with tarjan_pass(wraps=ars._one_bottom_each) as spy:
+                with bottom_pass(wraps=ars._one_bottom_each) as spy:
                     assert vars(check_properties(sys)) == expected
-                assert spy.called == needs_tarjan(compact)
+                assert spy.called == needs_bottom_pass(compact)
 
     def test_mid_sized_systems(self):
         rng = random.Random(20)
@@ -747,12 +745,12 @@ class TestTarjanRunsOnlyWhereNoNormalFormIsReached:
             expected = bfs_props(sys)
             if expected["normalising"]:
                 normalising += 1
-                with tarjan_pass(side_effect=self.RAISES):
+                with bottom_pass(side_effect=self.RAISES):
                     assert vars(check_properties(sys)) == expected
             else:
-                with tarjan_pass(wraps=ars._one_bottom_each) as spy:
+                with bottom_pass(wraps=ars._one_bottom_each) as spy:
                     assert vars(check_properties(sys)) == expected
-                assert spy.called == needs_tarjan(sys)
+                assert spy.called == needs_bottom_pass(sys)
                 if spy.called:
                     answers.add(expected["confluent"])
         # Both sides of the split, and both answers of the pass, are seen.
@@ -763,15 +761,21 @@ class TestTarjanRunsOnlyWhereNoNormalFormIsReached:
     def test_eliminate_valleys(self, case):
         sys, conv = case
         expected = naive_eliminate_valleys(sys, conv)
-        with tarjan_pass(side_effect=self.RAISES):
+        with bottom_pass(side_effect=self.RAISES):
             assert eliminate_valleys(sys, conv) == expected
 
     @pytest.mark.parametrize("edges, confluent", [
         ([(0, 1), (2, 3), (3, 2)], True),
         ([(0, 1), (2, 3), (3, 2), (2, 2), (1, 1)], True),
         ([(0, 1), (1, 1), (2, 2), (3, 2), (3, 1)], False),
-    ], ids=["one-cycle", "two-separate-loops", "two-loops-below-one"])
+        # A cycle above a bottom cycle.  The roots are 0, in no bottom SCC,
+        # and 2, so the second round must sweep from the last root first.
+        ([(0, 1), (1, 0), (0, 2), (2, 3), (3, 2)], True),
+        # The pass runs only where no edge leaks, so the nf property holds.
+        ([(0, 1), (1, 1), (0, 2), (2, 2)], False),
+    ], ids=["one-cycle", "two-separate-loops", "two-loops-below-one",
+            "cycle-above-a-bottom-cycle", "two-loops-below-one-nf-property"])
     def test_the_pass_decides_confluence(self, edges, confluent):
-        with tarjan_pass(wraps=ars._one_bottom_each) as spy:
+        with bottom_pass(wraps=ars._one_bottom_each) as spy:
             props = check_properties(FiniteARS(4, edges))
         assert spy.called and not props.normalising and props.confluent == confluent
