@@ -14,20 +14,24 @@ and confluence property is a reachability question:
   connected component that no edge leaves.
 
 A system keeps its relation as one ascending list of distinct edges
-between positions.  One backward sweep from the normal forms over that
-list tells, per position, whether it reaches none, one or many normal
-forms.  A position found to reach two is not queued again: that already
-fails unique normal forms, and past it only "none" is read.  The sweep
-decides every flag of a normalising system, whose bottom SCCs are its
-normal forms.  Otherwise, with normal forms reached uniquely, the
-normal-form property holds exactly when no edge leads from a position
-that reaches a normal form to one that reaches none, and then two
-rounds of backward sweeps over the predecessors of the positions that
-reach none tell whether each reaches one bottom SCC.
-`check_properties` and `_one_bottom_each` give the two arguments.  This
-module is the testbed for those properties: compute them on a finite
-one-step relation, and run the valley-elimination procedure that turns
-an arbitrary conversion between normal forms into a single-peak one.
+between positions, and the flags come from one backward sweep,
+`_sweep`, run from several starts.  Swept from each normal form over the
+predecessor lists, it marks each position with the normal form whose
+sweep took it; a sweep meets another's mark exactly when some position
+reaches two normal forms.  That decides every flag of a normalising
+system, whose bottom SCCs are its normal forms.  Otherwise, with normal
+forms reached uniquely, the normal-form property holds exactly when no
+edge leads from a position that reaches a normal form to one that
+reaches none, and two rounds of sweeps over the predecessors of the
+positions that reach none tell whether each reaches one bottom SCC.
+The normal-form property gives the unique one; where it fails, sweeps
+from each normal form over the symmetric closure decide that: a normal
+form already marked when its turn comes shares its component with
+another.  `_nf_reached`, `check_properties` and `_one_bottom_each` give
+the arguments.  This module is the testbed for those properties:
+compute them on a finite one-step relation, and run the
+valley-elimination procedure that turns an arbitrary conversion between
+normal forms into a single-peak one.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InvalidConversionError, InvariantViolationError, PreconditionFailedError
 from .monomials import require_int, require_iterable, require_type
@@ -128,43 +132,33 @@ class SystemProperties:
     confluent: bool
 
 
-# A reach summary is None (reaches none), the one normal form reached, or
-# _MANY (reaches two or more): the flags only tell 0, 1 and many.
-_MANY = -1
+def _nf_reached(sys: FiniteARS) -> tuple[list[int], bool, list[list[int]]]:
+    """Per position, the normal form whose sweep took it, or -1 when it
+    reaches none; whether normal forms are reached uniquely; and the
+    predecessor lists, over which one `_sweep` runs from each normal form,
+    a position that is no tail.
 
+    Every position that reaches a normal form is taken by some sweep.  A
+    sweep that meets another's mark finds a position that reaches both
+    normal forms.  Conversely, a position that reaches two normal forms
+    reaches one that is not its mark, so the marks change at some edge
+    a -> b of a path there; when the sweep of b's mark took b, a was
+    already marked by another.  So normal forms are reached uniquely
+    exactly when no sweep meets another's mark.  A normal form's mark is
+    itself, and no other position's is.
 
-def _nf_reached(sys: FiniteARS) -> tuple[list[Optional[int]], list[list[int]]]:
-    """Per position, the normal forms it reaches as a reach summary, by one
-    backward sweep from the normal forms, the positions that are no tail;
-    and the predecessor lists the sweep reads.
-
-    Each position takes the first normal form that reaches it and is queued
-    once.  A second, different one marks it _MANY without queueing it again,
-    so its predecessors may keep one normal form where they reach two.  That
-    one _MANY already fails unique normal forms, and past it the flags read
-    only whether a summary is None, which the sweep decides exactly: every
-    position a normal form reaches backward is queued.  A normal form's
-    summary is itself, and no other position's is.
+    With each position's successors added, `pred` is the symmetric
+    closure, and a sweep from an unmarked normal form takes its whole
+    component.  So two normal forms share a component exactly when one is
+    already marked when its turn comes.
     """
-    tails = sys.tails
     k = len(sys.labels)
     pred: list[list[int]] = [[] for _ in range(k)]
-    for a, b in zip(tails, sys.heads):
+    for a, b in zip(sys.tails, sys.heads):
         pred[b].append(a)
-    nf: list[Optional[int]] = [None] * k
-    queue = list(set(range(k)).difference(tails))
-    for x in queue:
-        nf[x] = x
-    for x in queue:
-        s = nf[x]
-        for a in pred[x]:
-            t = nf[a]
-            if t is None:
-                nf[a] = s
-                queue.append(a)
-            elif t != s:
-                nf[a] = _MANY
-    return nf, pred
+    nf = [-1] * k
+    met = [_sweep(pred, x, nf) for x in set(range(k)).difference(sys.tails)]
+    return nf, True not in met, pred
 
 
 def _sweep(pred: Sequence[Sequence[int]], start: int, mark: list[int]) -> bool:
@@ -185,7 +179,7 @@ def _sweep(pred: Sequence[Sequence[int]], start: int, mark: list[int]) -> bool:
     return met
 
 
-def _one_bottom_each(pred: Sequence[Sequence[int]], nf: Sequence[Optional[int]]) -> bool:
+def _one_bottom_each(pred: Sequence[Sequence[int]], nf: Sequence[int]) -> bool:
     """Whether every position that reaches no normal form reaches exactly one
     bottom SCC, by two rounds of backward sweeps.  The caller guarantees
     that no edge leads into those positions from one that reaches a normal
@@ -206,7 +200,7 @@ def _one_bottom_each(pred: Sequence[Sequence[int]], nf: Sequence[Optional[int]])
     taken = [-1] * k
     roots = []
     for x in range(k):
-        if nf[x] is None and taken[x] < 0:
+        if nf[x] < 0 and taken[x] < 0:
             _sweep(pred, x, taken)
             roots.append(x)
     mark = [-1] * k
@@ -225,27 +219,14 @@ def check_properties(sys: FiniteARS) -> SystemProperties:
     which is exact under the discrete topology.
     """
     require_type(sys, FiniteARS, "system")
-    nf, pred = _nf_reached(sys)
-    normalising, unique_nf_reached = None not in nf, _MANY not in nf
+    nf, unique_nf_reached, pred = _nf_reached(sys)
+    normalising = -1 not in nf
     # Two normal forms reached from one element share its component.  If
     # every element reaches exactly one, both ends of an edge reach the same
     # one, so their component holds no other, and the bottom SCCs are the
     # normal forms.  Only the rest needs components and bottom SCCs.
     unique_nf_property = nf_property = confluent = unique_nf_reached
     if unique_nf_reached and not normalising:
-        # Union-find with path halving, its finds inline: no call per edge.
-        parent = list(range(len(nf)))
-        for a, b in zip(sys.tails, sys.heads):
-            while parent[a] != a:
-                parent[a] = a = parent[parent[a]]
-            while parent[b] != b:
-                parent[b] = b = parent[parent[b]]
-            parent[a] = b
-        for x in range(len(nf)):
-            while parent[parent[x]] != parent[x]:
-                parent[x] = parent[parent[x]]
-        roots = [parent[x] for x, s in enumerate(nf) if s == x]
-        unique_nf_property = len(set(roots)) == len(roots)
         # A leak is an edge from an element that reaches a normal form to
         # one that reaches none.  The elements that reach none are closed
         # under successors, so without leaks each component holds one
@@ -253,9 +234,21 @@ def check_properties(sys: FiniteARS) -> SystemProperties:
         # the same one: the nf property holds exactly when no edge leaks.
         # A leak also gives its tail a second bottom SCC, and without
         # leaks the rest is closed under predecessors for the bottom pass.
-        nf_property = all(nf[a] is None or nf[b] is not None
-                          for a, b in zip(sys.tails, sys.heads))
+        nf_property = all(nf[a] < 0 or nf[b] >= 0 for a, b in zip(sys.tails, sys.heads))
         confluent = nf_property and _one_bottom_each(pred, nf)
+        # A normal form reaches only itself, so the nf property gives the
+        # unique nf property.  Otherwise the bottom pass did not run, and
+        # the components are swept over `pred` extended in place.
+        if not nf_property:
+            for a, b in zip(sys.tails, sys.heads):
+                pred[a].append(b)
+            mark = [-1] * len(nf)
+            for x, s in enumerate(nf):
+                if s == x:
+                    if mark[x] >= 0:
+                        unique_nf_property = False
+                        break
+                    _sweep(pred, x, mark)
     return SystemProperties(
         normalising=normalising, nf_property=nf_property,
         unique_nf_property=unique_nf_property, unique_nf_reached=unique_nf_reached,
@@ -347,8 +340,8 @@ def eliminate_valleys(sys: FiniteARS, conv: Conversion) -> Conversion:
     """
     require_type(sys, FiniteARS, "system")
     require_type(conv, Conversion, "conversion")
-    nf, _pred = _nf_reached(sys)
-    if None in nf or _MANY in nf:
+    nf, unique, _pred = _nf_reached(sys)
+    if -1 in nf or not unique:
         raise PreconditionFailedError(
             "system must be normalising with unique normal forms reached")
     validate_conversion(sys, conv)

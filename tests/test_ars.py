@@ -258,6 +258,24 @@ class TestCheckProperties:
     def test_empty_system_vacuous(self):
         assert all(vars(check_properties(sys_of(0))).values())
 
+    # The two smallest systems on which the component sweep decides the
+    # unique normal form property: no system of three or four elements
+    # reaches normal forms uniquely, fails to normalise and holds two
+    # normal forms in one component, so a sweep that followed one
+    # direction only would pass every exhaustive test above.
+    @pytest.mark.parametrize("size, edges, flags", [
+        # 0 and 1 reach the normal forms 3 and 4 and lead to the loop at 2,
+        # which joins their components but reaches neither: only an edge
+        # followed forward links 3 to 4.
+        (5, [(0, 3), (0, 2), (1, 4), (1, 2), (2, 2)], (False, False, False, True, False)),
+        # Each of 0 and 1 leads to a loop of its own: two components, each
+        # with one normal form.
+        (6, [(0, 3), (0, 2), (2, 2), (1, 4), (1, 5), (5, 5)], (False, False, True, True, False)),
+    ], ids=["two-normal-forms-one-component", "two-components"])
+    def test_the_component_sweep_decides(self, size, edges, flags):
+        props = check_properties(FiniteARS(size, edges))
+        assert tuple(vars(props).values()) == flags
+
     def test_matches_naive_exhaustively(self):
         for size in (0, 1, 2, 3):
             for sys in all_systems(size):

@@ -146,6 +146,29 @@ def test_one_reduction_step_in_package():
     assert SOURCES and not found, f"second step paths: {found}"
 
 
+def test_one_backward_traversal_in_ars():
+    # `ars._sweep` is the finite-system layer's one backward traversal: the
+    # only loops that append to the list they iterate, a queue, are its own
+    # and the forward search of `_path_to_normal_form`, and no `while` loop
+    # outside that search's path walk brings back union-find finds.
+    tree = ast.parse((Path(psrewrite.__file__).parent / "ars.py").read_text())
+    queues, whiles = set(), set()
+    for top in tree.body:
+        if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.While):
+                whiles.add(top.name)
+            if isinstance(node, ast.For) and isinstance(node.iter, ast.Name) and any(
+                    isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                    and n.func.attr == "append" and isinstance(n.func.value, ast.Name)
+                    and n.func.value.id == node.iter.id
+                    for n in ast.walk(node)):
+                queues.add(top.name)
+    assert queues == {"_sweep", "_path_to_normal_form"}, f"queues in {sorted(queues)}"
+    assert whiles <= {"_path_to_normal_form"}, f"while loops in {sorted(whiles)}"
+
+
 def test_no_fraction_arithmetic_in_the_reduction_loop():
     # The reducer computes on ints and (num, den) pairs, converting to
     # `Fraction` only where a value leaves it: no method of `_Reducer`, and
