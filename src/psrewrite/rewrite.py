@@ -157,12 +157,11 @@ _Key = tuple[int, tuple[int, ...]]   # (degree, exponents): a monomial's deglex 
 _MASK_LIMIT = 64
 
 
-class _Compiled:
-    """Per rule: LM exponents, deg LM, LC, the other terms with their
-    degrees, and the body precision; plus the divisor masks and memo, all
-    read from the bodies' stored terms.  Built by `_compile` only, shared
-    by every reducer of the calls on one `RuleSet` in a row, never kept on
-    the `RuleSet`.
+class _Index:
+    """The divisor masks and memo of one tuple of leading exponents, in rule
+    order: which rules divide a monomial depends on nothing else, so every
+    rule set with these leading monomials shares them.  Built by `_compile`
+    only, and kept in `_indices`.
 
     ``masks`` holds ``(k, cap, below)`` for each variable k that some
     leading monomial uses, with cap its largest exponent there but at most
@@ -175,18 +174,9 @@ class _Compiled:
     it exponent by exponent.  ``indices`` maps each bit set to its
     ascending 1-based rule indices, built once per distinct set."""
 
-    __slots__ = ("rules", "table", "short", "tall", "masks", "indices", "memo")
+    __slots__ = ("short", "tall", "masks", "indices", "memo")
 
-    def __init__(self, rules: RuleSet):
-        require_type(rules, RuleSet, "rule set")
-        self.rules = rules
-        self.table = []
-        lms = []
-        for r in rules.rules:
-            lm, terms = r.leading_monomial.exponents, r.body._terms
-            tail = [(e, sum(e), c) for e, c in terms.items() if e != lm]
-            self.table.append((lm, sum(lm), terms[lm], tail, r.body.precision))
-            lms.append(lm)
+    def __init__(self, lms: tuple[tuple[int, ...], ...]):
         self.masks = []
         tall = 0
         for k, column in enumerate(zip(*lms)):
@@ -227,6 +217,30 @@ class _Compiled:
             self.memo[e] = hit
         return hit
 
+
+class _Compiled:
+    """Per rule: LM exponents, deg LM, LC, the other terms with their
+    degrees, and the body precision, read from the bodies' stored terms;
+    plus the memo and divisor test of the `_Index` of its leading
+    exponents.  Built by `_compile` only, shared by every reducer of the
+    calls on one `RuleSet` in a row, never kept on the `RuleSet`.
+    ``room`` is how many entries the memo may hold before the kept memos
+    pass `_MEMO_LIMIT` in total, counting the others as they were when
+    this was built."""
+
+    __slots__ = ("rules", "table", "memo", "dividing", "room")
+
+    def __init__(self, rules: RuleSet, index: _Index, room: int):
+        self.rules = rules
+        self.table = []
+        for r in rules.rules:
+            lm, terms = r.leading_monomial.exponents, r.body._terms
+            tail = [(e, sum(e), c) for e, c in terms.items() if e != lm]
+            self.table.append((lm, sum(lm), terms[lm], tail, r.body.precision))
+        self.memo = index.memo
+        self.dividing = index.dividing
+        self.room = room
+
     def reducible(self, f: TruncatedSeries) -> list[tuple[int, ...]]:
         """The exponents of f's stored terms that some rule's leading
         monomial divides; f must be a series over the rules' variables."""
@@ -239,20 +253,39 @@ class _Compiled:
 
 # The last rule set's `_Compiled`, or None before the first compile
 _slot: Optional[_Compiled] = None
-_MEMO_LIMIT = 1 << 16   # a kept memo past this many entries is dropped
+# The `_Index` of each (variable count, leading exponents in rule order)
+# compiled since the dict was last replaced; a published dict is never
+# changed, so a thread may read it while another replaces it.
+_indices: dict[tuple[int, tuple[tuple[int, ...], ...]], _Index] = {}
+_INDEX_LIMIT = 64   # at most this many kept indices
+_MEMO_LIMIT = 1 << 16   # kept memos past this many entries in total are dropped
 
 
 def _compile(rules: RuleSet) -> _Compiled:
     """The rule set's `_Compiled`, kept in `_slot` until a call with another
-    rule set replaces it, or one that finds its memo past `_MEMO_LIMIT` (never
-    a run, which reads the memo for every pending key); the memo is a function
-    of the rule set, so it carries over.  The slot is read and swapped in one
-    step each, so a thread never reads one rule set's table with another's,
-    and a race between threads costs at most a second compile."""
-    global _slot
+    rule set replaces it, or one that finds the kept memos past `_MEMO_LIMIT`
+    entries in total (never a run, which reads the memo for every pending
+    key).  A new `_Compiled` takes the `_Index` kept for its variable count
+    and leading exponents, if any: a memo entry is a function of those and
+    the monomial, so it carries over.  When the kept memos are past the
+    limit, or a new index would pass `_INDEX_LIMIT`, `_indices` is replaced
+    by an empty dict first.  The slot and the dict are each read and
+    swapped in one step, so a thread never reads one rule set's table with
+    another's, and a race between threads costs at most a build more."""
+    global _slot, _indices
     compiled = _slot
-    if compiled is None or compiled.rules is not rules or len(compiled.memo) > _MEMO_LIMIT:
-        compiled = _slot = _Compiled(rules)
+    if compiled is None or compiled.rules is not rules or len(compiled.memo) > compiled.room:
+        require_type(rules, RuleSet, "rule set")
+        key = (rules.n, tuple(r.leading_monomial.exponents for r in rules.rules))
+        kept = _indices
+        index = kept.get(key)
+        total = sum(len(i.memo) for i in kept.values())
+        if total > _MEMO_LIMIT or index is None and len(kept) >= _INDEX_LIMIT:
+            kept, index, total = {}, None, 0
+        if index is None:
+            index = _Index(key[1])
+            _indices = {**kept, key: index}
+        compiled = _slot = _Compiled(rules, index, _MEMO_LIMIT - total + len(index.memo))
     return compiled
 
 
@@ -267,8 +300,9 @@ class _Reducer:
     would.  ``pending`` holds the ``(degree, exponents)`` keys of the
     reducible terms, sorted in the order: the canonical strategy takes
     ``pending[0]``, and a uniform draw over it is a draw over the sorted
-    candidate list.  ``memo`` is the compiled divisor memo, shared with
-    every run on the same rule set while `_compile` keeps it: a step looks a
+    candidate list.  ``memo`` is the divisor memo of the rules' leading
+    monomials, shared with every run on a rule set with the same ones
+    while `_compile` keeps their `_Index`: a step looks a
     new term up there once and runs the divisor test only on a miss, so
     every pending key is in it and `_run` reads its pick's rules there.  A
     step on ``pending[0]``, the canonical pick, deletes the head; any other

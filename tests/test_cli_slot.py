@@ -5,9 +5,9 @@ and the parser's extra arguments to `cli._parsed`, a one-entry
 `functools.lru_cache`: the file is parsed again only when the bytes or the
 parser and its arguments differ, so consecutive calls on one unchanged
 file get one `RuleSet`, and `rewrite._compile` then compiles it once.
-Content alone decides a hit: no output may depend on what either slot
-held before a call, so every output here must equal the same call made
-with both slots emptied first.
+Content alone decides a hit: no output may depend on what either slot,
+or `rewrite._indices`, held before a call, so every output here must
+equal the same call made with all three emptied first.
 """
 
 import os
@@ -69,10 +69,11 @@ def calls(file):
 def empty_slots():
     cli._parsed.cache_clear()
     rewrite._slot = None
+    rewrite._indices = {}
 
 
 def fresh(call):
-    """The call's output, made with both slots empty."""
+    """The call's output, made with both slots and the kept indices empty."""
     empty_slots()
     return call()
 
@@ -162,9 +163,9 @@ def test_a_parse_error_is_never_kept(tmp_path, files):
 class CountingCompiled(rewrite._Compiled):
     built = 0
 
-    def __init__(self, rules):
+    def __init__(self, *args):
         CountingCompiled.built += 1
-        super().__init__(rules)
+        super().__init__(*args)
 
 
 def test_one_compile_per_run_of_calls_on_one_file(monkeypatch, files):

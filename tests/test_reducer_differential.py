@@ -64,7 +64,7 @@ from psrewrite import (
     reducible_monomials,
     translate,
 )
-from psrewrite.rewrite import _Compiled, _Reducer
+from psrewrite.rewrite import _compile, _Index, _Reducer
 from psrewrite.series import _add, _div, _fraction, _mul, _narrow, _neg
 
 COEFFS = st.sampled_from([-2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-3, 2)])
@@ -279,7 +279,7 @@ FACTORS = [
 def test_factor_branches_match_oracle(rules_text, f_text, prec, factor):
     rules = parse_rules(rules_text, 2)
     f = parse_series(f_text, 2)
-    r = _Reducer(_Compiled(rules), f, prec)
+    r = _Reducer(_compile(rules), f, prec)
     r.step(r.pending[0], 1)
     (got,) = r.quotients[0].values()
     assert got == factor and type(got) is type(factor)
@@ -365,7 +365,7 @@ def test_terms_stay_below_the_bound(instance, seed):
     """Start terms and products at or above the bound go to `deferred`
     alone, so `pending` is every reducible term, from construction on."""
     f, rules, target = instance
-    r = _Reducer(_Compiled(rules), f, target)
+    r = _Reducer(_compile(rules), f, target)
     rng = random.Random(seed)
 
     def check():
@@ -492,6 +492,11 @@ def test_a_pair_with_coprime_leading_monomials_can_be_the_certificate():
 
 # -- the divisor test ---------------------------------------------------------
 
+def index_of(rules):
+    """A new `_Index` of the rule set's leading exponents, kept nowhere."""
+    return _Index(tuple(r.leading_monomial.exponents for r in rules.rules))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_divisor_masks_match_the_naive_test(data):
@@ -512,31 +517,31 @@ def test_divisor_masks_match_the_naive_test(data):
     lms += data.draw(st.lists(st.sampled_from(lms), max_size=3)) if lms else []
     rules = RuleSet([TruncatedSeries(n, {Monomial(lm): 1, Monomial(lm[:-1] + (lm[-1] + 1,)): 2})
                      for lm in lms], n)
-    compiled = _Compiled(rules)
+    index = index_of(rules)
     big = st.sampled_from([64, 65, 10**30])
     for e in data.draw(st.lists(st.lists(st.integers(0, 5) | big, min_size=n, max_size=n).map(tuple),
                                 min_size=1, max_size=8)):
-        hit = compiled.dividing(e)
+        hit = index.dividing(e)
         assert hit == tuple(naive.dividing_rules(rules, Monomial(e)))
-        compiled.memo[e] = ("memo",)   # a second call reads the memo, not the masks
-        assert compiled.dividing(e) == ("memo",)
-        compiled.memo[e] = hit
+        index.memo[e] = ("memo",)   # a second call reads the memo, not the masks
+        assert index.dividing(e) == ("memo",)
+        index.memo[e] = hit
     # equal index tuples are one object: each is built once per distinct mask
-    assert len(set(map(id, compiled.memo.values()))) == len(set(compiled.memo.values()))
+    assert len(set(map(id, index.memo.values()))) == len(set(index.memo.values()))
 
 
 def test_a_tall_leading_exponent_keeps_the_mask_tables_small():
-    compiled = _Compiled(parse_rules("x1^1000000000000\nx1^2*x2", 2))
-    assert max(len(below) for _k, _cap, below in compiled.masks) <= 65
+    index = index_of(parse_rules("x1^1000000000000\nx1^2*x2", 2))
+    assert max(len(below) for _k, _cap, below in index.masks) <= 65
     es = [(10**12, 1), (10**12 - 1, 1), (2, 1), (10**13, 0)]
-    assert [compiled.dividing(e) for e in es] == [(1, 2), (2,), (2,), (1,)]
+    assert [index.dividing(e) for e in es] == [(1, 2), (2,), (2,), (1,)]
 
 
 def test_no_rules_divide_nothing():
     for n in (1, 3):
-        compiled = _Compiled(RuleSet([], n))
+        index = index_of(RuleSet([], n))
         for e in [(0,) * n, (5,) * n, tuple(range(n))]:
-            assert compiled.dividing(e) == ()
+            assert index.dividing(e) == ()
 
 
 # -- one step ----------------------------------------------------------------

@@ -1,11 +1,14 @@
 """The compiled rule set kept between calls.
 
-`rewrite._compile` keeps the last rule set's `_Compiled` (its table,
-divisor masks and memo) in the module's slot, so calls on one `RuleSet`
-in a row share it and a call with another rule set replaces it.  A memo
-entry depends only on the rule set and the monomial, so no result may
-depend on what the slot held before a call: every result here must equal
-the same call made with the slot emptied first.
+`rewrite._compile` keeps the last rule set's `_Compiled` (its table, and
+the memo of its divisor index) in the module's slot, so calls on one
+`RuleSet` in a row share it and a call with another rule set replaces
+it.  The divisor index (masks and memo) is kept in `rewrite._indices`
+under the variable count and the leading exponents in rule order, so
+rule sets with the same leading monomials share it.  A memo entry
+depends only on those and the monomial, so no result may depend on what
+the slot or the indices held before a call: every result here must equal
+the same call made with both emptied first.
 """
 
 import dataclasses
@@ -20,6 +23,7 @@ import pytest
 import psrewrite
 from psrewrite import (
     Monomial,
+    RuleSet,
     TruncatedSeries,
     cofactors,
     confluence_probe,
@@ -40,6 +44,12 @@ A = parse_rules("x1 - x2^2 + O(5)\nx1 + x2^3 + O(6)", N)
 B = parse_rules("x1*x2 - x1^3 + x2^4\nx2^2 + 2*x1^2*x2 + O(7)\nx1^2 - 3*x2^3", N)
 F = parse_series("x1 + x2 + x1*x2 + 1/2*x2^3", N)
 G = parse_series("x2^2 - x1^2*x2", N)
+# A's leading monomials, x1 and x1, with other tails and precisions, and
+# with its bodies scaled: both share A's divisor index.
+A_TAILS = parse_rules("x1 + x1*x2 - 2*x2^4 + O(7)\n3*x1 - x2^2", N)
+A_SCALED = parse_rules("-1/2*x1 + 1/2*x2^2 + O(5)\n2*x1 + 2*x2^3 + O(6)", N)
+# B's rules in another order: other leading exponents in rule order.
+B_PERMUTED = parse_rules("x1^2 - 3*x2^3\nx2^2 + 2*x1^2*x2 + O(7)\nx1*x2 - x1^3 + x2^4", N)
 
 
 def calls(rules):
@@ -62,10 +72,16 @@ def calls(rules):
 
 def empty_slot():
     rewrite._slot = None
+    rewrite._indices = {}
+
+
+def kept_entries():
+    """The memo entries the kept indices hold in total."""
+    return sum(len(index.memo) for index in rewrite._indices.values())
 
 
 def fresh(call):
-    """The call's result, made with an empty slot."""
+    """The call's result, made with an empty slot and no kept index."""
     empty_slot()
     return call()
 
@@ -84,26 +100,33 @@ def _emptied():
 
 
 def test_blocks_of_calls_match_fresh_calls():
-    # A, B, A, B: each block shares one slot; the switch compiles anew.
-    for rules in (A, B, A, B):
+    # Each block shares one slot; the switch compiles anew, and A's
+    # variants take A's divisor index.
+    for rules in (A, B, A_TAILS, B_PERMUTED, A_SCALED, A, B):
         for call in calls(rules):
             assert outcome(call) == fresh(lambda: outcome(call))
 
 
 def test_alternating_calls_match_fresh_calls():
-    for call_a, call_b in zip(calls(A), calls(B)):
-        for call in (call_a, call_b, call_a, call_b):
+    for call_a, call_b, call_tails, call_scaled in zip(
+            calls(A), calls(B), calls(A_TAILS), calls(A_SCALED)):
+        for call in (call_a, call_b, call_tails, call_a, call_scaled, call_tails, call_b):
             assert outcome(call) == fresh(lambda: outcome(call))
 
 
 def test_calls_after_a_filled_memo_match_fresh_calls():
-    # The memo already holds every monomial below degree 11.
-    reducible_monomials(TruncatedSeries(N, {Monomial((i, d - i)): 1
-                                            for d in range(11) for i in range(d + 1)}), A)
-    filled = rewrite._slot
-    assert filled is not None and filled.memo
-    for call in calls(A):
-        assert outcome(call) == fresh(lambda: outcome(call))
+    # Before each call the memo of A's leading monomials holds every
+    # monomial below degree 11, and A's variants read it.
+    below_11 = TruncatedSeries(N, {Monomial((i, d - i)): 1 for d in range(11) for i in range(d + 1)})
+    for rules in (A, A_TAILS, A_SCALED):
+        for call in calls(rules):
+            expected = fresh(lambda: outcome(call))
+            empty_slot()
+            reducible_monomials(below_11, A)
+            filled = rewrite._slot
+            assert filled is not None and len(filled.memo) == 66
+            assert outcome(call) == expected
+            assert rewrite._slot.memo is filled.memo
 
 
 def test_the_slot_keeps_only_the_last_rule_set():
@@ -119,6 +142,42 @@ def test_the_slot_keeps_only_the_last_rule_set():
     assert again == A
     normalize(F, again, 5)
     assert rewrite._slot.rules is again
+    assert rewrite._slot is not compiled and rewrite._slot.memo is compiled.memo
+
+
+def test_equal_leading_monomials_share_one_index():
+    compiled = [rewrite._compile(rules) for rules in (A, B, A_TAILS, B_PERMUTED, A_SCALED)]
+    a, b, tails, permuted, scaled = compiled
+    assert len({id(c) for c in compiled}) == 5   # each rule set has its own table
+    assert a.memo is tails.memo is scaled.memo
+    assert tails.table != a.table != scaled.table
+    # The key holds the leading exponents in rule order.
+    assert permuted.memo is not b.memo
+    assert len(rewrite._indices) == 3
+
+
+def test_empty_rule_sets_over_two_variable_counts_share_no_index():
+    # Both have no leading exponents: the key holds the variable count.
+    two, three = rewrite._compile(RuleSet([], 2)), rewrite._compile(RuleSet([], 3))
+    assert two.memo is not three.memo
+    assert set(rewrite._indices) == {(2, ()), (3, ())}
+    assert reducible_monomials(parse_series("x1 + x2^3", 2), RuleSet([], 2)) == set()
+    assert reducible_monomials(parse_series("x1*x3", 3), RuleSet([], 3)) == set()
+
+
+def test_the_kept_indices_stay_at_most_the_cap():
+    # One more set of leading monomials than the cap, twice over: a new
+    # index that would pass the cap replaces the dict by one holding it.
+    cap = rewrite._INDEX_LIMIT
+    f = parse_series("x1 + x1^3", 1)
+    sets = [parse_rules(f"x1^{k} - x1^{k + 1}", 1) for k in range(1, cap + 2)]
+    expected = [fresh(lambda: outcome(lambda: normalize(f, rules, 6))) for rules in sets]
+    empty_slot()
+    sizes = []
+    for rules, result in zip(sets + sets, expected + expected):
+        assert outcome(lambda: normalize(f, rules, 6)) == result
+        sizes.append(len(rewrite._indices))
+    assert sizes == [*range(1, cap + 1), *range(1, cap + 1), 1, 2]
 
 
 def test_the_kept_memo_stays_bounded(monkeypatch):
@@ -140,6 +199,32 @@ def test_the_kept_memo_stays_bounded(monkeypatch):
         assert len(after.memo) <= (limit if kept else 0) + p + 1
     assert dropped >= 2
     assert results == [fresh(lambda: outcome(lambda: normalize(f, rules, p))) for p in targets]
+
+
+def test_memos_past_the_limit_together_drop_the_kept_indices(monkeypatch):
+    # Two sets of leading monomials, x1 and x1^2, whose memos pass the
+    # limit together but never alone: the call that finds the kept memos
+    # past it, the slot's own memo included, starts a new dict.
+    limit = 20
+    monkeypatch.setattr(rewrite, "_MEMO_LIMIT", limit)
+    one, two = parse_rules("x1 - x1^2", 1), parse_rules("x1^2 - x1^3", 1)
+    f = parse_series("x1 + x1^2", 1)
+    steps = [(one, 12), (two, 12), (two, 14), (one, 9), (one, 18), (two, 16), (one, 5),
+             (two, 19), (one, 15)]
+    expected = [fresh(lambda: outcome(lambda: normalize(f, rules, p))) for rules, p in steps]
+    empty_slot()
+    dropped = 0
+    for (rules, p), result in zip(steps, expected):
+        total = kept_entries()
+        assert all(len(index.memo) <= limit for index in rewrite._indices.values())
+        assert outcome(lambda: normalize(f, rules, p)) == result
+        # A run of f below degree p tests the monomials x1^0..x1^p at most.
+        if total > limit:
+            dropped += 1
+            assert len(rewrite._indices) == 1 and kept_entries() <= p + 1
+        else:
+            assert kept_entries() <= total + p + 1
+    assert dropped == 4
 
 
 def test_a_failed_compile_leaves_the_slot():
@@ -174,11 +259,15 @@ def test_a_non_rule_set_is_rejected_on_the_first_and_a_cached_call():
         normalize(F, A, 5)
 
 
-def test_threads_alternating_two_rule_sets_match_a_sequential_run():
+@pytest.mark.parametrize("memo_limit", [rewrite._MEMO_LIMIT, 10])
+def test_threads_rotating_four_rule_sets_match_a_sequential_run(monkeypatch, memo_limit):
     # More threads than cores, each switching rule sets every round, so
-    # the slot changes hands inside the calls.
+    # the slot changes hands inside the calls; three of the sets share
+    # one divisor index.  Under the low limit the kept indices are
+    # dropped while other threads run on them.
+    monkeypatch.setattr(rewrite, "_MEMO_LIMIT", memo_limit)
     rounds, workers = 8, 4
-    jobs = [calls(A), calls(B)]
+    jobs = [calls(A), calls(B), calls(A_TAILS), calls(A_SCALED)]
     sequential = [[fresh(lambda: outcome(c)) for c in calls_] for calls_ in jobs]
     results = [[] for _ in range(workers)]
     errors = []
@@ -186,8 +275,8 @@ def test_threads_alternating_two_rule_sets_match_a_sequential_run():
     def worker(k):
         try:
             for r in range(rounds):
-                # Even threads run A, B, A, ...; odd ones B, A, B, ...
-                results[k].append([outcome(c) for c in jobs[(k + r) % 2]])
+                # Thread k runs the sets k, k + 1, ... in turn, modulo 4.
+                results[k].append([outcome(c) for c in jobs[(k + r) % 4]])
         except Exception as e:   # reported below
             errors.append(e)
 
@@ -203,4 +292,4 @@ def test_threads_alternating_two_rule_sets_match_a_sequential_run():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and not errors
     for k in range(workers):
-        assert results[k] == [sequential[(k + r) % 2] for r in range(rounds)]
+        assert results[k] == [sequential[(k + r) % 4] for r in range(rounds)]

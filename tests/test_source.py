@@ -229,18 +229,21 @@ def test_no_unused_imports_or_private_names():
 
 def test_rule_sets_compile_only_through_the_slot():
     # `_compile` keeps the last rule set's `_Compiled` for the next call on
-    # it; an entry point that called `_Compiled(...)` itself would skip it.
-    def calls(tree):
+    # it, and each `_Index` in `_indices` for the next rule set with its
+    # leading monomials; an entry point that called `_Compiled(...)` or
+    # `_Index(...)` itself would skip them.
+    def calls(tree, name):
         return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name) and node.func.id == "_Compiled"]
+                and isinstance(node.func, ast.Name) and node.func.id == name]
 
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
     (helper,) = [top for top in trees["rewrite.py"].body
                  if isinstance(top, ast.FunctionDef) and top.name == "_compile"]
-    inside = {id(node) for node in calls(helper)}
-    found = [f"{name}:{node.lineno}" for name, tree in trees.items()
-             for node in calls(tree) if id(node) not in inside]
-    assert inside and not found, f"_Compiled built outside _compile: {found}"
+    for built in ("_Compiled", "_Index"):
+        inside = {id(node) for node in calls(helper, built)}
+        found = [f"{name}:{node.lineno}" for name, tree in trees.items()
+                 for node in calls(tree, built) if id(node) not in inside]
+        assert inside and not found, f"{built} built outside _compile: {found}"
 
 
 def test_cli_reads_files_only_through_the_slot():
