@@ -223,14 +223,11 @@ class _Compiled:
     degrees, and the body precision, read from the bodies' stored terms;
     plus the memo and divisor test of the `_Index` of its leading
     exponents.  Built by `_compile` only, shared by every reducer of the
-    calls on one `RuleSet` in a row, never kept on the `RuleSet`.
-    ``room`` is how many entries the memo may hold before the kept memos
-    pass `_MEMO_LIMIT` in total, counting the others as they were when
-    this was built."""
+    calls on one `RuleSet` in a row, never kept on the `RuleSet`."""
 
-    __slots__ = ("rules", "table", "memo", "dividing", "room")
+    __slots__ = ("rules", "table", "memo", "dividing")
 
-    def __init__(self, rules: RuleSet, index: _Index, room: int):
+    def __init__(self, rules: RuleSet, index: _Index):
         self.rules = rules
         self.table = []
         for r in rules.rules:
@@ -239,7 +236,6 @@ class _Compiled:
             self.table.append((lm, sum(lm), terms[lm], tail, r.body.precision))
         self.memo = index.memo
         self.dividing = index.dividing
-        self.room = room
 
     def reducible(self, f: TruncatedSeries) -> list[tuple[int, ...]]:
         """The exponents of f's stored terms that some rule's leading
@@ -258,34 +254,33 @@ _slot: Optional[_Compiled] = None
 # changed, so a thread may read it while another replaces it.
 _indices: dict[tuple[int, tuple[tuple[int, ...], ...]], _Index] = {}
 _INDEX_LIMIT = 64   # at most this many kept indices
-_MEMO_LIMIT = 1 << 16   # kept memos past this many entries in total are dropped
+_MEMO_LIMIT = 1 << 10   # a slot memo past this many entries drops the kept indices
 
 
 def _compile(rules: RuleSet) -> _Compiled:
     """The rule set's `_Compiled`, kept in `_slot` until a call with another
-    rule set replaces it, or one that finds the kept memos past `_MEMO_LIMIT`
-    entries in total (never a run, which reads the memo for every pending
-    key).  A new `_Compiled` takes the `_Index` kept for its variable count
-    and leading exponents, if any: a memo entry is a function of those and
-    the monomial, so it carries over.  When the kept memos are past the
-    limit, or a new index would pass `_INDEX_LIMIT`, `_indices` is replaced
-    by an empty dict first.  The slot and the dict are each read and
-    swapped in one step, so a thread never reads one rule set's table with
-    another's, and a race between threads costs at most a build more."""
+    rule set replaces it, or one that finds its memo past `_MEMO_LIMIT`
+    entries (never a run, which reads the memo for every pending key).  A
+    new `_Compiled` takes the `_Index` kept for its variable count and
+    leading exponents, if any: a memo entry is a function of those and the
+    monomial, so it carries over.  Every call runs on the `_Compiled` in
+    the slot, so between compiles only the slot's memo grows: when it is
+    past the limit, or a new index would pass `_INDEX_LIMIT`, `_indices`
+    is replaced by an empty dict first.  The slot and the dict are each
+    read and swapped in one step, so a thread never reads one rule set's
+    table with another's, and a race between threads costs at most a
+    build more."""
     global _slot, _indices
     compiled = _slot
-    if compiled is None or compiled.rules is not rules or len(compiled.memo) > compiled.room:
+    if compiled is None or compiled.rules is not rules or len(compiled.memo) > _MEMO_LIMIT:
         require_type(rules, RuleSet, "rule set")
         key = (rules.n, tuple(r.leading_monomial.exponents for r in rules.rules))
-        kept = _indices
+        kept = _indices if compiled is None or len(compiled.memo) <= _MEMO_LIMIT else {}
         index = kept.get(key)
-        total = sum(len(i.memo) for i in kept.values())
-        if total > _MEMO_LIMIT or index is None and len(kept) >= _INDEX_LIMIT:
-            kept, index, total = {}, None, 0
         if index is None:
             index = _Index(key[1])
-            _indices = {**kept, key: index}
-        compiled = _slot = _Compiled(rules, index, _MEMO_LIMIT - total + len(index.memo))
+            _indices = {**kept, key: index} if len(kept) < _INDEX_LIMIT else {key: index}
+        compiled = _slot = _Compiled(rules, index)
     return compiled
 
 

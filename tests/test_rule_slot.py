@@ -8,7 +8,10 @@ under the variable count and the leading exponents in rule order, so
 rule sets with the same leading monomials share it.  A memo entry
 depends only on those and the monomial, so no result may depend on what
 the slot or the indices held before a call: every result here must equal
-the same call made with both emptied first.
+the same call made with both emptied first.  Only the slot's memo grows
+between compiles, so `_compile` checks that memo alone against
+`rewrite._MEMO_LIMIT`: a call that finds it past the limit drops every
+kept index.
 """
 
 import dataclasses
@@ -73,11 +76,6 @@ def calls(rules):
 def empty_slot():
     rewrite._slot = None
     rewrite._indices = {}
-
-
-def kept_entries():
-    """The memo entries the kept indices hold in total."""
-    return sum(len(index.memo) for index in rewrite._indices.values())
 
 
 def fresh(call):
@@ -201,30 +199,34 @@ def test_the_kept_memo_stays_bounded(monkeypatch):
     assert results == [fresh(lambda: outcome(lambda: normalize(f, rules, p))) for p in targets]
 
 
-def test_memos_past_the_limit_together_drop_the_kept_indices(monkeypatch):
+def test_each_memo_is_bounded_on_its_own(monkeypatch):
     # Two sets of leading monomials, x1 and x1^2, whose memos pass the
-    # limit together but never alone: the call that finds the kept memos
-    # past it, the slot's own memo included, starts a new dict.
+    # limit together long before either does alone: both are kept until a
+    # run leaves one past it.  The next call, on the slot's rule set or on
+    # another, finds the slot's memo past the limit and starts a new dict.
     limit = 20
     monkeypatch.setattr(rewrite, "_MEMO_LIMIT", limit)
     one, two = parse_rules("x1 - x1^2", 1), parse_rules("x1^2 - x1^3", 1)
     f = parse_series("x1 + x1^2", 1)
-    steps = [(one, 12), (two, 12), (two, 14), (one, 9), (one, 18), (two, 16), (one, 5),
-             (two, 19), (one, 15)]
+    steps = [(one, 12), (two, 12), (one, 18), (two, 19), (one, 30), (two, 9), (two, 25),
+             (two, 5), (one, 26), (one, 8)]
     expected = [fresh(lambda: outcome(lambda: normalize(f, rules, p))) for rules, p in steps]
     empty_slot()
-    dropped = 0
+    together = dropped = 0
     for (rules, p), result in zip(steps, expected):
-        total = kept_entries()
-        assert all(len(index.memo) <= limit for index in rewrite._indices.values())
+        over = rewrite._slot is not None and len(rewrite._slot.memo) > limit
+        kept = rewrite._indices
         assert outcome(lambda: normalize(f, rules, p)) == result
-        # A run of f below degree p tests the monomials x1^0..x1^p at most.
-        if total > limit:
+        if over:
             dropped += 1
-            assert len(rewrite._indices) == 1 and kept_entries() <= p + 1
+            # A run of f below degree p tests the monomials x1^0..x1^p at most.
+            (index,) = rewrite._indices.values()
+            assert len(index.memo) <= p + 1
         else:
-            assert kept_entries() <= total + p + 1
-    assert dropped == 4
+            assert all(rewrite._indices.get(key) is index for key, index in kept.items())
+            memos = [len(index.memo) for index in rewrite._indices.values()]
+            together += sum(memos) > limit >= max(memos)
+    assert together == 3 and dropped == 3
 
 
 def test_a_failed_compile_leaves_the_slot():
@@ -269,6 +271,10 @@ def test_threads_rotating_four_rule_sets_match_a_sequential_run(monkeypatch, mem
     rounds, workers = 8, 4
     jobs = [calls(A), calls(B), calls(A_TAILS), calls(A_SCALED)]
     sequential = [[fresh(lambda: outcome(c)) for c in calls_] for calls_ in jobs]
+    last = calls(A)[-1]
+    fresh(last)
+    added = len(rewrite._slot.memo)   # the entries one run of `last` adds at most
+    empty_slot()
     results = [[] for _ in range(workers)]
     errors = []
 
@@ -293,3 +299,14 @@ def test_threads_rotating_four_rule_sets_match_a_sequential_run(monkeypatch, mem
     assert not any(t.is_alive() for t in threads) and not errors
     for k in range(workers):
         assert results[k] == [sequential[(k + r) % 4] for r in range(rounds)]
+    # One more call, on one thread: the slot's memo is checked as it
+    # compiles, so every kept memo holds at most the limit plus what the
+    # call adds, except one grown by a call that ran while another thread
+    # moved the slot, which stays until its rule set is next compiled and
+    # left, or until the dict is replaced.
+    slot = rewrite._slot
+    grown = [index for index in rewrite._indices.values()
+             if index.memo is not slot.memo and len(index.memo) > memo_limit]
+    last()
+    assert all(len(index.memo) <= memo_limit + added
+               for index in rewrite._indices.values() if index not in grown)

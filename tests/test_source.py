@@ -246,6 +246,36 @@ def test_rule_sets_compile_only_through_the_slot():
         assert inside and not found, f"{built} built outside _compile: {found}"
 
 
+def test_compile_does_not_scan_the_kept_indices():
+    # Between compiles only the slot's memo grows, so `_compile` checks that
+    # memo alone against `_MEMO_LIMIT`.  A loop over `_indices`, or over a
+    # name bound to it (a `for`, a comprehension, or `sum`, `.values()` or
+    # `.items()` on it), would make every slot miss scan up to 64 memos.
+    def names(node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+    def bound(node):   # the names an assigned value may be as a whole
+        if isinstance(node, ast.IfExp):
+            return bound(node.body) | bound(node.orelse)
+        return {node.id} if isinstance(node, ast.Name) else set()
+
+    tree = ast.parse((Path(psrewrite.__file__).parent / "rewrite.py").read_text())
+    (helper,) = [top for top in tree.body
+                 if isinstance(top, ast.FunctionDef) and top.name == "_compile"]
+    aliases = {"_indices"}
+    for node in ast.walk(helper):
+        if isinstance(node, ast.Assign) and bound(node.value) & aliases:
+            aliases |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    found = [f"rewrite.py:{node.lineno}" for node in ast.walk(helper)
+             if isinstance(node, (ast.For, ast.comprehension)) and names(node.iter) & aliases
+             or isinstance(node, ast.Call) and (
+                 isinstance(node.func, ast.Name) and node.func.id == "sum"
+                 and any(names(arg) & aliases for arg in node.args)
+                 or isinstance(node.func, ast.Attribute)
+                 and node.func.attr in {"values", "items"} and names(node.func.value) & aliases)]
+    assert not found, f"_compile loops over the kept indices: {found}"
+
+
 def test_cli_reads_files_only_through_the_slot():
     # `cli._load` reads a file and `cli._parsed`, a one-entry
     # `functools.lru_cache`, keeps what it parsed for the next call on the
